@@ -38,6 +38,22 @@ func TestPercentileMinimumSamples(t *testing.T) {
 	if _, enough := percentile(nil, 0.5); enough {
 		t.Error("p50 of no samples accepted")
 	}
+	// Chunked: 3,000 samples make three chunks of 1..1000; a burst
+	// confined to the first moves its p99, not the median of the three
+	// (the pooled p99 would be the burst).
+	s := append(append(samples(1000), samples(1000)...), samples(1000)...)
+	for i := 0; i < 100; i++ {
+		s[i] = 1e9
+	}
+	if v, enough := chunkedPercentile(s, 0.99); !enough || v != 990 {
+		t.Errorf("chunked p99 = %v (enough %v), want 990", v, enough)
+	}
+	if v, _ := percentile(s, 0.99); v != 1e9 {
+		t.Errorf("pooled p99 = %v, want the burst", v)
+	}
+	if _, enough := chunkedPercentile(samples(999), 0.99); enough {
+		t.Error("chunked p99 of 999 samples accepted")
+	}
 	// Failed requests are +Inf: eleven of 1,000 push p99 to infinity,
 	// ten do not.
 	for failed, wantInf := range map[int]bool{10: false, 11: true} {

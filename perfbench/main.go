@@ -167,7 +167,10 @@ func emit(cfg runConfig, res *result) bool {
 // provenance describes the machine, toolchain and source of a run.
 func provenance(cfg runConfig) map[string]any {
 	commit := "unknown"
-	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+	git := exec.Command("git", "rev-parse", "HEAD")
+	// Only this directory's own repository: git must not look upwards.
+	git.Env = append(os.Environ(), "GIT_DIR=.git")
+	if out, err := git.Output(); err == nil {
 		commit = strings.TrimSpace(string(out))
 	}
 	return map[string]any{
