@@ -182,6 +182,64 @@ func TestOpenLoopTimesFromDueTime(t *testing.T) {
 	}
 }
 
+func TestClosedLoopMetersCPUPerSuccess(t *testing.T) {
+	// One connection whose ops take 2 ms, metered by a clock that
+	// charges wall time as CPU time: every window must show about 2 ms
+	// per success, and a 2.4 s loop must be split into two windows.
+	run := func(_, index int, due time.Time, rc *recorder) {
+		time.Sleep(2 * time.Millisecond)
+		rc.add(outcome{opIndex: index, status: 200}, float64(time.Since(due))/1e3)
+	}
+	t0 := time.Now()
+	wall := func() (float64, error) { return time.Since(t0).Seconds(), nil }
+	res := closedLoop(run, 0, 1, 2400*time.Millisecond, 0, wall)
+	if len(res.cpuUS) != 2 {
+		t.Fatalf("%d CPU windows %v, want 2", len(res.cpuUS), res.cpuUS)
+	}
+	for _, us := range res.cpuUS {
+		if us < 1900 || us > 4000 {
+			t.Errorf("CPU per success %v us, want about 2,000", us)
+		}
+	}
+	if res.failed != 0 {
+		t.Errorf("%d failed", res.failed)
+	}
+}
+
+func TestGaugeScalesCPUTimesToReferenceSpeed(t *testing.T) {
+	// A host at half the reference speed: the yardstick takes twice
+	// yardstickRefS, so the CPU times halve and the measured ones stay
+	// under ".raw"; wall-clock and memory figures are left alone.
+	g := &speedGauge{samples: []float64{2 * yardstickRefS, 2 * yardstickRefS, 9 * yardstickRefS}}
+	res := newResult()
+	res.set("cpu_us_per_req", 1000, "us", 0)
+	res.set("predict_replay_s", 2, "s", 0)
+	res.set("setup_s", 3, "s", 0)
+	g.report(res)
+	for name, want := range map[string]float64{
+		"cpu_us_per_req": 500, "cpu_us_per_req.raw": 1000,
+		"predict_replay_s": 1, "predict_replay_s.raw": 2,
+		"setup_s": 3, "bench.yardstick_us": 2e6 * yardstickRefS,
+	} {
+		if got := res.metrics[name].Value; !relClose(got, want, 1e-12) {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	if _, found := res.metrics["substrate_replay_s.raw"]; found {
+		t.Error("an unmeasured metric gained a .raw twin")
+	}
+	// The yardstick itself is fixed work that allocates nothing once
+	// made: two runs give the same value.
+	y := newYardstick()
+	first := y.run()
+	if allocs := testing.AllocsPerRun(3, func() { y.run() }); allocs != 0 {
+		t.Errorf("yardstick allocates %v times a run", allocs)
+	}
+	if again := y.run(); again != first {
+		t.Errorf("yardstick gave %v, then %v", first, again)
+	}
+}
+
 func TestTracedPassMatchesUntraced(t *testing.T) {
 	for _, w := range []workload{newCachedGen(3), newComputeGen(3)} {
 		plain, err := runServingPass(w, nil, 60, 0)

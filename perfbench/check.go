@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"time"
 
 	"bwshare/internal/api"
 	"bwshare/internal/core"
@@ -291,61 +290,38 @@ func substrate(it *predictItem, rv resolved) core.Engine {
 	}
 }
 
-// accuracy is the paper's prediction-versus-substrate comparison over a
-// sample of served items, with the host time of each side.
-type accuracy struct {
-	predictS, substrateS float64 // host seconds for the whole sample
-	errPct               float64 // mean |relative error| over compared comms
-	comms                int
-}
-
-// measureAccuracy predicts every item of the sample in-process and runs
-// the items a substrate models on it, timing each side.
-func measureAccuracy(items []*predictItem) (accuracy, error) {
-	var acc accuracy
-	rvs := make([]resolved, len(items))
-	sessions := make([]*predict.Session, len(items))
-	for i, it := range items {
+// predictionError is the paper's prediction-versus-substrate
+// comparison over a sample of served items: it predicts every item
+// in-process, runs the items a substrate models on it, and returns the
+// mean relative error over the compared communications and their count.
+func predictionError(items []*predictItem) (float64, int, error) {
+	sum, comms := 0.0, 0
+	for _, it := range items {
 		rv, err := resolve(it)
 		if err != nil {
-			return acc, err
+			return 0, 0, err
 		}
-		rvs[i] = rv
-		if sessions[i], err = rv.session(); err != nil {
-			return acc, err
+		e := substrate(it, rv)
+		if e == nil {
+			continue
 		}
-	}
-	pred := make([][]float64, len(items))
-	start := time.Now()
-	for i, rv := range rvs {
+		sess, err := rv.session()
+		if err != nil {
+			return 0, 0, err
+		}
+		var pred []float64
 		if rv.static {
-			pred[i] = append([]float64(nil), sessions[i].StaticTimes(rv.g)...)
+			pred = sess.StaticTimes(rv.g)
 		} else {
-			pred[i] = append([]float64(nil), sessions[i].Times(rv.g)...)
+			pred = sess.Times(rv.g)
+		}
+		for k, m := range measure.Run(e, rv.g).Times {
+			sum += math.Abs((pred[k] - m) / m)
+			comms++
 		}
 	}
-	acc.predictS = time.Since(start).Seconds()
-	engines := make([]core.Engine, len(items))
-	for i, it := range items {
-		engines[i] = substrate(it, rvs[i])
+	if comms == 0 {
+		return 0, 0, nil
 	}
-	start = time.Now()
-	meas := make([][]float64, len(items))
-	for i, e := range engines {
-		if e != nil {
-			meas[i] = measure.Run(e, rvs[i].g).Times
-		}
-	}
-	acc.substrateS = time.Since(start).Seconds()
-	sum := 0.0
-	for i := range items {
-		for k, m := range meas[i] {
-			sum += math.Abs((pred[i][k] - m) / m)
-			acc.comms++
-		}
-	}
-	if acc.comms > 0 {
-		acc.errPct = 100 * sum / float64(acc.comms)
-	}
-	return acc, nil
+	return 100 * sum / float64(comms), comms, nil
 }

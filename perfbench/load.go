@@ -72,6 +72,7 @@ type loopResult struct {
 	lagUS     []float64 // open loop: how late the generator handed each op over
 	doneS     []float64 // per request, when it was answered, in seconds from the start
 	windows   []float64 // closed loop: successes per second in each full window
+	cpuUS     []float64 // closed loop: CPU microseconds per success, one per window
 	kept      []outcome // answers of ops below the keep index, for the checks
 	firstErr  string
 }
@@ -84,6 +85,7 @@ func (l *loopResult) add(r loopResult) {
 	l.latencyUS = append(l.latencyUS, r.latencyUS...)
 	l.lagUS = append(l.lagUS, r.lagUS...)
 	l.windows = append(l.windows, r.windows...)
+	l.cpuUS = append(l.cpuUS, r.cpuUS...)
 	l.kept = append(l.kept, r.kept...)
 	if l.firstErr == "" {
 		l.firstErr = r.firstErr
@@ -100,6 +102,13 @@ type recorder struct {
 	keep  int
 	base  int
 	start time.Time
+}
+
+// succeeded returns the number of successful requests so far.
+func (rc *recorder) succeeded() int {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.res.attempted - rc.res.failed
 }
 
 func (rc *recorder) add(o outcome, latUS float64) {
@@ -140,9 +149,16 @@ func httpOps(t *target, w workload) opRunner {
 	}
 }
 
+// cpuMeter returns the CPU seconds the system under test has used so
+// far.
+type cpuMeter func() (float64, error)
+
 // closedLoop runs conns connections, each sending its next op as soon as
-// the previous one is answered, for d. Ops are numbered from base.
-func closedLoop(run opRunner, base, conns int, d time.Duration, keep int) loopResult {
+// the previous one is answered, for d. Ops are numbered from base. It
+// splits d into windows of about cpuWindow and records in cpuUS each
+// window's CPU microseconds per success, as cpu reports them.
+func closedLoop(run opRunner, base, conns int, d time.Duration, keep int, cpu cpuMeter) loopResult {
+	cpu0, cpuErr := cpu()
 	start := time.Now()
 	rc := &recorder{keep: keep, base: base, start: start}
 	var next atomic.Int64
@@ -157,10 +173,44 @@ func closedLoop(run opRunner, base, conns int, d time.Duration, keep int) loopRe
 			}
 		}()
 	}
+	if cpuErr == nil {
+		rc.res.cpuUS, cpuErr = meterWindows(cpu, cpu0, start, d, rc)
+	}
 	wg.Wait()
 	rc.res.ops = int(next.Load())
 	rc.res.windows = windowRates(rc.res.doneS, rc.res.latencyUS, time.Since(start).Seconds(), throughputWindow)
+	if cpuErr != nil {
+		rc.res.failed++
+		rc.res.firstErr = "reading CPU time: " + cpuErr.Error()
+	}
 	return rc.res
+}
+
+// cpuWindow is the target length of the windows over which closedLoop
+// divides CPU time by successes; cpu_us_per_req is the median over a
+// run's windows, so a burst on the shared machine spoils a window, not
+// the figure.
+const cpuWindow = time.Second
+
+// meterWindows splits the d from start (when cpu read cpu0) into equal
+// windows of about cpuWindow, reads cpu at the end of each, and returns
+// each window's CPU microseconds per success recorded by rc.
+func meterWindows(cpu cpuMeter, cpu0 float64, start time.Time, d time.Duration, rc *recorder) ([]float64, error) {
+	n := max(1, int((d+cpuWindow/2)/cpuWindow))
+	var out []float64
+	last, lastOK := cpu0, 0
+	for k := 1; k <= n; k++ {
+		time.Sleep(time.Until(start.Add(d * time.Duration(k) / time.Duration(n))))
+		c, err := cpu()
+		if err != nil {
+			return nil, err
+		}
+		if done := rc.succeeded(); done > lastOK {
+			out = append(out, 1e6*(c-last)/float64(done-lastOK))
+			last, lastOK = c, done
+		}
+	}
+	return out, nil
 }
 
 // openLoop offers ops at a fixed rate (ops per second) for d, whatever
@@ -205,9 +255,13 @@ func openLoop(run opRunner, base, conns int, rate float64, d time.Duration, keep
 	return rc.res
 }
 
-// loopMetrics records both loops' failures, the closed loop's
-// throughput (successes per second) and the open loop's latency
-// percentiles, sample count and generator lag.
+// loopMetrics records both loops' failures, the closed loop's CPU time
+// per request (the median over its windows) and throughput (successes
+// per second), and the open loop's latency percentiles, sample count and
+// generator lag. Only the CPU time is an end-to-end metric: the kernel
+// leaves the host's steal out of it, so it moves far less with the
+// neighbours' load. The wall-clock figures are reported with the traced
+// run's per-layer metrics, under bench.
 func loopMetrics(res *result, closed, open loopResult) {
 	for _, l := range []loopResult{closed, open} {
 		res.attempted += l.attempted
@@ -216,12 +270,13 @@ func loopMetrics(res *result, closed, open loopResult) {
 			res.problem("request failed: %s", l.firstErr)
 		}
 	}
-	res.set("throughput_rps", median(closed.windows), "req/s", closed.attempted)
+	res.set("cpu_us_per_req", median(closed.cpuUS), "us", closed.attempted)
+	res.set("bench.throughput_rps", median(closed.windows), "req/s", closed.attempted)
 	samples := len(open.latencyUS)
 	p50, _ := percentile(open.latencyUS, 0.50)
-	res.set("latency_p50_us", p50, "us", samples)
+	res.set("bench.latency_p50_us", p50, "us", samples)
 	if p99, enough := chunkedPercentile(open.latencyUS, 0.99); enough {
-		res.set("latency_p99_us", p99, "us", samples)
+		res.set("bench.latency_p99_us", p99, "us", samples)
 	} else {
 		res.problem("open loop gave %d latency samples; p99 needs %d", samples, 100*minTail)
 	}
@@ -231,7 +286,7 @@ func loopMetrics(res *result, closed, open loopResult) {
 }
 
 // throughputWindow is the length in seconds of the closed-loop windows
-// whose median rate is throughput_rps: a stall of the shared machine
+// whose median rate is bench.throughput_rps: a stall of the shared machine
 // spoils a window or two, not the figure.
 const throughputWindow = 0.5
 
@@ -240,13 +295,13 @@ const throughputWindow = 0.5
 // samples the whole run rather than one stretch of a shared machine.
 const rounds = 4
 
-// roundLoops runs rounds rounds of a closed loop for closedD and an open
-// loop for openD; between the two, each round calls between (nil for
-// nothing). Op numbers continue across rounds: the closed loop's from 0,
-// the open loop's from openBase.
-func roundLoops(run opRunner, conns int, rate float64, closedD, openD time.Duration, keep int, between func()) (closed, open loopResult) {
+// roundLoops runs rounds rounds of a closed loop for closedD, metered by
+// cpu, and an open loop for openD; between the two, each round calls
+// between (nil for nothing). Op numbers continue across rounds: the
+// closed loop's from 0, the open loop's from openBase.
+func roundLoops(run opRunner, conns int, rate float64, closedD, openD time.Duration, keep int, cpu cpuMeter, between func()) (closed, open loopResult) {
 	for r := 0; r < rounds; r++ {
-		closed.add(closedLoop(run, closed.ops, conns, closedD/rounds, keep-closed.ops))
+		closed.add(closedLoop(run, closed.ops, conns, closedD/rounds, keep-closed.ops, cpu))
 		if between != nil {
 			between()
 		}

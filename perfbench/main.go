@@ -5,7 +5,7 @@
 // metrics and how to run it; run.sh builds and starts it.
 //
 //	perfbench -bin <dir with bwserved and bwgate> \
-//	    --workload serve-cached --seed 1 --seconds 20 --trace 0
+//	    --workload serve-cached --seed 1 --seconds 25 --trace 0
 //
 // The last line of standard output is one JSON object:
 //
@@ -77,7 +77,7 @@ func main() {
 	var trace int
 	flag.StringVar(&cfg.workload, "workload", "", "workload: "+strings.Join(workloadNames, ", "))
 	flag.Int64Var(&cfg.seed, "seed", 1, "input seed")
-	flag.Float64Var(&cfg.seconds, "seconds", 20, "measured seconds per run")
+	flag.Float64Var(&cfg.seconds, "seconds", 25, "measured seconds per run")
 	flag.IntVar(&trace, "trace", 0, "1 runs the traced pass and reports per-layer metrics")
 	flag.StringVar(&cfg.binDir, "bin", ".bench_build/bin", "directory holding the bwserved and bwgate binaries")
 	flag.StringVar(&cfg.outDir, "out", ".bench_build/spans", "directory the traced run writes its spans to")

@@ -11,9 +11,7 @@ type metricDef struct {
 // endToEnd are the metrics of the untraced run (--trace 0).
 var endToEnd = []metricDef{
 	{"setup_s", "s", "lower"},
-	{"throughput_rps", "req/s", "higher"},
-	{"latency_p50_us", "us", "lower"},
-	{"latency_p99_us", "us", "lower"},
+	{"cpu_us_per_req", "us", "lower"},
 	{"peak_rss_mb", "MB", "lower"},
 	{"predict_replay_s", "s", "lower"},
 	{"substrate_replay_s", "s", "lower"},
@@ -61,6 +59,10 @@ var perLayer = []metricDef{
 	{"runtime.allocs_per_req", "count", "lower"},
 	{"runtime.alloc_bytes_per_req", "bytes", "lower"},
 	{"runtime.gc_cycles", "count", "lower"},
+	{"bench.throughput_rps", "req/s", "higher"},
+	{"bench.latency_p50_us", "us", "lower"},
+	{"bench.latency_p99_us", "us", "lower"},
+	{"bench.yardstick_us", "us", "lower"},
 	{"bench.gen_lag_us_p99", "us", "lower"},
 	{"bench.latency_samples", "count", "higher"},
 	{"bench.trace_overhead_pct", "%", "lower"},

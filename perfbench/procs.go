@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/exec"
@@ -99,6 +100,52 @@ func peakRSSMB(pid string) (float64, error) {
 	return 0, fmt.Errorf("no VmHWM in /proc/%s/status", pid)
 }
 
+// userHZ is the unit of the CPU times in /proc/<pid>/stat (USER_HZ,
+// 100 on every Linux architecture Go supports).
+const userHZ = 100
+
+// cpuSeconds returns the CPU time, user plus system, that a process and
+// all its threads have used so far. Linux charges a task only for the
+// time it really ran: time the hypervisor gives to other guests (steal)
+// is left out, so on a shared host the figure follows the work done
+// rather than the host's load.
+func cpuSeconds(pid string) (float64, error) {
+	raw, err := os.ReadFile("/proc/" + pid + "/stat")
+	if err != nil {
+		return 0, err
+	}
+	// The command name (field 2) may hold spaces; utime and stime are
+	// fields 14 and 15, the 12th and 13th after its closing parenthesis.
+	s := string(raw)
+	fields := strings.Fields(s[strings.LastIndexByte(s, ')')+1:])
+	if len(fields) < 13 {
+		return 0, fmt.Errorf("short /proc/%s/stat", pid)
+	}
+	ticks := 0.0
+	for _, f := range fields[11:13] {
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil {
+			return 0, fmt.Errorf("/proc/%s/stat: %w", pid, err)
+		}
+		ticks += v
+	}
+	return ticks / userHZ, nil
+}
+
+// selfCPUSeconds returns the CPU time the benchmark process has used,
+// with the microsecond resolution of getrusage and, as cpuSeconds,
+// without steal.
+func selfCPUSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return math.NaN()
+	}
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9
+}
+
+// cpuSelf is selfCPUSeconds as a cpuMeter.
+func cpuSelf() (float64, error) { return selfCPUSeconds(), nil }
+
 // waitHealthy polls GET /v1/healthz until it answers 200.
 func waitHealthy(base string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
@@ -186,6 +233,19 @@ func (f *fleetProcs) peakRSSMB() (float64, error) {
 			return 0, err
 		}
 		total += mb
+	}
+	return total, nil
+}
+
+// cpuSeconds sums the CPU time of every process of the fleet.
+func (f *fleetProcs) cpuSeconds() (float64, error) {
+	total := 0.0
+	for _, p := range f.all() {
+		s, err := cpuSeconds(strconv.Itoa(p.cmd.Process.Pid))
+		if err != nil {
+			return 0, err
+		}
+		total += s
 	}
 	return total, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -11,10 +12,13 @@ import (
 
 // Replay-workload constants.
 const (
-	// traceSet is the number of composite traces a run replays, and
-	// jobsPerTrace the concurrent jobs of each.
+	// traceSet is the number of composite traces a run times, and
+	// jobsPerTrace the concurrent jobs of each. The replay workload
+	// replays errorTraces more once each, untimed, so that
+	// pred_error_pct averages over enough jobs to vary little by seed.
 	traceSet     = 6
 	jobsPerTrace = 20
+	errorTraces  = 12
 	// replaySetupRepeats is how many times a run builds the traces and
 	// the engines; setup_s is the median.
 	replaySetupRepeats = 15
@@ -190,12 +194,17 @@ func newComposite(r *rng, jobs, offset int) *composite {
 	return c
 }
 
-// newTraceSet builds the replay workload's traces from its seed; trace
-// k starts the mix at a different offset, so the set covers every shape.
-func newTraceSet(seed int64) []*composite {
-	set := make([]*composite, traceSet)
-	for k := range set {
-		set[k] = newComposite(newRNG(seed, 7+uint64(k)), jobsPerTrace, k*3)
+// newTraceSet builds the timed traces from the seed.
+func newTraceSet(seed int64) []*composite { return traceRange(seed, 0, traceSet) }
+
+// traceRange builds traces from to from+n-1 of the seed's sequence;
+// trace k starts the mix at a different offset, so a set of six covers
+// every shape.
+func traceRange(seed int64, from, n int) []*composite {
+	set := make([]*composite, n)
+	for i := range set {
+		k := from + i
+		set[i] = newComposite(newRNG(seed, 7+uint64(k)), jobsPerTrace, k*3)
 	}
 	return set
 }
@@ -239,44 +248,134 @@ var canary = struct {
 	predMake, subMake float64
 }{seed: 2008, jobs: 6, transfers: 1516, predMake: 3.3162263704615205, subMake: 3.3546907943796316}
 
-// checkReplay compares a replay pair with expected values.
-func checkReplay(p replayPair, transfers int, predMake, subMake float64) error {
-	for _, r := range []*bwshare.ReplayResult{p.pred, p.sub} {
-		if r.NetTransfers != transfers {
-			return fmt.Errorf("%s replay made %d network transfers, want %d", r.Engine, r.NetTransfers, transfers)
-		}
+// checkRun compares one replay with the expected transfer count and
+// makespan.
+func checkRun(r *bwshare.ReplayResult, transfers int, makespan float64) error {
+	if r.NetTransfers != transfers {
+		return fmt.Errorf("%s replay made %d network transfers, want %d", r.Engine, r.NetTransfers, transfers)
 	}
-	if !relClose(p.pred.Makespan, predMake, checkTol) || !relClose(p.sub.Makespan, subMake, checkTol) {
-		return fmt.Errorf("makespans %.17g (predicted) and %.17g (substrate), want %.17g and %.17g",
-			p.pred.Makespan, p.sub.Makespan, predMake, subMake)
+	if !relClose(r.Makespan, makespan, checkTol) {
+		return fmt.Errorf("%s replay makespan %.17g, want %.17g", r.Engine, r.Makespan, makespan)
 	}
 	return nil
 }
 
-// replaySet replays every trace of set on pred, then on sub, and
-// returns the results with each engine's host seconds for the set.
-func replaySet(set []*composite, pred, sub bwshare.Engine) ([]replayPair, float64, float64, error) {
-	out := make([]replayPair, len(set))
-	var predS, subS float64
-	for k, c := range set {
-		var err error
-		start := time.Now()
-		if out[k].pred, err = bwshare.Replay(pred, c.clu, c.place, c.trace); err != nil {
-			return nil, 0, 0, fmt.Errorf("predictor replay of trace %d: %w", k, err)
-		}
-		predS += time.Since(start).Seconds()
-		start = time.Now()
-		if out[k].sub, err = bwshare.Replay(sub, c.clu, c.place, c.trace); err != nil {
-			return nil, 0, 0, fmt.Errorf("substrate replay of trace %d: %w", k, err)
-		}
-		subS += time.Since(start).Seconds()
+// replayBoth replays c once on pred and once on sub, untimed.
+func replayBoth(c *composite, pred, sub bwshare.Engine) (replayPair, error) {
+	var p replayPair
+	var err error
+	if p.pred, err = bwshare.Replay(pred, c.clu, c.place, c.trace); err != nil {
+		return p, fmt.Errorf("predictor replay: %w", err)
 	}
-	return out, predS, subS, nil
+	if p.sub, err = bwshare.Replay(sub, c.clu, c.place, c.trace); err != nil {
+		return p, fmt.Errorf("substrate replay: %w", err)
+	}
+	return p, nil
 }
 
-// runReplay measures replay-multijob: in each round, the trace set is
-// replayed on both engines, then single-job prediction requests run in
-// a closed and an open loop.
+// timedReplay replays c on e after a collection, so that it pays for no
+// garbage another replay left behind, and returns the CPU seconds it
+// took.
+func timedReplay(e bwshare.Engine, c *composite) (*bwshare.ReplayResult, float64, error) {
+	runtime.GC()
+	start := selfCPUSeconds()
+	r, err := bwshare.Replay(e, c.clu, c.place, c.trace)
+	return r, selfCPUSeconds() - start, err
+}
+
+// subReps is how many times a pass replays each trace on the substrate,
+// which takes a few milliseconds a trace: short enough for one burst on
+// the shared machine to spoil a replay.
+const subReps = 3
+
+// replayTimer times passes over a trace set, on the GigE-model
+// predictor and on the GigE substrate, and checks every replay: the
+// transfer count against the trace's, and the makespan against the
+// first pass's. Every workload runs one between its loops and reports
+// the same two metrics from it: predict_replay_s and substrate_replay_s
+// are the sums over the traces of each trace's median CPU seconds, so a
+// burst on the shared machine spoils one replay of a trace, not the
+// figure.
+type replayTimer struct {
+	set         []*composite
+	pred, sub   bwshare.Engine
+	res         *result
+	first       []replayPair
+	predS, subS [][]float64 // per trace, one entry per replay
+	passes      int
+	err         error
+}
+
+func newReplayTimer(set []*composite, pred, sub bwshare.Engine, res *result) *replayTimer {
+	return &replayTimer{set: set, pred: pred, sub: sub, res: res,
+		predS: make([][]float64, len(set)), subS: make([][]float64, len(set))}
+}
+
+// pass replays every trace once on the predictor and subReps times on
+// the substrate, on one P, as a single-threaded replay runs.
+func (t *replayTimer) pass() {
+	if t.err != nil {
+		return
+	}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	pairs := make([]replayPair, len(t.set))
+	for k, c := range t.set {
+		r, s, err := timedReplay(t.pred, c)
+		if err != nil {
+			t.err = fmt.Errorf("predictor replay of trace %d: %w", k, err)
+			return
+		}
+		pairs[k].pred = r
+		t.predS[k] = append(t.predS[k], s)
+		for rep := 0; rep < subReps; rep++ {
+			if r, s, err = timedReplay(t.sub, c); err != nil {
+				t.err = fmt.Errorf("substrate replay of trace %d: %w", k, err)
+				return
+			}
+			t.subS[k] = append(t.subS[k], s)
+			if rep == 0 {
+				pairs[k].sub = r
+			} else {
+				t.check(k, r, pairs[k].sub.Makespan)
+			}
+		}
+	}
+	if t.first == nil {
+		t.first = pairs
+	}
+	for k, p := range pairs {
+		t.check(k, p.pred, t.first[k].pred.Makespan)
+		t.check(k, p.sub, t.first[k].sub.Makespan)
+	}
+	t.passes++
+}
+
+func (t *replayTimer) check(k int, r *bwshare.ReplayResult, makespan float64) {
+	t.res.attempted++
+	if err := checkRun(r, t.set[k].transfers, makespan); err != nil {
+		t.res.problem("trace %d: %v", k, err)
+	}
+}
+
+// report sets predict_replay_s and substrate_replay_s.
+func (t *replayTimer) report() error {
+	if t.err != nil {
+		return t.err
+	}
+	var predS, subS float64
+	for k := range t.set {
+		predS += median(t.predS[k])
+		subS += median(t.subS[k])
+	}
+	t.res.set("predict_replay_s", predS, "s", t.passes)
+	t.res.set("substrate_replay_s", subS, "s", t.passes*subReps)
+	return nil
+}
+
+// runReplay measures replay-multijob: in each round, single-job
+// prediction requests run in a closed loop, the trace set is replayed on
+// both engines, and the requests run in an open loop.
 func runReplay(cfg runConfig) (*result, error) {
 	res := newResult()
 	var setups []float64
@@ -290,29 +389,16 @@ func runReplay(cfg runConfig) (*result, error) {
 	}
 	res.set("setup_s", median(setups), "s", len(setups))
 
-	// Each round replays the trace set on both engines for half its time.
-	var predS, subS []float64
-	var first []replayPair
-	var replayErr error
+	// Each round replays the trace set on both engines for half its
+	// time, then times the yardstick.
+	rt := newReplayTimer(set, pred, sub, res)
+	gauge := newSpeedGauge()
 	replayRound := func() {
 		deadline := time.Now().Add(time.Duration(0.5 * cfg.seconds / rounds * float64(time.Second)))
-		for n := 0; replayErr == nil && (n < minPasses || time.Now().Before(deadline)); n++ {
-			pairs, ps, ss, err := replaySet(set, pred, sub)
-			if err != nil {
-				replayErr = err
-				return
-			}
-			predS, subS = append(predS, ps), append(subS, ss)
-			if first == nil {
-				first = pairs
-			}
-			for k, p := range pairs {
-				res.attempted += 2
-				if err := checkReplay(p, set[k].transfers, first[k].pred.Makespan, first[k].sub.Makespan); err != nil {
-					res.problem("trace %d: %v", k, err)
-				}
-			}
+		for n := 0; rt.err == nil && (n < minPasses || time.Now().Before(deadline)); n++ {
+			rt.pass()
 		}
+		gauge.sample()
 	}
 
 	// Single-job prediction requests: op i replays one job of the set
@@ -337,16 +423,31 @@ func runReplay(cfg runConfig) (*result, error) {
 	// worker's preemption.
 	prev := runtime.GOMAXPROCS(conns + 1)
 	closed, open := roundLoops(jobOps, conns, openRate["replay-multijob"],
-		time.Duration(0.2*cfg.seconds*float64(time.Second)), time.Duration(0.3*cfg.seconds*float64(time.Second)), 0, replayRound)
+		time.Duration(0.3*cfg.seconds*float64(time.Second)), time.Duration(0.2*cfg.seconds*float64(time.Second)), 0, cpuSelf, replayRound)
 	runtime.GOMAXPROCS(prev)
-	if replayErr != nil {
-		return nil, replayErr
+	if err := rt.report(); err != nil {
+		return nil, err
 	}
 	loopMetrics(res, closed, open)
-	res.set("predict_replay_s", median(predS), "s", len(predS))
-	res.set("substrate_replay_s", median(subS), "s", len(subS))
-	var errs []float64
-	for _, p := range first {
+	gauge.report(res)
+
+	// The accuracy comparison takes the first pass and errorTraces more
+	// traces, each replayed once on fresh engines.
+	errs := make([]float64, 0, traceSet+errorTraces)
+	for _, p := range rt.first {
+		errs = append(errs, sendTimeErrPct(p))
+	}
+	for i, c := range traceRange(cfg.seed, traceSet, errorTraces) {
+		p, err := replayBoth(c, predictor(bwshare.GigEModel()), bwshare.NewGigE())
+		if err != nil {
+			return nil, fmt.Errorf("trace %d: %w", traceSet+i, err)
+		}
+		res.attempted += 2
+		for _, r := range []*bwshare.ReplayResult{p.pred, p.sub} {
+			if err := checkRun(r, c.transfers, r.Makespan); err != nil {
+				res.problem("trace %d: %v", traceSet+i, err)
+			}
+		}
 		errs = append(errs, sendTimeErrPct(p))
 	}
 	res.set("pred_error_pct", mean(errs), "%", len(errs))
@@ -357,11 +458,11 @@ func runReplay(cfg runConfig) (*result, error) {
 	res.set("peak_rss_mb", rss, "MB", 0)
 
 	c := newComposite(newRNG(canary.seed, 0), canary.jobs, 0)
-	cp, _, _, err := replaySet([]*composite{c}, predictor(bwshare.GigEModel()), bwshare.NewGigE())
+	cp, err := replayBoth(c, predictor(bwshare.GigEModel()), bwshare.NewGigE())
 	res.attempted++
 	if err != nil {
 		res.problem("canary replay: %v", err)
-	} else if err := checkReplay(cp[0], canary.transfers, canary.predMake, canary.subMake); err != nil {
+	} else if err := errors.Join(checkRun(cp.pred, canary.transfers, canary.predMake), checkRun(cp.sub, canary.transfers, canary.subMake)); err != nil {
 		res.problem("canary (seed %d, %d jobs): %v", canary.seed, canary.jobs, err)
 	}
 	if cfg.trace {

@@ -2,7 +2,7 @@
 # Builds bwserved, bwgate and the perfbench harness from the checkout in
 # the current directory, then runs the harness with the given arguments:
 #
-#   bash perfbench/run.sh --workload serve-cached --seed 1 --seconds 20 --trace 0
+#   bash perfbench/run.sh --workload serve-cached --seed 1 --seconds 25 --trace 0
 #
 # Every build output, Go cache and span file stays under .bench_build
 # (or $CARGO_TARGET_DIR when set), inside the checkout.

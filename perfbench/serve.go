@@ -8,34 +8,45 @@ import (
 	"sync"
 	"time"
 
+	"bwshare"
 	"bwshare/internal/fleet"
 )
 
 // Serving-run constants.
 const (
-	// setupRepeats is how many times a run launches and prepares a
-	// fresh fleet; setup_s is their median and the last one is measured.
-	setupRepeats = 3
+	// A run launches and prepares a fresh fleet at least minSetups
+	// times, and more, up to maxSetups, while the set-ups have taken
+	// less than setupBudget in all: a set-up of a few milliseconds is
+	// then repeated often enough for its median to hold. setup_s is
+	// the median, and the last fleet is measured.
+	minSetups   = 3
+	maxSetups   = 15
+	setupBudget = 2 * time.Second
 	// checkOps is how many leading ops of each loop keep their answers
-	// for the output checks; the closed loop's also form the accuracy
-	// sample.
+	// for the output checks; the closed loop's also form the sample of
+	// pred_error_pct.
 	checkOps = 1000
 	// openBase numbers the open loop's ops apart from the closed loop's.
 	openBase = 1 << 21
 	// identitySample is how many serve-cached requests are compared
 	// byte for byte through bwgate and direct.
 	identitySample = 64
+	// servingPasses is how many passes over the trace set a serving
+	// round times: eight in a run give each trace's median as many
+	// samples as the replay workload's passes give it.
+	servingPasses = 2
 )
 
 // openRate is the open loop's offered rate in ops per second, about a
-// tenth to a fifth of the workload's closed-loop throughput on a shared
+// tenth to a sixth of the workload's closed-loop throughput on a shared
 // 2-core machine (BENCHMARK.json names it in each "why"). Half, on such
 // a machine, queues whenever the host takes the CPU away for a while,
 // and the percentiles no longer repeat from run to run. Each rate still
-// gives the 1,000 samples a p99 needs in the open loop's 12 s.
+// gives the 1,000 samples a p99 needs in the open loop of a 25 s run
+// (10 s when serving, 5 s on replay).
 var openRate = map[string]float64{
-	"serve-cached":    100,
-	"serve-compute":   90,
+	"serve-cached":    120,
+	"serve-compute":   110,
 	"replay-multijob": 400,
 }
 
@@ -47,7 +58,7 @@ func workloadName(w workload) string {
 	return "serve-compute"
 }
 
-// runServing launches the fleet setupRepeats times, measures a closed
+// runServing launches the fleet minSetups or more times, measures a closed
 // and an open loop on the last one, reads the fleet's own counters,
 // stops it, and checks the kept answers in-process.
 func runServing(cfg runConfig, w workload) (*result, error) {
@@ -57,7 +68,7 @@ func runServing(cfg runConfig, w workload) (*result, error) {
 	runtime.GOMAXPROCS(1)
 	var setups []float64
 	var f *fleetProcs
-	for k := 0; k < setupRepeats; k++ {
+	for spent := time.Duration(0); len(setups) < minSetups || len(setups) < maxSetups && spent < setupBudget; {
 		f.stop()
 		start := time.Now()
 		var err error
@@ -68,7 +79,9 @@ func runServing(cfg runConfig, w workload) (*result, error) {
 			f.stop()
 			return nil, fmt.Errorf("set-up: %w", err)
 		}
-		setups = append(setups, time.Since(start).Seconds())
+		d := time.Since(start)
+		spent += d
+		setups = append(setups, d.Seconds())
 	}
 	defer f.stop()
 	res.set("setup_s", median(setups), "s", len(setups))
@@ -79,13 +92,29 @@ func runServing(cfg runConfig, w workload) (*result, error) {
 	}
 	t := newTarget(f.entry(), conns)
 	defer t.close()
-	acc := newAccuracySampler(w)
+	// Between the loops, each round times servingPasses passes over the
+	// replay workload's trace set, for predict_replay_s and
+	// substrate_replay_s, and the yardstick.
+	rt := newReplayTimer(newTraceSet(cfg.seed), predictor(bwshare.GigEModel()), bwshare.NewGigE(), res)
+	gauge := newSpeedGauge()
+	between := func() {
+		for k := 0; k < servingPasses; k++ {
+			rt.pass()
+		}
+		gauge.sample()
+	}
 	closed, open := roundLoops(httpOps(t, w), conns, openRate[name],
-		time.Duration(0.4*cfg.seconds*float64(time.Second)), time.Duration(0.6*cfg.seconds*float64(time.Second)), checkOps, acc.measure)
+		time.Duration(0.6*cfg.seconds*float64(time.Second)), time.Duration(0.4*cfg.seconds*float64(time.Second)), checkOps, f.cpuSeconds, between)
 	loopMetrics(res, closed, open)
-	if err := acc.report(res); err != nil {
+	if err := rt.report(); err != nil {
 		return nil, err
 	}
+	gauge.report(res)
+	errPct, comms, err := predictionError(servedItems(w))
+	if err != nil {
+		return nil, err
+	}
+	res.set("pred_error_pct", errPct, "%", comms)
 
 	if err := readCounters(f, before, res); err != nil {
 		return nil, err
@@ -299,54 +328,21 @@ func checkAnswers(w workload, kept []outcome, res *result) error {
 	return nil
 }
 
-// accuracySampler reports the paper's accuracy comparison over the
-// predictions of the closed loop's first checkOps ops, whose answers the
-// checks compare with the same in-process predictions: predict_replay_s
-// and substrate_replay_s are the host seconds to replay the sample on
-// the predictor and on the substrates in-process, and pred_error_pct the
-// predictions' mean relative error against the substrates. It is timed
-// once per round, between the loops; the times are the medians.
-type accuracySampler struct {
-	items []*predictItem
-	predS []float64
-	subS  []float64
-	last  accuracy
-	err   error
-}
-
-func newAccuracySampler(w workload) *accuracySampler {
-	a := &accuracySampler{}
+// servedItems returns the distinct prediction items of the closed loop's
+// first checkOps ops, whose answers the checks recompute: the sample of
+// the paper's accuracy comparison, pred_error_pct.
+func servedItems(w workload) []*predictItem {
+	var items []*predictItem
 	seen := make(map[*predictItem]bool)
 	for i := 0; i < checkOps; i++ {
 		for _, req := range w.op(i).reqs {
 			for _, it := range req.items {
 				if !seen[it] {
 					seen[it] = true
-					a.items = append(a.items, it)
+					items = append(items, it)
 				}
 			}
 		}
 	}
-	return a
-}
-
-// measure times the sample once.
-func (a *accuracySampler) measure() {
-	if a.err != nil {
-		return
-	}
-	if a.last, a.err = measureAccuracy(a.items); a.err == nil {
-		a.predS = append(a.predS, a.last.predictS)
-		a.subS = append(a.subS, a.last.substrateS)
-	}
-}
-
-func (a *accuracySampler) report(res *result) error {
-	if a.err != nil {
-		return a.err
-	}
-	res.set("predict_replay_s", median(a.predS), "s", len(a.items))
-	res.set("substrate_replay_s", median(a.subS), "s", len(a.items))
-	res.set("pred_error_pct", a.last.errPct, "%", a.last.comms)
-	return nil
+	return items
 }
