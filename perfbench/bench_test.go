@@ -209,17 +209,17 @@ func TestClosedLoopMetersCPUPerSuccess(t *testing.T) {
 func TestGaugeScalesCPUTimesToReferenceSpeed(t *testing.T) {
 	// A host at half the reference speed: the yardstick takes twice
 	// yardstickRefS, so the CPU times halve and the measured ones stay
-	// under ".raw"; wall-clock and memory figures are left alone.
+	// under ".raw"; other figures are left alone.
 	g := &speedGauge{samples: []float64{2 * yardstickRefS, 2 * yardstickRefS, 9 * yardstickRefS}}
 	res := newResult()
 	res.set("cpu_us_per_req", 1000, "us", 0)
 	res.set("predict_replay_s", 2, "s", 0)
-	res.set("setup_s", 3, "s", 0)
+	res.set("peak_rss_mb", 3, "MB", 0)
 	g.report(res)
 	for name, want := range map[string]float64{
 		"cpu_us_per_req": 500, "cpu_us_per_req.raw": 1000,
 		"predict_replay_s": 1, "predict_replay_s.raw": 2,
-		"setup_s": 3, "bench.yardstick_us": 2e6 * yardstickRefS,
+		"peak_rss_mb": 3, "bench.yardstick_us": 2e6 * yardstickRefS,
 	} {
 		if got := res.metrics[name].Value; !relClose(got, want, 1e-12) {
 			t.Errorf("%s = %v, want %v", name, got, want)

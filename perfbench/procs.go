@@ -100,36 +100,35 @@ func peakRSSMB(pid string) (float64, error) {
 	return 0, fmt.Errorf("no VmHWM in /proc/%s/status", pid)
 }
 
-// userHZ is the unit of the CPU times in /proc/<pid>/stat (USER_HZ,
-// 100 on every Linux architecture Go supports).
-const userHZ = 100
-
-// cpuSeconds returns the CPU time, user plus system, that a process and
-// all its threads have used so far. Linux charges a task only for the
-// time it really ran: time the hypervisor gives to other guests (steal)
-// is left out, so on a shared host the figure follows the work done
-// rather than the host's load.
+// cpuSeconds returns the CPU time, user plus system, that a process's
+// threads have used so far: the sum of the run times in
+// /proc/<pid>/task/*/schedstat, in nanoseconds (a Go program's threads
+// live as long as it does). Linux charges a task only for the time it
+// really ran: time the hypervisor gives to other guests (steal) is left
+// out, so on a shared host the figure follows the work done rather than
+// the host's load.
 func cpuSeconds(pid string) (float64, error) {
-	raw, err := os.ReadFile("/proc/" + pid + "/stat")
-	if err != nil {
-		return 0, err
+	stats, err := filepath.Glob("/proc/" + pid + "/task/*/schedstat")
+	if err != nil || len(stats) == 0 {
+		return 0, fmt.Errorf("no threads under /proc/%s/task", pid)
 	}
-	// The command name (field 2) may hold spaces; utime and stime are
-	// fields 14 and 15, the 12th and 13th after its closing parenthesis.
-	s := string(raw)
-	fields := strings.Fields(s[strings.LastIndexByte(s, ')')+1:])
-	if len(fields) < 13 {
-		return 0, fmt.Errorf("short /proc/%s/stat", pid)
-	}
-	ticks := 0.0
-	for _, f := range fields[11:13] {
-		v, err := strconv.ParseFloat(f, 64)
+	ns := 0.0
+	for _, path := range stats {
+		raw, err := os.ReadFile(path)
 		if err != nil {
-			return 0, fmt.Errorf("/proc/%s/stat: %w", pid, err)
+			continue // the thread has just exited
 		}
-		ticks += v
+		fields := strings.Fields(string(raw))
+		if len(fields) == 0 {
+			return 0, fmt.Errorf("empty %s", path)
+		}
+		v, err := strconv.ParseFloat(fields[0], 64)
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", path, err)
+		}
+		ns += v
 	}
-	return ticks / userHZ, nil
+	return ns / 1e9, nil
 }
 
 // selfCPUSeconds returns the CPU time the benchmark process has used,

@@ -20,7 +20,7 @@ const (
 	jobsPerTrace = 20
 	errorTraces  = 12
 	// replaySetupRepeats is how many times a run builds the traces and
-	// the engines; setup_s is the median.
+	// the engines; setup_s is the median CPU time.
 	replaySetupRepeats = 15
 	// minPasses is the least number of replays of the set per round.
 	minPasses = 1
@@ -382,10 +382,11 @@ func runReplay(cfg runConfig) (*result, error) {
 	var set []*composite
 	var pred, sub bwshare.Engine
 	for k := 0; k < replaySetupRepeats; k++ {
-		start := time.Now()
+		runtime.GC()
+		start := selfCPUSeconds()
 		set = newTraceSet(cfg.seed)
 		pred, sub = predictor(bwshare.GigEModel()), bwshare.NewGigE()
-		setups = append(setups, time.Since(start).Seconds())
+		setups = append(setups, selfCPUSeconds()-start)
 	}
 	res.set("setup_s", median(setups), "s", len(setups))
 

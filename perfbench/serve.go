@@ -18,7 +18,8 @@ const (
 	// times, and more, up to maxSetups, while the set-ups have taken
 	// less than setupBudget in all: a set-up of a few milliseconds is
 	// then repeated often enough for its median to hold. setup_s is
-	// the median, and the last fleet is measured.
+	// the median of the CPU time the fleet's processes used from
+	// launch to ready, and the last fleet is measured.
 	minSetups   = 3
 	maxSetups   = 15
 	setupBudget = 2 * time.Second
@@ -79,9 +80,13 @@ func runServing(cfg runConfig, w workload) (*result, error) {
 			f.stop()
 			return nil, fmt.Errorf("set-up: %w", err)
 		}
-		d := time.Since(start)
-		spent += d
-		setups = append(setups, d.Seconds())
+		cpu, err := f.cpuSeconds()
+		if err != nil {
+			f.stop()
+			return nil, fmt.Errorf("set-up: %w", err)
+		}
+		spent += time.Since(start)
+		setups = append(setups, cpu)
 	}
 	defer f.stop()
 	res.set("setup_s", median(setups), "s", len(setups))

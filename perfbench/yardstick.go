@@ -13,7 +13,7 @@ import (
 // CPU time per unit of work rises with it; steal accounting does not
 // remove that. Each run therefore also times a fixed computation of the
 // benchmark's own, the yardstick, between its phases, and scales
-// cpu_us_per_req, predict_replay_s and substrate_replay_s by
+// setup_s, cpu_us_per_req, predict_replay_s and substrate_replay_s by
 // yardstickRefS over the run's median yardstick time. A change to the
 // program moves the figures and not the yardstick; a slower host moves
 // both. The unscaled figures are printed too, with the suffix ".raw".
@@ -95,7 +95,7 @@ func (g *speedGauge) scale() float64 {
 // bench.yardstick_us.
 func (g *speedGauge) report(res *result) {
 	f := g.scale()
-	for _, name := range []string{"cpu_us_per_req", "predict_replay_s", "substrate_replay_s"} {
+	for _, name := range []string{"setup_s", "cpu_us_per_req", "predict_replay_s", "substrate_replay_s"} {
 		if m, found := res.metrics[name]; found {
 			res.metrics[name+".raw"] = m
 			m.Value *= f
