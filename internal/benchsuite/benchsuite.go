@@ -15,21 +15,26 @@ import (
 	"regexp"
 	"testing"
 
+	"bwshare/internal/apps"
+	"bwshare/internal/cluster"
 	"bwshare/internal/core"
 	"bwshare/internal/experiments"
 	"bwshare/internal/fault"
 	"bwshare/internal/fleet"
 	"bwshare/internal/graph"
 	"bwshare/internal/measure"
+	"bwshare/internal/model"
 	"bwshare/internal/netsim"
 	"bwshare/internal/netsim/gige"
 	"bwshare/internal/netsim/infiniband"
 	"bwshare/internal/netsim/myrinet"
 	"bwshare/internal/predict"
 	"bwshare/internal/randgen"
+	"bwshare/internal/replay"
 	"bwshare/internal/schemes"
 	"bwshare/internal/server"
 	"bwshare/internal/topology"
+	"bwshare/internal/trace"
 )
 
 // Benchmark is one named benchmark function.
@@ -384,6 +389,59 @@ func faultChurnBench(cfg netsim.CoupledConfig) func(b *testing.B) {
 	}
 }
 
+// multiJobReplayBench measures one trace replay of `jobs` co-scheduled
+// applications on the GigE-model predictor: a fixed cycle of wide
+// all-to-alls, narrow pairwise exchanges and halo rings on dual-core
+// nodes, rank r on node r mod nodes, so every node's NIC carries two
+// jobs. The model re-scores the active conflict graph at every engine
+// event, so this row tracks the predictor's per-event cost.
+func multiJobReplayBench(jobs int) func(b *testing.B) {
+	return func(b *testing.B) {
+		var parts []*trace.Trace
+		for j := 0; j < jobs; j++ {
+			var (
+				t   *trace.Trace
+				err error
+			)
+			switch j % 6 {
+			case 0:
+				t, err = apps.AllToAll(16, 1, 4e6, 5e-3)
+			case 1, 3:
+				t, err = apps.AllToAll(4<<(j%4/2), 2, 4e6, 5e-3)
+			case 2, 4:
+				t, err = apps.Halo2D(4+2*(j%5), 1, 3, 4e6, 5e-3)
+			default:
+				t, err = apps.AllToAll(2, 3, 4e6, 5e-3)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			parts = append(parts, t)
+		}
+		tr, err := apps.Compose(parts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes := (len(tr.Tasks) + 1) / 2
+		place := make(cluster.Placement, len(tr.Tasks))
+		for r := range place {
+			place[r] = graph.NodeID(r % nodes)
+		}
+		clu := cluster.Default(nodes)
+		e := predict.NewEngine(model.NewGigE(), gige.New(gige.DefaultConfig()).RefRate())
+		if _, err := replay.Run(e, clu, place, tr); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := replay.Run(e, clu, place, tr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // Suite returns the canonical benchmark list in presentation order.
 func Suite() []Benchmark {
 	gigeCfg := gige.DefaultConfig().Coupled()
@@ -528,6 +586,9 @@ func Suite() []Benchmark {
 				}
 			}
 		}},
+		// Multi-job trace replay on the model-driven predictor (the
+		// in-process replay workload of the repository benchmark).
+		{"Replay/predict/gige/20jobs", multiJobReplayBench(20)},
 		{"Session/times/rand32", func(b *testing.B) {
 			m, sub, err := predict.LookupModel("gige")
 			if err != nil {

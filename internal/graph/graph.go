@@ -9,7 +9,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -28,14 +28,26 @@ type Comm struct {
 	Volume float64 // bytes to transfer
 }
 
-// Graph is an immutable-after-build communication scheme.
+// Graph is an immutable-after-build communication scheme: Build and
+// Subgraph hand out graphs that are only ever read, so they may be
+// cached and shared across goroutines. Rebuild, which renumbers a graph
+// in place, is for scratch graphs a single owner re-scores (such as the
+// predictor's active conflict graph); a graph handed to a cache or
+// another goroutine is never rebuilt.
+//
+// Endpoints are numbered densely: node index k is the k-th smallest
+// endpoint id, each communication records the indices of its two ends,
+// and degrees are per-index slices, so per-comm degree lookups are
+// array reads.
 type Graph struct {
 	comms   []Comm
-	nodes   []NodeID // sorted endpoint set, computed once at Build
+	nodes   []NodeID // sorted distinct endpoints; index k names nodes[k]
+	src     []int    // node index of comms[i].Src
+	dst     []int    // node index of comms[i].Dst
+	outDeg  []int    // per node index
+	inDeg   []int    // per node index
 	maxNode NodeID   // largest endpoint id, -1 when empty
-	outDeg  map[NodeID]int
-	inDeg   map[NodeID]int
-	byLabel map[string]CommID
+	slot    []int    // Rebuild scratch: dense id -> node index + 1
 }
 
 // Builder incrementally constructs a Graph.
@@ -87,33 +99,96 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	g := &Graph{
-		comms:   append([]Comm(nil), b.comms...),
-		maxNode: -1,
-		outDeg:  make(map[NodeID]int),
-		inDeg:   make(map[NodeID]int),
-		byLabel: make(map[string]CommID, len(b.comms)),
+	return build(b.comms), nil
+}
+
+// build returns a fresh graph over a copy of comms, without the
+// numbering scratch a graph that is never rebuilt does not need.
+func build(comms []Comm) *Graph {
+	g := &Graph{}
+	g.Rebuild(comms)
+	g.slot = nil
+	return g
+}
+
+// Rebuild makes g the graph of comms in place, reusing g's storage:
+// comms are copied and renumbered densely (ID i at position i), labels
+// kept as given. The cost is linear in len(comms), and after the first
+// rebuilds of a given size it allocates nothing. comms must satisfy the
+// Builder's rules except label uniqueness, which only ByLabel relies on.
+//
+// Rebuild is for graphs with a single owner; see Graph.
+func (g *Graph) Rebuild(comms []Comm) {
+	n := len(comms)
+	g.comms = append(g.comms[:0], comms...)
+	g.src = resize(g.src, n)
+	g.dst = resize(g.dst, n)
+	g.maxNode = -1
+	minNode := NodeID(0)
+	for i := range g.comms {
+		c := &g.comms[i]
+		c.ID = CommID(i)
+		g.maxNode = max(g.maxNode, c.Src, c.Dst)
+		minNode = min(minNode, c.Src, c.Dst)
 	}
-	set := make(map[NodeID]bool, 2*len(g.comms))
+	g.nodes = g.nodes[:0]
+	if minNode >= 0 && int(g.maxNode) <= 4*n+64 {
+		g.numberDense()
+	} else {
+		g.numberSorted()
+	}
+	k := len(g.nodes)
+	g.outDeg = resize(g.outDeg, k)
+	g.inDeg = resize(g.inDeg, k)
+	clear(g.outDeg)
+	clear(g.inDeg)
+	for i := range g.comms {
+		g.outDeg[g.src[i]]++
+		g.inDeg[g.dst[i]]++
+	}
+}
+
+// numberDense numbers the endpoints by a counting pass over the id
+// range, for ids small relative to the comm count.
+func (g *Graph) numberDense() {
+	slot := resize(g.slot, int(g.maxNode)+1)
+	clear(slot)
 	for _, c := range g.comms {
-		g.outDeg[c.Src]++
-		g.inDeg[c.Dst]++
-		g.byLabel[c.Label] = c.ID
-		set[c.Src] = true
-		set[c.Dst] = true
-		if c.Src > g.maxNode {
-			g.maxNode = c.Src
-		}
-		if c.Dst > g.maxNode {
-			g.maxNode = c.Dst
+		slot[c.Src], slot[c.Dst] = 1, 1
+	}
+	for id, seen := range slot {
+		if seen != 0 {
+			g.nodes = append(g.nodes, NodeID(id))
+			slot[id] = len(g.nodes)
 		}
 	}
-	g.nodes = make([]NodeID, 0, len(set))
-	for n := range set {
-		g.nodes = append(g.nodes, n)
+	for i, c := range g.comms {
+		g.src[i], g.dst[i] = slot[c.Src]-1, slot[c.Dst]-1
 	}
-	sort.Slice(g.nodes, func(i, j int) bool { return g.nodes[i] < g.nodes[j] })
-	return g, nil
+	g.slot = slot
+}
+
+// numberSorted numbers the endpoints by sorting them and binary
+// searching each, for sparse ids.
+func (g *Graph) numberSorted() {
+	for _, c := range g.comms {
+		g.nodes = append(g.nodes, c.Src, c.Dst)
+	}
+	slices.Sort(g.nodes)
+	g.nodes = slices.Compact(g.nodes)
+	for i, c := range g.comms {
+		g.src[i], _ = slices.BinarySearch(g.nodes, c.Src)
+		g.dst[i], _ = slices.BinarySearch(g.nodes, c.Dst)
+	}
+}
+
+// resize returns buf with length n, reallocating only when capacity
+// lacks; the contents are unspecified.
+func resize(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	return buf[:n]
 }
 
 // MustBuild is Build that panics on error; for tests and literals.
@@ -134,23 +209,44 @@ func (g *Graph) Comm(id CommID) Comm { return g.comms[int(id)] }
 // Comms returns a copy of all communications in id order.
 func (g *Graph) Comms() []Comm { return append([]Comm(nil), g.comms...) }
 
-// ByLabel looks a communication up by label.
+// ByLabel looks a communication up by label with a linear scan.
 func (g *Graph) ByLabel(label string) (Comm, bool) {
-	id, ok := g.byLabel[label]
-	if !ok {
-		return Comm{}, false
+	for _, c := range g.comms {
+		if c.Label == label {
+			return c, true
+		}
 	}
-	return g.comms[int(id)], true
+	return Comm{}, false
 }
 
 // OutDegree returns Δo(n): the number of communications leaving node n.
-func (g *Graph) OutDegree(n NodeID) int { return g.outDeg[n] }
+func (g *Graph) OutDegree(n NodeID) int {
+	if k, ok := slices.BinarySearch(g.nodes, n); ok {
+		return g.outDeg[k]
+	}
+	return 0
+}
 
 // InDegree returns Δi(n): the number of communications entering node n.
-func (g *Graph) InDegree(n NodeID) int { return g.inDeg[n] }
+func (g *Graph) InDegree(n NodeID) int {
+	if k, ok := slices.BinarySearch(g.nodes, n); ok {
+		return g.inDeg[k]
+	}
+	return 0
+}
 
-// Nodes returns the sorted set of nodes that appear as an endpoint. The
-// set is computed once at Build; callers get a copy.
+// Ends returns the node indices of communication id's source and
+// destination: positions in Nodes, in [0, NumNodes).
+func (g *Graph) Ends(id CommID) (src, dst int) { return g.src[id], g.dst[id] }
+
+// OutDegreeAt is OutDegree of the node with index k (see Ends).
+func (g *Graph) OutDegreeAt(k int) int { return g.outDeg[k] }
+
+// InDegreeAt is InDegree of the node with index k (see Ends).
+func (g *Graph) InDegreeAt(k int) int { return g.inDeg[k] }
+
+// Nodes returns the sorted set of nodes that appear as an endpoint;
+// callers get a copy.
 func (g *Graph) Nodes() []NodeID {
 	return append([]NodeID(nil), g.nodes...)
 }
@@ -189,19 +285,11 @@ func (g *Graph) Destinations(n NodeID) []CommID {
 // is in keep (order preserved, ids renumbered densely). The returned
 // mapping gives, for each new id, the original id.
 func (g *Graph) Subgraph(keep []CommID) (*Graph, []CommID) {
-	b := NewBuilder()
-	orig := make([]CommID, 0, len(keep))
-	for _, id := range keep {
-		c := g.comms[int(id)]
-		b.Add(c.Label, c.Src, c.Dst, c.Volume)
-		orig = append(orig, id)
+	comms := make([]Comm, len(keep))
+	for i, id := range keep {
+		comms[i] = g.comms[int(id)]
 	}
-	sub, err := b.Build()
-	if err != nil {
-		// keep ids come from this graph, so labels are unique and valid.
-		panic("graph: Subgraph internal error: " + err.Error())
-	}
-	return sub, orig
+	return build(comms), append([]CommID(nil), keep...)
 }
 
 // Equal reports whether two graphs describe the identical communication
@@ -259,9 +347,9 @@ func (k ConflictKind) String() string {
 // node n, which must be one of its endpoints.
 func (g *Graph) ConflictAt(id CommID, n NodeID) ConflictKind {
 	c := g.comms[int(id)]
-	out, in := g.outDeg[n], g.inDeg[n]
 	switch n {
 	case c.Src:
+		out, in := g.outDeg[g.src[id]], g.inDeg[g.src[id]]
 		others := out - 1
 		switch {
 		case others == 0 && in == 0:
@@ -274,6 +362,7 @@ func (g *Graph) ConflictAt(id CommID, n NodeID) ConflictKind {
 			return MixedConflict
 		}
 	case c.Dst:
+		out, in := g.outDeg[g.dst[id]], g.inDeg[g.dst[id]]
 		others := in - 1
 		switch {
 		case others == 0 && out == 0:

@@ -16,12 +16,9 @@ func (KimLee) Name() string { return "kimlee" }
 // Penalties implements core.Model.
 func (KimLee) Penalties(g *graph.Graph) []float64 {
 	out := make([]float64, g.Len())
-	for _, c := range g.Comms() {
-		p := g.OutDegree(c.Src)
-		if di := g.InDegree(c.Dst); di > p {
-			p = di
-		}
-		out[c.ID] = clampPenalty(float64(p))
+	for i := range out {
+		s, d := g.Ends(graph.CommID(i))
+		out[i] = clampPenalty(float64(max(g.OutDegreeAt(s), g.InDegreeAt(d))))
 	}
 	return out
 }

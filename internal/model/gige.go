@@ -55,63 +55,52 @@ func (m DegreeModel) Name() string {
 	return m.ModelName
 }
 
-// Penalties implements core.Model.
+// Penalties implements core.Model. It makes two linear passes: the
+// first gathers, per node, the maximum and multiplicity that define
+// Cm_o (over the comms leaving it) and Cm_i (over the comms entering
+// it); the second evaluates po and pi per communication.
 func (m DegreeModel) Penalties(g *graph.Graph) []float64 {
-	out := make([]float64, g.Len())
-	for _, c := range g.Comms() {
-		po := m.outPenalty(g, c)
-		pi := m.inPenalty(g, c)
-		out[c.ID] = clampPenalty(maxf(po, pi))
+	n := g.Len()
+	out := make([]float64, n)
+	// cm[k] describes node k's outgoing Cm_o (maxDi over the in-degrees
+	// of its comms' destinations, cardO of them reaching it) and its
+	// incoming Cm_i (maxDo, cardI).
+	type strongly struct{ maxDi, cardO, maxDo, cardI int }
+	cm := make([]strongly, g.NumNodes())
+	for i := 0; i < n; i++ {
+		s, d := g.Ends(graph.CommID(i))
+		if di := g.InDegreeAt(d); di > cm[s].maxDi {
+			cm[s].maxDi, cm[s].cardO = di, 1
+		} else if di == cm[s].maxDi {
+			cm[s].cardO++
+		}
+		if do := g.OutDegreeAt(s); do > cm[d].maxDo {
+			cm[d].maxDo, cm[d].cardI = do, 1
+		} else if do == cm[d].maxDo {
+			cm[d].cardI++
+		}
+	}
+	for i := range out {
+		s, d := g.Ends(graph.CommID(i))
+		do, di := g.OutDegreeAt(s), g.InDegreeAt(d)
+		po, pi := 1.0, 1.0
+		if do != 1 {
+			base := float64(do) * m.Beta
+			if c := cm[s]; di == c.maxDi {
+				po = base * (1 + m.GammaOut*float64(do-c.cardO))
+			} else {
+				po = base * (1 - m.GammaOut/float64(c.cardO))
+			}
+		}
+		if di != 1 {
+			base := float64(di) * m.Beta
+			if c := cm[d]; do == c.maxDo {
+				pi = base * (1 + m.GammaIn*float64(di-c.cardI))
+			} else {
+				pi = base * (1 - m.GammaIn/float64(c.cardI))
+			}
+		}
+		out[i] = clampPenalty(maxf(po, pi))
 	}
 	return out
-}
-
-// outPenalty computes po for communication c.
-func (m DegreeModel) outPenalty(g *graph.Graph, c graph.Comm) float64 {
-	do := g.OutDegree(c.Src)
-	if do == 1 {
-		return 1
-	}
-	// Cm_o: communications from the same source whose destination
-	// in-degree is maximal.
-	maxDi, card := 0, 0
-	for _, id := range g.Sources(c.Src) {
-		di := g.InDegree(g.Comm(id).Dst)
-		switch {
-		case di > maxDi:
-			maxDi, card = di, 1
-		case di == maxDi:
-			card++
-		}
-	}
-	base := float64(do) * m.Beta
-	if g.InDegree(c.Dst) == maxDi {
-		return base * (1 + m.GammaOut*float64(do-card))
-	}
-	return base * (1 - m.GammaOut/float64(card))
-}
-
-// inPenalty computes pi for communication c.
-func (m DegreeModel) inPenalty(g *graph.Graph, c graph.Comm) float64 {
-	di := g.InDegree(c.Dst)
-	if di == 1 {
-		return 1
-	}
-	// Cm_i: communications to the same destination whose source
-	// out-degree is maximal.
-	maxDo, card := 0, 0
-	for _, id := range g.Destinations(c.Dst) {
-		do := g.OutDegree(g.Comm(id).Src)
-		switch {
-		case do > maxDo:
-			maxDo, card = do, 1
-		case do == maxDo:
-			card++
-		}
-	}
-	base := float64(di) * m.Beta
-	if g.OutDegree(c.Src) == maxDo {
-		return base * (1 + m.GammaIn*float64(di-card))
-	}
-	return base * (1 - m.GammaIn/float64(card))
 }

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math"
+
 	"bwshare/internal/graph"
 	"bwshare/internal/mis"
 )
@@ -55,20 +57,20 @@ func (m Myrinet) Coefficients(g *graph.Graph) (sum, min []int, nsets int) {
 	sum = mis.Counts(sets, g.Len())
 	min = append([]int(nil), sum...)
 	if m.PerSourceMin {
-		for _, n := range g.Nodes() {
-			ids := g.Sources(n)
-			if len(ids) == 0 {
-				continue
+		// lo[k] is the least coefficient among the comms leaving node
+		// index k.
+		lo := make([]int, g.NumNodes())
+		for k := range lo {
+			lo[k] = math.MaxInt
+		}
+		for i, c := range sum {
+			if s, _ := g.Ends(graph.CommID(i)); c < lo[s] {
+				lo[s] = c
 			}
-			lo := sum[ids[0]]
-			for _, id := range ids[1:] {
-				if sum[id] < lo {
-					lo = sum[id]
-				}
-			}
-			for _, id := range ids {
-				min[id] = lo
-			}
+		}
+		for i := range min {
+			s, _ := g.Ends(graph.CommID(i))
+			min[i] = lo[s]
 		}
 	}
 	return sum, min, nsets

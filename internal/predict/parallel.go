@@ -49,22 +49,14 @@ func NewSessionParallel(m core.Model, refRate float64, topo topology.Spec, sched
 	}
 	var tl *fault.Timeline
 	if !sched.Empty() {
-		if err := sched.Validate(topo); err != nil {
+		var err error
+		if tl, err = compileFaults(topo, sched); err != nil {
 			return nil, err
 		}
-		if i := sched.PermanentZero(); i >= 0 {
-			return nil, fmt.Errorf("fault: event %d (%s): permanent zero-capacity fault stalls prediction forever; add an until clause", i, sched.Events[i])
-		}
-		tl = fault.Compile(sched)
 	}
 	name := fmt.Sprintf("predict-%s-x%d", m.Name(), shards)
 	e := netsim.NewShardedFluidEngine(name, refRate, shards, func() netsim.Allocator {
-		a := &componentModelAllocator{m: m, ref: refRate, topo: topo}
-		if tl != nil {
-			a.faults = tl.State()
-			a.tf.Faults = tl.State()
-		}
-		return a
+		return &componentModelAllocator{modelAllocator: *newModelAllocator(m, refRate, topo, tl)}
 	})
 	if tl != nil {
 		e.SetFaults(tl)
@@ -74,16 +66,18 @@ func NewSessionParallel(m core.Model, refRate float64, topo topology.Spec, sched
 
 // componentModelAllocator adapts a component-local penalty Model to the
 // sharded engine's ComponentAllocator contract: it groups the flows it
-// is handed into constraint-graph components and evaluates the model
-// (and, on a fabric, the uplink water-fill) once per component, so a
-// component's rates never depend on what else shares its shard. One
-// instance per shard: the topology filler carries scratch.
+// is handed into constraint-graph components and runs the model
+// allocator's fill once per component, so a component's rates never
+// depend on what else shares its shard (all fabric links a component's
+// flows cross belong to the component by construction). One instance
+// per shard: the fill and the grouping carry scratch.
 type componentModelAllocator struct {
-	m      core.Model
-	ref    float64
-	topo   topology.Spec
-	faults *fault.State      // nil on a healthy fabric
-	tf     netsim.TopoFiller // per-shard scratch for the uplink fill
+	modelAllocator
+
+	parent []int          // union-find over constraint slots
+	group  []int          // per root slot: component index + 1
+	start  []int          // component offsets into sorted, then len(flows)
+	sorted []*netsim.Flow // flows regrouped component by component
 }
 
 var _ netsim.ComponentAllocator = (*componentModelAllocator)(nil)
@@ -96,102 +90,78 @@ func (a *componentModelAllocator) Allocate(flows []*netsim.Flow) {
 	if len(flows) == 0 {
 		return
 	}
-	for _, grp := range componentGroups(flows, a.topo) {
-		a.fill(grp)
+	a.groupFlows(flows)
+	for c := 0; c+1 < len(a.start); c++ {
+		a.fill(a.sorted[a.start[c]:a.start[c+1]])
 	}
 }
 
-// fill scores one constraint component: model penalties set the
-// crossbar-level rates, degraded endpoints cap them, and on a fabric
-// the shared uplinks water-fill the result (all fabric links a
-// component's flows cross belong to the component by construction).
-func (a *componentModelAllocator) fill(flows []*netsim.Flow) {
-	b := graph.NewBuilder()
-	for _, f := range flows {
-		b.Add(fmt.Sprintf("f%d", f.ID), f.Src, f.Dst, f.Remaining)
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic("predict: building active conflict graph: " + err.Error())
-	}
-	p := a.m.Penalties(g)
-	for i, f := range flows {
-		r := a.ref / p[i]
-		if a.faults != nil {
-			if c := a.ref * a.faults.HostFactor(int(f.Src)); c < r {
-				r = c
-			}
-			if c := a.ref * a.faults.HostFactor(int(f.Dst)); c < r {
-				r = c
-			}
-		}
-		f.Rate = r
-	}
-	if !a.topo.Trivial() {
-		a.tf.Apply(flows, a.topo, a.ref)
-	}
-}
-
-// componentGroups partitions flows into connected components of the
+// groupFlows partitions flows into connected components of the
 // constraint graph (shared sender NIC, receiver NIC, or edge-switch
 // uplink/downlink of crossing flows), components in first-flow order
-// with slice order preserved inside each. Transliterated from netsim's
-// reference oracle; this path carries no zero-allocation obligation —
-// model evaluation itself allocates.
-func componentGroups(flows []*netsim.Flow, topo topology.Spec) [][]*netsim.Flow {
-	type key struct {
-		kind uint8
-		id   int
+// with slice order preserved inside each: component c is
+// a.sorted[a.start[c]:a.start[c+1]]. Constraint slots are numbered
+// from the conflict graph's node indices (k of them): sender NIC s,
+// receiver NIC k+d, then each switch's uplink and downlink.
+func (a *componentModelAllocator) groupFlows(flows []*netsim.Flow) {
+	a.rebuild(flows)
+	k, sw := a.g.NumNodes(), 0
+	if !a.topo.Trivial() {
+		sw = a.topo.Switches
 	}
-	elem := make(map[key]int)
-	parent := make([]int, 0, 2*len(flows))
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
+	a.parent = grow(a.parent, 2*k+2*sw)
+	for i := range a.parent {
+		a.parent[i] = i
 	}
-	slot := func(k key) int {
-		if s, ok := elem[k]; ok {
-			return s
-		}
-		s := len(parent)
-		parent = append(parent, s)
-		elem[k] = s
-		return s
-	}
-	union := func(x, y int) int {
-		rx, ry := find(x), find(y)
-		if rx != ry {
-			parent[ry] = rx
-		}
-		return rx
-	}
-	trivial := topo.Trivial()
-	roots := make([]int, len(flows))
 	for i, f := range flows {
-		r := union(slot(key{0, int(f.Src)}), slot(key{1, int(f.Dst)}))
-		if !trivial {
-			ss, ds := topo.SwitchOf(f.Src), topo.SwitchOf(f.Dst)
-			if ss != ds {
-				r = union(r, slot(key{2, ss}))
-				r = union(r, slot(key{3, ds}))
+		s, d := a.g.Ends(graph.CommID(i))
+		a.union(s, k+d)
+		if sw > 0 {
+			if ss, ds := a.topo.SwitchOf(f.Src), a.topo.SwitchOf(f.Dst); ss != ds {
+				a.union(s, 2*k+ss)
+				a.union(s, 2*k+sw+ds)
 			}
 		}
-		roots[i] = r
 	}
-	groupOf := make(map[int]int)
-	var groups [][]*netsim.Flow
-	for i, f := range flows {
-		r := find(roots[i])
-		gi, ok := groupOf[r]
-		if !ok {
-			gi = len(groups)
-			groupOf[r] = gi
-			groups = append(groups, nil)
+	// Number components in first-flow order (group, indexed by root,
+	// holds index+1) and count their sizes; the running sums make
+	// start[c] the end of component c, and placing flows backwards
+	// turns it into the component's offset while keeping slice order.
+	a.group = grow(a.group, len(a.parent))
+	clear(a.group)
+	a.start = a.start[:0]
+	for i := range flows {
+		s, _ := a.g.Ends(graph.CommID(i))
+		r := a.find(s)
+		if a.group[r] == 0 {
+			a.start = append(a.start, 0)
+			a.group[r] = len(a.start)
 		}
-		groups[gi] = append(groups[gi], f)
+		a.start[a.group[r]-1]++
 	}
-	return groups
+	for c := 1; c < len(a.start); c++ {
+		a.start[c] += a.start[c-1]
+	}
+	a.start = append(a.start, len(flows))
+	a.sorted = append(a.sorted[:0], flows...)
+	for i := len(flows) - 1; i >= 0; i-- {
+		s, _ := a.g.Ends(graph.CommID(i))
+		c := a.group[a.find(s)] - 1
+		a.start[c]--
+		a.sorted[a.start[c]] = flows[i]
+	}
+}
+
+func (a *componentModelAllocator) find(x int) int {
+	for a.parent[x] != x {
+		a.parent[x] = a.parent[a.parent[x]]
+		x = a.parent[x]
+	}
+	return x
+}
+
+func (a *componentModelAllocator) union(x, y int) {
+	if rx, ry := a.find(x), a.find(y); rx != ry {
+		a.parent[ry] = rx
+	}
 }

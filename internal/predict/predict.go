@@ -51,10 +51,7 @@ func NewEngineWithTopology(m core.Model, refRate float64, topo topology.Spec) *n
 	if topo.Trivial() {
 		return NewEngine(m, refRate)
 	}
-	a := &topoModelAllocator{
-		modelAllocator: modelAllocator{m: m, ref: refRate},
-		topo:           topo,
-	}
+	a := &modelAllocator{m: m, ref: refRate, topo: topo}
 	return netsim.NewFluidEngine("predict-"+m.Name()+"-"+topo.Kind.String(), refRate, a)
 }
 
@@ -70,42 +67,59 @@ func NewEngineWithFaults(m core.Model, refRate float64, topo topology.Spec, sche
 	if sched.Empty() {
 		return NewEngineWithTopology(m, refRate, topo), nil
 	}
+	tl, err := compileFaults(topo, sched)
+	if err != nil {
+		return nil, err
+	}
+	name := "predict-" + m.Name() + "-faulted"
+	if !topo.Trivial() {
+		name = "predict-" + m.Name() + "-" + topo.Kind.String() + "-faulted"
+	}
+	e := netsim.NewFluidEngine(name, refRate, newModelAllocator(m, refRate, topo, tl))
+	e.SetFaults(tl)
+	return e, nil
+}
+
+// compileFaults validates a non-empty schedule against topo and
+// compiles it.
+func compileFaults(topo topology.Spec, sched fault.Schedule) (*fault.Timeline, error) {
 	if err := sched.Validate(topo); err != nil {
 		return nil, err
 	}
 	if i := sched.PermanentZero(); i >= 0 {
 		return nil, fmt.Errorf("fault: event %d (%s): permanent zero-capacity fault stalls prediction forever; add an until clause", i, sched.Events[i])
 	}
-	tl := fault.Compile(sched)
-	ma := modelAllocator{m: m, ref: refRate, faults: tl.State()}
-	var (
-		alloc netsim.Allocator
-		name  = "predict-" + m.Name() + "-faulted"
-	)
-	if topo.Trivial() {
-		alloc = &ma
-	} else {
-		alloc = &topoModelAllocator{
-			modelAllocator: ma,
-			topo:           topo,
-			tf:             netsim.TopoFiller{Faults: tl.State()},
-		}
-		name = "predict-" + m.Name() + "-" + topo.Kind.String() + "-faulted"
-	}
-	e := netsim.NewFluidEngine(name, refRate, alloc)
-	e.SetFaults(tl)
-	return e, nil
+	return fault.Compile(sched), nil
 }
 
-// modelAllocator adapts a penalty Model to the fluid Allocator interface.
+// modelAllocator adapts a penalty Model to the fluid Allocator
+// interface. Each fill rebuilds the active conflict graph in an
+// allocator-owned scratch graph, so the only allocations per event are
+// the model's own.
 type modelAllocator struct {
-	m   core.Model
-	ref float64
+	m    core.Model
+	ref  float64
+	topo topology.Spec // on a non-trivial fabric, uplinks cap the rates
 	// faults, when non-nil, is the shared overlay of a fault.Timeline the
 	// engine steps: the model's penalties assume healthy NICs, so each
 	// flow's rate is additionally capped by its endpoints' degraded NIC
 	// shares, ref * factor. Healthy engines leave it nil.
 	faults *fault.State
+	tf     netsim.TopoFiller // uplink water-fill scratch
+
+	comms []graph.Comm // scratch: the flows being scored
+	g     graph.Graph  // scratch: their conflict graph
+}
+
+// newModelAllocator returns the allocator for m on topo, stepping the
+// timeline tl's fault state when tl is non-nil.
+func newModelAllocator(m core.Model, refRate float64, topo topology.Spec, tl *fault.Timeline) *modelAllocator {
+	a := &modelAllocator{m: m, ref: refRate, topo: topo}
+	if tl != nil {
+		a.faults = tl.State()
+		a.tf.Faults = tl.State()
+	}
+	return a
 }
 
 // Allocate implements netsim.Allocator.
@@ -113,15 +127,24 @@ func (a *modelAllocator) Allocate(flows []*netsim.Flow) {
 	if len(flows) == 0 {
 		return
 	}
-	b := graph.NewBuilder()
+	a.fill(flows)
+}
+
+// rebuild makes a.g the conflict graph of flows, comm i being flows[i].
+func (a *modelAllocator) rebuild(flows []*netsim.Flow) {
+	a.comms = a.comms[:0]
 	for _, f := range flows {
-		b.Add(fmt.Sprintf("f%d", f.ID), f.Src, f.Dst, f.Remaining)
+		a.comms = append(a.comms, graph.Comm{Src: f.Src, Dst: f.Dst, Volume: f.Remaining})
 	}
-	g, err := b.Build()
-	if err != nil {
-		panic("predict: building active conflict graph: " + err.Error())
-	}
-	p := a.m.Penalties(g)
+	a.g.Rebuild(a.comms)
+}
+
+// fill scores flows as one conflict graph: model penalties set the
+// crossbar-level rates, degraded endpoints cap them, and on a fabric
+// the shared uplinks water-fill the result.
+func (a *modelAllocator) fill(flows []*netsim.Flow) {
+	a.rebuild(flows)
+	p := a.m.Penalties(&a.g)
 	for i, f := range flows {
 		r := a.ref / p[i]
 		if a.faults != nil {
@@ -134,21 +157,9 @@ func (a *modelAllocator) Allocate(flows []*netsim.Flow) {
 		}
 		f.Rate = r
 	}
-}
-
-// topoModelAllocator is a modelAllocator followed by the fabric's
-// uplink constraints: penalties yield crossbar-level rates, which the
-// TopoFiller then water-fills under the shared per-switch links.
-type topoModelAllocator struct {
-	modelAllocator
-	topo topology.Spec
-	tf   netsim.TopoFiller
-}
-
-// Allocate implements netsim.Allocator.
-func (a *topoModelAllocator) Allocate(flows []*netsim.Flow) {
-	a.modelAllocator.Allocate(flows)
-	a.tf.Apply(flows, a.topo, a.ref)
+	if !a.topo.Trivial() {
+		a.tf.Apply(flows, a.topo, a.ref)
+	}
 }
 
 // Session is a reusable prediction context: one model, one reference

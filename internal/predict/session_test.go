@@ -3,8 +3,13 @@ package predict_test
 import (
 	"testing"
 
+	"bwshare/internal/core"
+	"bwshare/internal/fault"
+	"bwshare/internal/graph"
 	"bwshare/internal/predict"
+	"bwshare/internal/randgen"
 	"bwshare/internal/schemes"
+	"bwshare/internal/topology"
 )
 
 // TestSessionMatchesOneShot drives one reused Session across every
@@ -55,5 +60,58 @@ func TestLookupModelAliasAndError(t *testing.T) {
 	}
 	if _, _, err := predict.LookupModel("nope"); err == nil {
 		t.Error("unknown model should error")
+	}
+}
+
+// countingModel counts Penalties calls: one per engine event that
+// changes the active set.
+type countingModel struct {
+	core.Model
+	calls int
+}
+
+func (m *countingModel) Penalties(g *graph.Graph) []float64 {
+	m.calls++
+	return m.Model.Penalties(g)
+}
+
+// TestSessionTimesAllocsPerEvent pins the steady-state allocations of a
+// progressive prediction to the degree models' two per model evaluation
+// — the penalty slice and the per-node aggregate — and none per flow:
+// sequential and parallel sessions rebuild the active conflict graph in
+// allocator-owned scratch.
+func TestSessionTimesAllocsPerEvent(t *testing.T) {
+	g, err := randgen.SchemeFromSeed(14, randgen.SchemeConfig{
+		MinNodes: 16, MaxNodes: 16, MinComms: 48, MaxComms: 48,
+		MaxOut: 5, MaxIn: 5, MinVolume: 1e6, MaxVolume: 20e6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"gige", "infiniband"} {
+		m, sub, err := predict.LookupModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm := &countingModel{Model: m}
+		par, err := predict.NewSessionParallel(cm, sub.RefRate(), topology.Spec{}, fault.Schedule{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sess := range []*predict.Session{predict.NewSession(cm, sub.RefRate()), par} {
+			kind := []string{"sequential", "parallel"}[i]
+			sess.Times(g) // size the scratch
+			cm.calls = 0
+			const runs = 10
+			allocs := testing.AllocsPerRun(runs, func() { sess.Times(g) })
+			evals := float64(cm.calls) / (runs + 1) // AllocsPerRun adds a warm-up call
+			if evals < 2 {
+				t.Fatalf("%s %s: only %g model evaluations per prediction", name, kind, evals)
+			}
+			if allocs > 2*evals {
+				t.Errorf("%s %s: %g allocs per prediction over %g model evaluations of %d flows, want at most 2 per evaluation",
+					name, kind, allocs, evals, g.Len())
+			}
+		}
 	}
 }
