@@ -9,9 +9,10 @@ import (
 	"bwshare/internal/schemes"
 )
 
-// Rebuild fuzz input: a sequence of rounds, each one comm list. A round
-// is a header byte — the comm count in the low 6 bits, bit 6 set for
-// sparse node ids — then one source and one destination byte per comm.
+// RebuildScratch fuzz input: a sequence of rounds, each one comm list.
+// A round is a header byte — the comm count in the low 6 bits, bit 6
+// set for sparse node ids — then one source and one destination byte
+// per comm.
 const (
 	fuzzCountMask = 0x3f
 	fuzzSparse    = 0x40
@@ -80,7 +81,7 @@ func FuzzGraphRebuild(f *testing.F) {
 		var g graph.Graph
 		var prev []graph.NodeID
 		for r, comms := range decodeRounds(data) {
-			g.Rebuild(comms)
+			graph.RebuildScratch(&g, comms)
 			b := graph.NewBuilder()
 			for _, c := range comms {
 				b.Add(c.Label, c.Src, c.Dst, c.Volume)

@@ -30,10 +30,10 @@ type Comm struct {
 
 // Graph is an immutable-after-build communication scheme: Build and
 // Subgraph hand out graphs that are only ever read, so they may be
-// cached and shared across goroutines. Rebuild, which renumbers a graph
-// in place, is for scratch graphs a single owner re-scores (such as the
-// predictor's active conflict graph); a graph handed to a cache or
-// another goroutine is never rebuilt.
+// cached and shared across goroutines. RebuildScratch, which renumbers
+// a graph in place, is for allocator-owned scratch graphs a single
+// owner re-scores (such as the predictor's active conflict graph); a
+// graph handed to a cache or another goroutine is never rebuilt.
 //
 // Endpoints are numbered densely: node index k is the k-th smallest
 // endpoint id, each communication records the indices of its two ends,
@@ -47,7 +47,7 @@ type Graph struct {
 	outDeg  []int    // per node index
 	inDeg   []int    // per node index
 	maxNode NodeID   // largest endpoint id, -1 when empty
-	slot    []int    // Rebuild scratch: dense id -> node index + 1
+	slot    []int    // RebuildScratch: dense id -> node index + 1
 }
 
 // Builder incrementally constructs a Graph.
@@ -106,19 +106,21 @@ func (b *Builder) Build() (*Graph, error) {
 // numbering scratch a graph that is never rebuilt does not need.
 func build(comms []Comm) *Graph {
 	g := &Graph{}
-	g.Rebuild(comms)
+	RebuildScratch(g, comms)
 	g.slot = nil
 	return g
 }
 
-// Rebuild makes g the graph of comms in place, reusing g's storage:
-// comms are copied and renumbered densely (ID i at position i), labels
-// kept as given. The cost is linear in len(comms), and after the first
-// rebuilds of a given size it allocates nothing. comms must satisfy the
-// Builder's rules except label uniqueness, which only ByLabel relies on.
+// RebuildScratch makes g the graph of comms in place, reusing g's
+// storage: comms are copied and renumbered densely (ID i at position i),
+// labels kept as given. The cost is linear in len(comms), and after the
+// first rebuilds of a given size it allocates nothing. Nothing is
+// checked: comms must have non-negative, distinct endpoints and positive
+// volumes. Labels may be empty or repeated; only ByLabel reads them.
 //
-// Rebuild is for graphs with a single owner; see Graph.
-func (g *Graph) Rebuild(comms []Comm) {
+// RebuildScratch is for scratch graphs with a single owner, never for a
+// graph from Build or Subgraph; see Graph.
+func RebuildScratch(g *Graph, comms []Comm) {
 	n := len(comms)
 	g.comms = append(g.comms[:0], comms...)
 	g.src = resize(g.src, n)
@@ -132,6 +134,11 @@ func (g *Graph) Rebuild(comms []Comm) {
 		minNode = min(minNode, c.Src, c.Dst)
 	}
 	g.nodes = g.nodes[:0]
+	// The counting pass scans the whole id range, so it is taken only
+	// while that range is a constant factor of the comm count and the
+	// rebuild stays linear. Nearly every predictor event qualifies (node
+	// ids are cluster indices), and there it halves a replay's time
+	// against sorting.
 	if minNode >= 0 && int(g.maxNode) <= 4*n+64 {
 		g.numberDense()
 	} else {

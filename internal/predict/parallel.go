@@ -74,10 +74,12 @@ func NewSessionParallel(m core.Model, refRate float64, topo topology.Spec, sched
 type componentModelAllocator struct {
 	modelAllocator
 
-	parent []int          // union-find over constraint slots
-	group  []int          // per root slot: component index + 1
-	start  []int          // component offsets into sorted, then len(flows)
-	sorted []*netsim.Flow // flows regrouped component by component
+	parent  []int          // union-find over constraint slots
+	link    []int          // per fabric link: its slot + 1, 0 when unused
+	touched []int          // fabric links given a slot by this grouping
+	group   []int          // per root slot: component index + 1
+	start   []int          // component offsets into sorted, then len(flows)
+	sorted  []*netsim.Flow // flows regrouped component by component
 }
 
 var _ netsim.ComponentAllocator = (*componentModelAllocator)(nil)
@@ -90,7 +92,12 @@ func (a *componentModelAllocator) Allocate(flows []*netsim.Flow) {
 	if len(flows) == 0 {
 		return
 	}
-	a.groupFlows(flows)
+	if a.groupFlows(flows) == 1 {
+		// One component keeps slice order, so a.g, built over flows by
+		// the grouping, is already the component's graph.
+		a.score(flows)
+		return
+	}
 	for c := 0; c+1 < len(a.start); c++ {
 		a.fill(a.sorted[a.start[c]:a.start[c+1]])
 	}
@@ -98,31 +105,36 @@ func (a *componentModelAllocator) Allocate(flows []*netsim.Flow) {
 
 // groupFlows partitions flows into connected components of the
 // constraint graph (shared sender NIC, receiver NIC, or edge-switch
-// uplink/downlink of crossing flows), components in first-flow order
-// with slice order preserved inside each: component c is
-// a.sorted[a.start[c]:a.start[c+1]]. Constraint slots are numbered
-// from the conflict graph's node indices (k of them): sender NIC s,
-// receiver NIC k+d, then each switch's uplink and downlink.
-func (a *componentModelAllocator) groupFlows(flows []*netsim.Flow) {
+// uplink/downlink of crossing flows) and returns their number. With
+// more than one, components are in first-flow order with slice order
+// preserved inside each: component c is a.sorted[a.start[c]:a.start[c+1]].
+// Constraint slots are numbered from the conflict graph's node indices
+// (k of them): sender NIC s, receiver NIC k+d, then the fabric links
+// crossing flows use, in first use, so the cost is linear in the flows.
+func (a *componentModelAllocator) groupFlows(flows []*netsim.Flow) int {
 	a.rebuild(flows)
-	k, sw := a.g.NumNodes(), 0
-	if !a.topo.Trivial() {
-		sw = a.topo.Switches
-	}
-	a.parent = grow(a.parent, 2*k+2*sw)
+	k := a.g.NumNodes()
+	a.parent = grow(a.parent, 2*k)
 	for i := range a.parent {
 		a.parent[i] = i
+	}
+	if !a.topo.Trivial() && len(a.link) < 2*a.topo.Switches {
+		a.link = make([]int, 2*a.topo.Switches)
 	}
 	for i, f := range flows {
 		s, d := a.g.Ends(graph.CommID(i))
 		a.union(s, k+d)
-		if sw > 0 {
+		if !a.topo.Trivial() {
 			if ss, ds := a.topo.SwitchOf(f.Src), a.topo.SwitchOf(f.Dst); ss != ds {
-				a.union(s, 2*k+ss)
-				a.union(s, 2*k+sw+ds)
+				a.union(s, a.linkSlot(ss))
+				a.union(s, a.linkSlot(a.topo.Switches+ds))
 			}
 		}
 	}
+	for _, l := range a.touched {
+		a.link[l] = 0
+	}
+	a.touched = a.touched[:0]
 	// Number components in first-flow order (group, indexed by root,
 	// holds index+1) and count their sizes; the running sums make
 	// start[c] the end of component c, and placing flows backwards
@@ -139,6 +151,9 @@ func (a *componentModelAllocator) groupFlows(flows []*netsim.Flow) {
 		}
 		a.start[a.group[r]-1]++
 	}
+	if len(a.start) == 1 {
+		return 1
+	}
 	for c := 1; c < len(a.start); c++ {
 		a.start[c] += a.start[c-1]
 	}
@@ -150,6 +165,19 @@ func (a *componentModelAllocator) groupFlows(flows []*netsim.Flow) {
 		a.start[c]--
 		a.sorted[a.start[c]] = flows[i]
 	}
+	return len(a.start) - 1
+}
+
+// linkSlot returns the constraint slot of fabric link l (the uplink of
+// switch l, or for l >= Switches the downlink of switch l-Switches),
+// adding it on first use.
+func (a *componentModelAllocator) linkSlot(l int) int {
+	if a.link[l] == 0 {
+		a.parent = append(a.parent, len(a.parent))
+		a.link[l] = len(a.parent)
+		a.touched = append(a.touched, l)
+	}
+	return a.link[l] - 1
 }
 
 func (a *componentModelAllocator) find(x int) int {

@@ -38,7 +38,7 @@ import (
 // base/penalty(model, active conflict graph). refRate is the idle-network
 // single-flow rate in bytes/second (penalty 1).
 func NewEngine(m core.Model, refRate float64) *netsim.FluidEngine {
-	return netsim.NewFluidEngine("predict-"+m.Name(), refRate, &modelAllocator{m: m, ref: refRate})
+	return netsim.NewFluidEngine("predict-"+m.Name(), refRate, newModelAllocator(m, refRate, topology.Spec{}, nil))
 }
 
 // NewEngineWithTopology is NewEngine on a multi-switch fabric: the
@@ -51,8 +51,7 @@ func NewEngineWithTopology(m core.Model, refRate float64, topo topology.Spec) *n
 	if topo.Trivial() {
 		return NewEngine(m, refRate)
 	}
-	a := &modelAllocator{m: m, ref: refRate, topo: topo}
-	return netsim.NewFluidEngine("predict-"+m.Name()+"-"+topo.Kind.String(), refRate, a)
+	return netsim.NewFluidEngine("predict-"+m.Name()+"-"+topo.Kind.String(), refRate, newModelAllocator(m, refRate, topo, nil))
 }
 
 // NewEngineWithFaults is NewEngineWithTopology on a degraded fabric:
@@ -136,14 +135,20 @@ func (a *modelAllocator) rebuild(flows []*netsim.Flow) {
 	for _, f := range flows {
 		a.comms = append(a.comms, graph.Comm{Src: f.Src, Dst: f.Dst, Volume: f.Remaining})
 	}
-	a.g.Rebuild(a.comms)
+	graph.RebuildScratch(&a.g, a.comms)
 }
 
-// fill scores flows as one conflict graph: model penalties set the
-// crossbar-level rates, degraded endpoints cap them, and on a fabric
-// the shared uplinks water-fill the result.
+// fill scores flows as one conflict graph.
 func (a *modelAllocator) fill(flows []*netsim.Flow) {
 	a.rebuild(flows)
+	a.score(flows)
+}
+
+// score sets the rates of flows, whose conflict graph a.g must already
+// hold: model penalties set the crossbar-level rates, degraded
+// endpoints cap them, and on a fabric the shared uplinks water-fill the
+// result.
+func (a *modelAllocator) score(flows []*netsim.Flow) {
 	p := a.m.Penalties(&a.g)
 	for i, f := range flows {
 		r := a.ref / p[i]
