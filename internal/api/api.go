@@ -1,9 +1,11 @@
 // Package api holds the serving layer's shared request/response
 // contract: the JSON DTOs of the prediction and cluster endpoints, the
 // request size limits, scheme/topology/fault resolution with its
-// validation rules, the strict GET query grammar, and the error-to-
-// status mapping. Both tiers build on it — internal/server (the worker
-// tier) decodes, validates and answers with these types, and
+// validation rules, the strict GET query grammar, the error-to-status
+// mapping, and how bodies are read and answers written (DecodeJSON,
+// DecodeBody, WriteJSON, the batch envelope). Both tiers build on it —
+// internal/server (the worker tier) decodes, validates and answers
+// with these types, and
 // internal/gateway (the routing tier) parses just enough of a request
 // to compute its shard key without ever re-implementing the grammar.
 //

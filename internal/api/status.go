@@ -62,26 +62,8 @@ func SetRetryAfter(h http.Header, d time.Duration) {
 	h.Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
-// WriteJSON renders v exactly as the worker tier does — two-space
-// indented JSON plus a trailing newline — so gateway-assembled
-// responses (merged batches, error envelopes) are byte-compatible with
-// worker-rendered ones.
-func WriteJSON(w http.ResponseWriter, code int, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
-		return err
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
-	return nil
-}
-
 // WriteError answers with the standard error envelope.
 func WriteError(w http.ResponseWriter, code int, msg string) {
 	data, _ := json.Marshal(ErrorBody{Error: msg})
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
+	writeBody(w, code, "application/json", append(data, '\n'))
 }

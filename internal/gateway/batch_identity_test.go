@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"bwshare/internal/api"
-	"bwshare/internal/server"
 )
 
 // TestBatchSplitMergeByteIdentical drives the batch decomposition path
@@ -21,30 +19,34 @@ import (
 // (every item a hit on its home), with an embedded per-item error along
 // for the ride.
 func TestBatchSplitMergeByteIdentical(t *testing.T) {
-	workerCfg := server.Config{Workers: 2, CacheSize: 256}
-	a := httptest.NewServer(server.New(workerCfg).Handler())
-	defer a.Close()
-	b := httptest.NewServer(server.New(workerCfg).Handler())
-	defer b.Close()
-	direct := httptest.NewServer(server.New(workerCfg).Handler())
-	defer direct.Close()
-	g, err := New(Config{
-		Upstreams: []Upstream{
-			{Name: "a", URL: a.URL},
-			{Name: "b", URL: b.URL},
-		},
-		HealthInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	gw := httptest.NewServer(g.Handler())
-	defer gw.Close()
+	f := newFleet(t, nil)
+	body := spanningBatch(t, f.g)
 
-	// Candidate items spanning schemes and models; keep adding until the
-	// batch provably covers both replicas (in-package access to the shard
-	// function makes the split a checked precondition, not a hope).
+	for _, pass := range []string{"cold", "warm"} {
+		viaGateway := postRaw(t, f.gw+"/v1/predict/batch", body)
+		viaDirect := postRaw(t, f.direct+"/v1/predict/batch", body)
+		if viaGateway.status != viaDirect.status {
+			t.Fatalf("%s pass: status %d via gateway, %d direct", pass, viaGateway.status, viaDirect.status)
+		}
+		if !bytes.Equal(viaGateway.body, viaDirect.body) {
+			t.Fatalf("%s pass: merged batch differs from a single worker's answer\ngateway:\n%s\ndirect:\n%s",
+				pass, viaGateway.body, viaDirect.body)
+		}
+		if viaGateway.contentType != viaDirect.contentType {
+			t.Errorf("%s pass: Content-Type %q via gateway, %q direct", pass, viaGateway.contentType, viaDirect.contentType)
+		}
+	}
+	if !strings.Contains(string(postRaw(t, f.gw+"/v1/predict/batch", body).body), `"cached": true`) {
+		t.Error("third pass should show cached items — the union cache is not warming")
+	}
+}
+
+// spanningBatch returns a batch body whose items span schemes, models
+// and an embedded per-item 400, and provably home on more than one of
+// g's replicas (in-package access to the shard function makes the split
+// a checked precondition, not a hope).
+func spanningBatch(t *testing.T, g *Gateway) string {
+	t.Helper()
 	candidates := []string{
 		`{"name":"s4"}`,
 		`{"name":"s6"}`,
@@ -65,25 +67,7 @@ func TestBatchSplitMergeByteIdentical(t *testing.T) {
 	if len(homes) < 2 {
 		t.Fatalf("candidate items all home on one replica (%v); extend the candidate pool", homes)
 	}
-	body := `{"requests":[` + strings.Join(candidates, ",") + `]}`
-
-	for _, pass := range []string{"cold", "warm"} {
-		viaGateway := postRaw(t, gw.URL+"/v1/predict/batch", body)
-		viaDirect := postRaw(t, direct.URL+"/v1/predict/batch", body)
-		if viaGateway.status != viaDirect.status {
-			t.Fatalf("%s pass: status %d via gateway, %d direct", pass, viaGateway.status, viaDirect.status)
-		}
-		if !bytes.Equal(viaGateway.body, viaDirect.body) {
-			t.Fatalf("%s pass: merged batch differs from a single worker's answer\ngateway:\n%s\ndirect:\n%s",
-				pass, viaGateway.body, viaDirect.body)
-		}
-		if viaGateway.contentType != viaDirect.contentType {
-			t.Errorf("%s pass: Content-Type %q via gateway, %q direct", pass, viaGateway.contentType, viaDirect.contentType)
-		}
-	}
-	if !strings.Contains(string(postRaw(t, gw.URL+"/v1/predict/batch", body).body), `"cached": true`) {
-		t.Error("third pass should show cached items — the union cache is not warming")
-	}
+	return `{"requests":[` + strings.Join(candidates, ",") + `]}`
 }
 
 type rawResponse struct {

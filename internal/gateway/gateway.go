@@ -42,12 +42,14 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -301,7 +303,7 @@ func (g *Gateway) shardKey(r *http.Request, body []byte) uint64 {
 		if r.Method == http.MethodGet {
 			req, _, err = api.ParsePredictQuery(r.URL.Query())
 		} else {
-			err = json.Unmarshal(body, &req)
+			err = api.DecodeJSON(body, &req)
 		}
 		if err == nil {
 			if key, kerr := predictShardKey(req); kerr == nil {
@@ -315,7 +317,7 @@ func (g *Gateway) shardKey(r *http.Request, body []byte) uint64 {
 	case path == "/v1/clusters":
 		if r.Method == http.MethodPost {
 			var req api.ClusterRequest
-			if json.Unmarshal(body, &req) == nil && req.Name != "" {
+			if api.DecodeJSON(body, &req) == nil && req.Name != "" {
 				return clusterShardKey(req.Name)
 			}
 			return hashBytes(body)
@@ -379,14 +381,19 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key uint64, bo
 // key instead — the rejection must come from a worker, byte-identical.
 func (g *Gateway) serveBatch(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req api.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Requests) == 0 || len(req.Requests) > api.MaxBatch {
+	if err := api.DecodeJSON(body, &req); err != nil || len(req.Requests) == 0 || len(req.Requests) > api.MaxBatch {
 		g.forward(w, r, hashBytes(body), body)
 		return
 	}
 	order := make([]*upstream, 0, 2)    // distinct home replicas, first-use order
 	groups := make(map[*upstream][]int) // home replica -> item positions (ascending)
+	var firstKey uint64
 	for i, item := range req.Requests {
-		homes := g.healthyOrder(itemShardKey(item))
+		key := itemShardKey(item)
+		if i == 0 {
+			firstKey = key
+		}
+		homes := g.healthyOrder(key)
 		if len(homes) == 0 {
 			g.noHealthy(w)
 			return
@@ -399,10 +406,15 @@ func (g *Gateway) serveBatch(w http.ResponseWriter, r *http.Request, body []byte
 	}
 	if len(order) == 1 {
 		// Whole batch homes on one replica: plain proxy, verbatim bytes.
-		g.forward(w, r, itemShardKey(req.Requests[0]), body)
+		g.forward(w, r, firstKey, body)
 		return
 	}
-	merged := make([]json.RawMessage, len(req.Requests))
+	// Each worker renders its sub-batch with api.WriteResults, so its
+	// items are already laid out as they sit in the merged document;
+	// splicing them back through WriteResults in request order makes the
+	// answer byte-identical to a single worker answering the whole batch.
+	merged := make([][]byte, len(req.Requests))
+	var items [][]byte
 	for _, up := range order {
 		positions := groups[up]
 		sub := api.BatchRequest{Requests: make([]api.PredictRequest, len(positions))}
@@ -431,22 +443,19 @@ func (g *Gateway) serveBatch(w http.ResponseWriter, r *http.Request, body []byte
 			g.copyResponse(w, resp, raw)
 			return
 		}
-		var doc struct {
-			Results []json.RawMessage `json:"results"`
-		}
-		if err := json.Unmarshal(raw, &doc); err != nil || len(doc.Results) != len(positions) {
+		var ok bool
+		if items, ok = api.ResultItems(raw, items[:0]); !ok || len(items) != len(positions) {
 			g.badGateway.Add(1)
 			api.WriteError(w, http.StatusBadGateway, fmt.Sprintf("gateway: upstream %q answered a malformed batch document", up.name))
 			return
 		}
 		for j, pos := range positions {
-			merged[pos] = doc.Results[j]
+			merged[pos] = items[j]
 		}
 	}
-	// Workers render with the shared api.WriteJSON; RawMessage items are
-	// compacted and uniformly re-indented, so the merged document is
-	// byte-identical to a single worker answering the whole batch.
-	api.WriteJSON(w, http.StatusOK, map[string]any{"results": merged})
+	api.WriteResults(w, len(merged), func(b []byte, i int, _ string) ([]byte, error) {
+		return append(b, merged[i]...), nil
+	})
 }
 
 // admit reserves an in-flight slot on up, or reports saturation.
@@ -471,13 +480,17 @@ func (g *Gateway) eject(up *upstream) {
 	up.healthy.Store(false)
 }
 
+// maxPresizedAnswer bounds the buffer proxyTo sizes from an upstream's
+// Content-Length before reading a byte; a larger answer grows as read.
+const maxPresizedAnswer = 16 << 20
+
 // proxyTo re-issues the request against one upstream and reads the full
 // answer. The response body is returned separately so callers can relay
 // or parse it.
 func (g *Gateway) proxyTo(up *upstream, r *http.Request, body []byte) (*http.Response, []byte, error) {
 	target := up.base.JoinPath(r.URL.Path)
 	target.RawQuery = r.URL.RawQuery
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, target.String(), strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, target.String(), bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -489,10 +502,15 @@ func (g *Gateway) proxyTo(up *upstream, r *http.Request, body []byte) (*http.Res
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
+	// Workers frame every answer with Content-Length, so one allocation
+	// usually holds it; the MinRead slack lets ReadFrom see EOF without
+	// growing. A HEAD answer declares a length but has no body.
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(resp.ContentLength, 0), maxPresizedAnswer)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return nil, nil, err
 	}
+	raw := buf.Bytes()
 	up.requests.Add(1)
 	return resp, raw, nil
 }
@@ -504,6 +522,14 @@ func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response, raw [
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
+	}
+	n := int64(len(raw))
+	if resp.Request.Method == http.MethodHead {
+		// No body came back; relay the length the worker declared.
+		n = resp.ContentLength
+	}
+	if n >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
 	}
 	w.WriteHeader(resp.StatusCode)
 	w.Write(raw)

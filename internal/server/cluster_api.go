@@ -6,7 +6,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -97,8 +96,7 @@ func buildCandidateDocs(cands []fleet.Candidate) []candidateDoc {
 
 // decodeBody decodes a bounded JSON request body into v.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	if err := api.DecodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		return fmt.Errorf("bad request body: %v", err)
 	}
 	return nil

@@ -77,7 +77,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -416,8 +415,7 @@ func (s *Server) routes() {
 func (s *Server) handlePredictPost(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var req PredictRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := api.DecodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -449,11 +447,12 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, req Predic
 		return
 	}
 	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		report.PredictionText(w, s.models[res.Model].Name(), !req.Static, res.RefRate, g, res.Penalties, res.Times, nil)
+		body := api.NewBody()
+		report.PredictionText(body, s.models[res.Model].Name(), !req.Static, res.RefRate, g, res.Penalties, res.Times, nil)
 		if !topo.Trivial() {
-			report.LinkUtilText(w, topo, report.BuildLinkUtil(topo, g, res.Times, res.RefRate))
+			report.LinkUtilText(body, topo, report.BuildLinkUtil(topo, g, res.Times, res.RefRate))
 		}
+		body.Send(w, http.StatusOK, "text/plain; charset=utf-8")
 		return
 	}
 	s.writeJSON(w, http.StatusOK, s.buildPrediction(req, g, topo, res))
@@ -477,8 +476,7 @@ func (s *Server) buildPrediction(req PredictRequest, g *graph.Graph, topo topolo
 // as a single request.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := api.DecodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
 		s.requests.Add(1)
 		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -495,7 +493,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.requests.Add(int64(len(req.Requests)))
 	s.batchItems.Add(int64(len(req.Requests)))
-	results := make([]any, len(req.Requests))
+	// An item is a prediction, or an embedded error when its Status is set.
+	type result struct {
+		doc report.Prediction
+		err errorBody
+	}
+	results := make([]result, len(req.Requests))
 	for i, one := range req.Requests {
 		// Each item gets its own deadline: one slow simulation must not
 		// starve the remainder of the batch of its full budget.
@@ -505,12 +508,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			code := statusFor(err)
 			s.countError(code)
-			results[i] = errorBody{Error: err.Error(), Status: code}
+			results[i].err = errorBody{Error: err.Error(), Status: code}
 			continue
 		}
-		results[i] = s.buildPrediction(one, g, topo, res)
+		results[i].doc = s.buildPrediction(one, g, topo, res)
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	err := api.WriteResults(w, len(results), func(b []byte, i int, prefix string) ([]byte, error) {
+		if results[i].err.Status != 0 {
+			return api.AppendIndented(b, results[i].err, prefix)
+		}
+		return results[i].doc.AppendJSON(b, prefix)
+	})
+	if err != nil {
+		s.internalErrors.Add(1)
+	}
 }
 
 // resolveAndPredict turns a request into a graph, fabric and fault
