@@ -1,7 +1,7 @@
 # Tier-1 verification and development targets. `make verify` is the
 # canonical local gate and mirrors the CI pipeline: format + vet gates,
-# build, tests, targeted race tests and the bwserved/bwpredict smoke
-# diff. `make ci` additionally runs the bench-regression check and the
+# build, tests, targeted race tests, the bwserved/bwpredict smoke diff
+# and the perfbench module's vet + self-test. `make ci` additionally runs the bench-regression check and the
 # service-level load + replay gates (separate CI jobs, kept out of
 # verify because benchmarks take ~20s).
 GO ?= go
@@ -82,6 +82,9 @@ replay-check:
 gateway-smoke:
 	sh scripts/gateway_smoke.sh
 
+# The repository benchmark (perfbench/) is a module of its own, so the
+# root `go test ./...` never compiles it; vet and self-test it here.
 verify: fmt vet build test race smoke
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 ci: verify bench-check load-smoke replay-check gateway-smoke

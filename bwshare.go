@@ -206,12 +206,13 @@ func NewInfiniBandOn(topo Topology) Engine {
 // NewPredictor wraps a penalty model as an engine that applies the
 // paper's progressive penalty re-evaluation. refRate is the idle-network
 // single-flow rate in bytes/second.
-func NewPredictor(m Model, refRate float64) Engine { return predict.NewEngine(m, refRate) }
+func NewPredictor(m Model, refRate float64) Engine { return NewPredictorOn(m, refRate, Topology{}) }
 
 // NewPredictorOn is NewPredictor on a multi-switch fabric: model-given
 // rates are additionally capped by the fabric's shared uplinks.
 func NewPredictorOn(m Model, refRate float64, topo Topology) Engine {
-	return predict.NewEngineWithTopology(m, refRate, topo)
+	e, _ := predict.NewEngine(predict.Spec{Model: m, Ref: refRate, Topo: topo}) // healthy: cannot fail
+	return e
 }
 
 // NewPredictorFaulted is NewPredictorOn on a dynamic fabric: the
@@ -219,7 +220,7 @@ func NewPredictorOn(m Model, refRate float64, topo Topology) Engine {
 // It rejects invalid schedules and permanent total outages (which
 // would leave flows that never finish).
 func NewPredictorFaulted(m Model, refRate float64, topo Topology, sched FaultSchedule) (Engine, error) {
-	return predict.NewEngineWithFaults(m, refRate, topo, sched)
+	return predict.NewEngine(predict.Spec{Model: m, Ref: refRate, Topo: topo, Faults: sched})
 }
 
 // Measure runs a scheme on an engine with all communications starting

@@ -16,11 +16,7 @@ import (
 	"os"
 
 	"bwshare/internal/calibrate"
-	"bwshare/internal/core"
 	"bwshare/internal/measure"
-	"bwshare/internal/netsim/gige"
-	"bwshare/internal/netsim/infiniband"
-	"bwshare/internal/netsim/myrinet"
 	"bwshare/internal/predict"
 	"bwshare/internal/report"
 	"bwshare/internal/schemes"
@@ -43,16 +39,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var e core.Engine
-	switch *net {
-	case "gige":
-		e = gige.New(gige.DefaultConfig())
-	case "myrinet":
-		e = myrinet.New(myrinet.DefaultConfig())
-	case "infiniband", "ib":
-		e = infiniband.New(infiniband.DefaultConfig())
-	default:
-		return fmt.Errorf("unknown substrate %q", *net)
+	e, err := predict.LookupSubstrate(*net)
+	if err != nil {
+		return err
 	}
 	m, err := calibrate.Fit("fitted-"+e.Name(), e, *kmax, *volume)
 	if err != nil {

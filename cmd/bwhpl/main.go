@@ -18,12 +18,7 @@ import (
 	"os"
 
 	"bwshare/internal/cluster"
-	"bwshare/internal/core"
 	"bwshare/internal/hpl"
-	"bwshare/internal/model"
-	"bwshare/internal/netsim/gige"
-	"bwshare/internal/netsim/infiniband"
-	"bwshare/internal/netsim/myrinet"
 	"bwshare/internal/predict"
 	"bwshare/internal/replay"
 	"bwshare/internal/report"
@@ -90,17 +85,15 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	var eng core.Engine
-	var mod core.Model
-	switch *net {
-	case "gige":
-		eng, mod = gige.New(gige.DefaultConfig()), model.NewGigE()
-	case "myrinet":
-		eng, mod = myrinet.New(myrinet.DefaultConfig()), model.NewMyrinet()
-	case "infiniband", "ib":
-		eng, mod = infiniband.New(infiniband.DefaultConfig()), model.NewInfiniBand()
-	default:
-		return fmt.Errorf("unknown substrate %q", *net)
+	// The substrate lookup rejects the baseline models (kimlee, linear),
+	// which have no network of their own.
+	eng, err := predict.LookupSubstrate(*net)
+	if err != nil {
+		return err
+	}
+	mod, _, err := predict.LookupModel(*net)
+	if err != nil {
+		return err
 	}
 	clu := cluster.Default(*nodes)
 	place, err := sched.Place(*strategy, clu, tr.NumTasks(), *seed)
@@ -111,7 +104,11 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("measured replay: %w", err)
 	}
-	pred, err := replay.Run(predict.NewEngine(mod, eng.RefRate()), clu, place, tr)
+	pe, err := predict.NewEngine(predict.Spec{Model: mod, Ref: eng.RefRate()})
+	if err != nil {
+		return err
+	}
+	pred, err := replay.Run(pe, clu, place, tr)
 	if err != nil {
 		return fmt.Errorf("predicted replay: %w", err)
 	}

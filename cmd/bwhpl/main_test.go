@@ -53,3 +53,15 @@ func TestErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestBaselineModelsRejected: the baseline models have no substrate to
+// measure against, so -net accepts only the simulated networks.
+func TestBaselineModelsRejected(t *testing.T) {
+	for _, net := range []string{"kimlee", "linear"} {
+		var sb strings.Builder
+		err := run([]string{"-net", net, "-n", "2400", "-tasks", "4", "-nodes", "2"}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "unknown substrate") {
+			t.Errorf("-net %s: error %v, want an unknown-substrate error", net, err)
+		}
+	}
+}

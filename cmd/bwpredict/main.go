@@ -98,18 +98,9 @@ func run(args []string, out io.Writer) error {
 	if !sched.Empty() && *compare {
 		return fmt.Errorf("-compare measures the healthy substrate; drop -compare or the fault: headers")
 	}
-	var sess *predict.Session
-	switch {
-	case *shards > 1:
-		if sess, err = predict.NewSessionParallel(m, ref, topo, sched, *shards); err != nil {
-			return err
-		}
-	case sched.Empty():
-		sess = predict.NewSessionWithTopology(m, ref, topo)
-	default:
-		if sess, err = predict.NewSessionWithFaults(m, ref, topo, sched); err != nil {
-			return err
-		}
+	sess, err := predict.New(predict.Spec{Model: m, Ref: ref, Topo: topo, Faults: sched, Shards: *shards})
+	if err != nil {
+		return err
 	}
 	// Penalties first: times points into session scratch, which is only
 	// valid until the next Session call.

@@ -18,12 +18,9 @@ import (
 	"os"
 	"strings"
 
-	"bwshare/internal/core"
 	"bwshare/internal/graph"
 	"bwshare/internal/measure"
-	"bwshare/internal/netsim/gige"
-	"bwshare/internal/netsim/infiniband"
-	"bwshare/internal/netsim/myrinet"
+	"bwshare/internal/predict"
 	"bwshare/internal/report"
 	"bwshare/internal/schemelang"
 	"bwshare/internal/schemes"
@@ -49,7 +46,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	e, err := engineByName(*net)
+	e, err := predict.LookupSubstrate(*net)
 	if err != nil {
 		return err
 	}
@@ -94,18 +91,5 @@ func loadScheme(name, file string) (*graph.Graph, error) {
 		return schemelang.Parse(string(src))
 	default:
 		return nil, fmt.Errorf("need -scheme <name> or -file <path>")
-	}
-}
-
-func engineByName(name string) (core.Engine, error) {
-	switch name {
-	case "gige":
-		return gige.New(gige.DefaultConfig()), nil
-	case "myrinet":
-		return myrinet.New(myrinet.DefaultConfig()), nil
-	case "infiniband", "ib":
-		return infiniband.New(infiniband.DefaultConfig()), nil
-	default:
-		return nil, fmt.Errorf("unknown substrate %q (want gige, myrinet or infiniband)", name)
 	}
 }

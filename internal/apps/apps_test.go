@@ -195,7 +195,11 @@ func TestAppsPredictable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := replay.Run(predict.NewEngine(model.NewMyrinet(), me.RefRate()), clu, place, a)
+	pe, err := predict.NewEngine(predict.Spec{Model: model.NewMyrinet(), Ref: me.RefRate()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := replay.Run(pe, clu, place, a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -428,7 +428,10 @@ func multiJobReplayBench(jobs int) func(b *testing.B) {
 			place[r] = graph.NodeID(r % nodes)
 		}
 		clu := cluster.Default(nodes)
-		e := predict.NewEngine(model.NewGigE(), gige.New(gige.DefaultConfig()).RefRate())
+		e, err := predict.NewEngine(predict.Spec{Model: model.NewGigE(), Ref: gige.New(gige.DefaultConfig()).RefRate()})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := replay.Run(e, clu, place, tr); err != nil {
 			b.Fatal(err)
 		}
@@ -594,7 +597,10 @@ func Suite() []Benchmark {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sess := predict.NewSession(m, sub.RefRate())
+			sess, err := predict.New(predict.Spec{Model: m, Ref: sub.RefRate()})
+			if err != nil {
+				b.Fatal(err)
+			}
 			sess.Times(rand32) // warm scratch
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -66,7 +66,10 @@ func runHPL(cfg HPLConfig, meas core.Engine, m core.Model) (HPLResult, error) {
 		return HPLResult{}, err
 	}
 	res := HPLResult{Network: meas.Name(), Model: m.Name()}
-	pe := predict.NewEngine(m, meas.RefRate())
+	pe, err := predict.NewEngine(predict.Spec{Model: m, Ref: meas.RefRate()})
+	if err != nil {
+		return HPLResult{}, err
+	}
 	for _, strat := range sched.Strategies() {
 		place, err := sched.Place(strat, clu, cfg.Tasks, cfg.Seed)
 		if err != nil {

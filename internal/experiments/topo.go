@@ -87,7 +87,7 @@ func TopoSweep() TopoResult {
 		cfg := gige.DefaultConfig()
 		cfg.Topo = f.spec
 		meas := measure.Run(gige.New(cfg), g)
-		sess := predict.NewSessionWithTopology(model.NewGigE(), meas.RefRate, f.spec)
+		sess, _ := predict.New(predict.Spec{Model: model.NewGigE(), Ref: meas.RefRate, Topo: f.spec}) // healthy: cannot fail
 		pred := append([]float64(nil), sess.Times(g)...)
 		predPen := make([]float64, g.Len())
 		for _, c := range g.Comms() {

@@ -94,8 +94,8 @@ type Spec struct {
 	Faults fault.Schedule
 	// Shards is the worker shard count of the cluster's simulator
 	// session: admission and placement what-ifs advance independent
-	// constraint components on up to Shards worker shards (see
-	// predict.NewSessionParallel). 0 or 1 keeps the sequential session.
+	// constraint components on up to Shards worker shards
+	// (predict.Spec.Shards). 0 or 1 keeps the sequential session.
 	// A sharded session's predictions are bit-identical across shard
 	// counts and agree with the sequential session to float rounding
 	// (exactly, on schemes forming a single constraint component).
@@ -237,17 +237,9 @@ func (m *Manager) Create(spec Spec) (Info, error) {
 			}
 		}
 	}
-	var sess *predict.Session
-	if spec.Shards > 1 {
-		if sess, err = predict.NewSessionParallel(model, ref, spec.Topo, spec.Faults, spec.Shards); err != nil {
-			return Info{}, fmt.Errorf("fleet: %v", err)
-		}
-	} else if !spec.Faults.Empty() {
-		if sess, err = predict.NewSessionWithFaults(model, ref, spec.Topo, spec.Faults); err != nil {
-			return Info{}, fmt.Errorf("fleet: %v", err)
-		}
-	} else {
-		sess = predict.NewSessionWithTopology(model, ref, spec.Topo)
+	sess, err := predict.New(predict.Spec{Model: model, Ref: ref, Topo: spec.Topo, Faults: spec.Faults, Shards: spec.Shards})
+	if err != nil {
+		return Info{}, fmt.Errorf("fleet: %v", err)
 	}
 	c := &Cluster{
 		name:    spec.Name,

@@ -37,7 +37,10 @@ func TestRunSingleCommPenaltyOne(t *testing.T) {
 // engines, which is how predicted penalties are produced with the same
 // benchmark protocol.
 func TestRunOnPredictEngine(t *testing.T) {
-	e := predict.NewEngine(model.NewMyrinet(), 2e8)
+	e, err := predict.NewEngine(predict.Spec{Model: model.NewMyrinet(), Ref: 2e8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := Run(e, schemes.Fig2(3))
 	for i, p := range r.Penalties {
 		if math.Abs(p-3) > 1e-9 {

@@ -95,11 +95,18 @@ func (s *engineShard) recycle(f *Flow) {
 	}
 }
 
-func (s *engineShard) getFlow() *Flow {
-	if n := len(s.free); n > 0 {
-		f := s.free[n-1]
-		s.free = s.free[:n-1]
-		return f
+// getFlow pops a recycled Flow for shard target. A flow is recycled on
+// the shard it completes on, which after a component migration is not
+// the one it started on, so an empty list borrows from the other
+// shards before allocating. Runs between phases only.
+func (c *shardedCore) getFlow(target int) *Flow {
+	for i := range c.shards {
+		s := c.shards[(target+i)%len(c.shards)]
+		if n := len(s.free); n > 0 {
+			f := s.free[n-1]
+			s.free = s.free[:n-1]
+			return f
+		}
 	}
 	return new(Flow)
 }
@@ -695,7 +702,7 @@ func (c *shardedCore) addFlow(src, dst graph.NodeID, bytes float64) int {
 		slot, target = c.place(src, dst)
 	}
 	s := c.shards[target]
-	f := s.getFlow()
+	f := c.getFlow(target)
 	*f = Flow{
 		ID: c.nextID, Src: src, Dst: dst, Remaining: bytes,
 		synced: c.now, deadline: math.Inf(1), slot: slot,

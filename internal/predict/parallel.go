@@ -1,9 +1,9 @@
 // Parallel prediction sessions: the model-driven engine on the sharded
-// component-lazy netsim core.
+// component-lazy netsim core, which NewEngine selects for Spec.Shards > 1.
 //
-// The sequential session (NewSession*) evaluates the penalty model on
+// The sequential engine (Shards 0 or 1) evaluates the penalty model on
 // the whole active conflict graph at every event — the historical,
-// golden-tested semantics. A parallel session instead evaluates the
+// golden-tested semantics. A parallel engine instead evaluates the
 // model once per constraint-graph component: independent components
 // advance on worker shards, and each shard's allocator builds and
 // scores only the component subgraphs it owns. For component-local
@@ -11,58 +11,23 @@
 // communication reads only degrees and couplings of communications
 // sharing a sender NIC, receiver NIC or switch link with it — the
 // per-component evaluation computes the same arithmetic on the same
-// operands, so results are bit-identical at every shard count,
-// including one. Versus the sequential session, per-component and
-// whole-graph evaluation group integration steps differently, so
-// predictions agree to float rounding (exactly, when the scheme is a
-// single constraint component).
+// operands, so results are bit-identical at every shard count. Versus
+// the sequential engine, per-component and whole-graph evaluation group
+// integration steps differently, so predictions agree to float rounding
+// (exactly, when the scheme is a single constraint component).
 //
 // Restriction: a model whose penalties couple communications across
 // constraint components (e.g. the Myrinet EXP-A2 ablation with
 // graph.AnyEndpoint, which conflicts a sender with a receiver of the
 // same node) is not component-local and must use the sequential
-// session.
+// engine.
 package predict
 
 import (
-	"fmt"
-	"runtime"
-
-	"bwshare/internal/core"
-	"bwshare/internal/fault"
 	"bwshare/internal/graph"
 	"bwshare/internal/netsim"
 	"bwshare/internal/topology"
 )
-
-// NewSessionParallel builds a prediction session whose progressive
-// evaluation fans independent constraint components out over worker
-// shards (see netsim.NewShardedFluidEngine). shards <= 0 selects
-// GOMAXPROCS; the count is otherwise taken as given, so callers wiring
-// a -shards flag get exactly what was asked. sched may be empty for a
-// healthy fabric; the same validation as NewSessionWithFaults applies
-// otherwise. The model must be component-local (every registry model
-// is; see the package note above).
-func NewSessionParallel(m core.Model, refRate float64, topo topology.Spec, sched fault.Schedule, shards int) (*Session, error) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	var tl *fault.Timeline
-	if !sched.Empty() {
-		var err error
-		if tl, err = compileFaults(topo, sched); err != nil {
-			return nil, err
-		}
-	}
-	name := fmt.Sprintf("predict-%s-x%d", m.Name(), shards)
-	e := netsim.NewShardedFluidEngine(name, refRate, shards, func() netsim.Allocator {
-		return &componentModelAllocator{modelAllocator: *newModelAllocator(m, refRate, topo, tl)}
-	})
-	if tl != nil {
-		e.SetFaults(tl)
-	}
-	return &Session{m: m, ref: refRate, eng: e}, nil
-}
 
 // componentModelAllocator adapts a component-local penalty Model to the
 // sharded engine's ComponentAllocator contract: it groups the flows it

@@ -36,9 +36,9 @@ func parallelSchedule(topo topology.Spec) fault.Schedule {
 }
 
 // TestSessionParallelBitIdenticalAcrossShardCounts: a parallel session
-// at 2 and 8 shards must predict exactly what the 1-shard parallel
-// session predicts, per model, per fabric, across seeded schemes, with
-// and without a fault schedule. This is the predict-layer face of the
+// at 3 and 8 shards must predict exactly what the 2-shard session
+// predicts, per model, per fabric, across seeded schemes, with and
+// without a fault schedule. This is the predict-layer face of the
 // engine determinism contract.
 func TestSessionParallelBitIdenticalAcrossShardCounts(t *testing.T) {
 	gs, err := randgen.Schemes(97, 20, randgen.DefaultSchemeConfig())
@@ -57,12 +57,14 @@ func TestSessionParallelBitIdenticalAcrossShardCounts(t *testing.T) {
 				if faulted {
 					sched = parallelSchedule(tp.spec)
 				}
-				base, err := predict.NewSessionParallel(m, ref, tp.spec, sched, 1)
+				spec := predict.Spec{Model: m, Ref: ref, Topo: tp.spec, Faults: sched, Shards: 2}
+				base, err := predict.New(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, k := range []int{2, 8} {
-					par, err := predict.NewSessionParallel(m, ref, tp.spec, sched, k)
+				for _, k := range []int{3, 8} {
+					spec.Shards = k
+					par, err := predict.New(spec)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -71,7 +73,7 @@ func TestSessionParallelBitIdenticalAcrossShardCounts(t *testing.T) {
 						got := par.Times(g)
 						for i := range want {
 							if got[i] != want[i] {
-								t.Fatalf("%s/%s faulted=%v scheme %d shards %d comm %d: %.17g != 1-shard %.17g",
+								t.Fatalf("%s/%s faulted=%v scheme %d shards %d comm %d: %.17g != 2-shard %.17g",
 									name, tp.name, faulted, si, k, i, got[i], want[i])
 							}
 						}
@@ -102,7 +104,7 @@ func TestSessionParallelMatchesSequential(t *testing.T) {
 		ref := sub.RefRate()
 		for _, tp := range parallelTopos {
 			seq := predict.NewSessionWithTopology(m, ref, tp.spec)
-			par, err := predict.NewSessionParallel(m, ref, tp.spec, fault.Schedule{}, 4)
+			par, err := predict.New(predict.Spec{Model: m, Ref: ref, Topo: tp.spec, Shards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,15 +122,15 @@ func TestSessionParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSessionParallelDefaultsAndRejections: shards <= 0 selects a
-// usable default, and invalid fault schedules are rejected exactly
-// like the sequential faulted session.
+// TestSessionParallelDefaultsAndRejections: Shards 0 selects a usable
+// (sequential) session, and invalid fault schedules are rejected
+// exactly like the sequential faulted session.
 func TestSessionParallelDefaultsAndRejections(t *testing.T) {
 	m, sub, err := predict.LookupModel("gige")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := predict.NewSessionParallel(m, sub.RefRate(), topology.Spec{}, fault.Schedule{}, 0)
+	s, err := predict.New(predict.Spec{Model: m, Ref: sub.RefRate()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestSessionParallelDefaultsAndRejections(t *testing.T) {
 		t.Fatalf("default-shard session predicted %g", got)
 	}
 	bad := fault.Schedule{Events: []fault.Event{{Kind: fault.HostSlow, Target: 0, Factor: 0, At: 1}}}
-	if _, err := predict.NewSessionParallel(m, sub.RefRate(), topology.Spec{}, bad, 2); err == nil {
+	if _, err := predict.New(predict.Spec{Model: m, Ref: sub.RefRate(), Faults: bad, Shards: 2}); err == nil {
 		t.Fatal("permanent zero-capacity schedule accepted")
 	}
 }

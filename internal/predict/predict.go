@@ -11,13 +11,16 @@
 // what progressive re-evaluation yields. See EXP-A1 for the ablation.
 //
 // NewEngine wraps any core.Model as a core.Engine, so predicted times and
-// substrate-measured times come from running the same drivers.
+// substrate-measured times come from running the same drivers. A Spec
+// names everything that selects the engine — model, reference rate,
+// fabric, fault schedule and shard count — and NewEngine is the one
+// place that turns it into an engine.
 //
 // Two calling conventions are offered: the one-shot package functions
 // (Times, StaticTimes, Penalties) allocate a fresh engine per call, and
-// the handle-based Session reuses one pooled engine plus scratch buffers
-// across predictions — the serving path of cmd/bwserved holds one
-// Session per worker per model.
+// the handle-based Session (New) reuses one pooled engine plus scratch
+// buffers across predictions — the serving path of cmd/bwserved holds
+// one Session per worker per model.
 package predict
 
 import (
@@ -34,61 +37,73 @@ import (
 	"bwshare/internal/topology"
 )
 
-// NewEngine returns a fluid engine whose instantaneous rates are
-// base/penalty(model, active conflict graph). refRate is the idle-network
-// single-flow rate in bytes/second (penalty 1).
-func NewEngine(m core.Model, refRate float64) *netsim.FluidEngine {
-	return netsim.NewFluidEngine("predict-"+m.Name(), refRate, newModelAllocator(m, refRate, topology.Spec{}, nil))
+// Spec selects a prediction engine. The fabric, the fault schedule and
+// the shard count are independent: any combination is valid.
+type Spec struct {
+	Model core.Model
+	// Ref is the idle-network single-flow rate in bytes/second (penalty
+	// 1). On a fabric it doubles as the host access rate from which
+	// uplink capacities derive.
+	Ref float64
+	// Topo is the fabric; a trivial one is the paper's crossbar. The
+	// model's penalties set each flow's crossbar-level rate, then the
+	// fabric's shared uplinks cap them (netsim.TopoFiller).
+	Topo topology.Spec
+	// Faults degrade the fabric mid-replay: the schedule compiles into a
+	// timeline the engine steps, host slowdowns cap the model-level
+	// rates of the affected endpoints, and link faults scale the
+	// fabric's uplinks. Empty means healthy.
+	Faults fault.Schedule
+	// Shards > 1 fans independent constraint components out over that
+	// many worker shards (see parallel.go); 0 and 1 keep the sequential
+	// engine.
+	Shards int
 }
 
-// NewEngineWithTopology is NewEngine on a multi-switch fabric: the
-// model's penalties set each flow's crossbar-level rate as usual, then
-// the fabric's shared uplink capacities cap them (netsim.TopoFiller).
-// The paper's models know nothing about switches, so the reference rate
-// doubles as the host access rate from which uplink capacities derive.
-// A trivial topology returns exactly NewEngine's engine.
-func NewEngineWithTopology(m core.Model, refRate float64, topo topology.Spec) *netsim.FluidEngine {
-	if topo.Trivial() {
-		return NewEngine(m, refRate)
+// NewEngine returns the fluid engine of s, whose instantaneous rates
+// are Ref/penalty(Model, active conflict graph). The schedule must
+// validate against Topo and must not contain a permanent zero-capacity
+// fault (a flow behind one would never complete, so no finite
+// prediction exists); a spec without faults cannot fail.
+func NewEngine(s Spec) (*netsim.FluidEngine, error) {
+	var tl *fault.Timeline
+	if !s.Faults.Empty() {
+		if err := s.Faults.Validate(s.Topo); err != nil {
+			return nil, err
+		}
+		if i := s.Faults.PermanentZero(); i >= 0 {
+			return nil, fmt.Errorf("fault: event %d (%s): permanent zero-capacity fault stalls prediction forever; add an until clause", i, s.Faults.Events[i])
+		}
+		tl = fault.Compile(s.Faults)
 	}
-	return netsim.NewFluidEngine("predict-"+m.Name()+"-"+topo.Kind.String(), refRate, newModelAllocator(m, refRate, topo, nil))
-}
-
-// NewEngineWithFaults is NewEngineWithTopology on a degraded fabric:
-// the schedule compiles into a timeline the engine steps mid-replay,
-// host slowdowns cap the model-level rates of the affected endpoints,
-// and link faults scale the fabric's uplink capacities. An empty
-// schedule returns exactly NewEngineWithTopology's engine. The schedule
-// must validate against topo, and must not contain a permanent
-// zero-capacity fault (a flow behind one would never complete, so no
-// finite prediction exists).
-func NewEngineWithFaults(m core.Model, refRate float64, topo topology.Spec, sched fault.Schedule) (*netsim.FluidEngine, error) {
-	if sched.Empty() {
-		return NewEngineWithTopology(m, refRate, topo), nil
+	var e *netsim.FluidEngine
+	if s.Shards > 1 {
+		e = netsim.NewShardedFluidEngine(s.engineName(), s.Ref, s.Shards, func() netsim.Allocator {
+			return &componentModelAllocator{modelAllocator: *newModelAllocator(s.Model, s.Ref, s.Topo, tl)}
+		})
+	} else {
+		e = netsim.NewFluidEngine(s.engineName(), s.Ref, newModelAllocator(s.Model, s.Ref, s.Topo, tl))
 	}
-	tl, err := compileFaults(topo, sched)
-	if err != nil {
-		return nil, err
+	if tl != nil {
+		e.SetFaults(tl)
 	}
-	name := "predict-" + m.Name() + "-faulted"
-	if !topo.Trivial() {
-		name = "predict-" + m.Name() + "-" + topo.Kind.String() + "-faulted"
-	}
-	e := netsim.NewFluidEngine(name, refRate, newModelAllocator(m, refRate, topo, tl))
-	e.SetFaults(tl)
 	return e, nil
 }
 
-// compileFaults validates a non-empty schedule against topo and
-// compiles it.
-func compileFaults(topo topology.Spec, sched fault.Schedule) (*fault.Timeline, error) {
-	if err := sched.Validate(topo); err != nil {
-		return nil, err
+// engineName is predict-<model>, then -x<shards> for a sharded engine,
+// else -<fabric kind> on a fabric and -faulted under a schedule.
+func (s Spec) engineName() string {
+	name := "predict-" + s.Model.Name()
+	if s.Shards > 1 {
+		return fmt.Sprintf("%s-x%d", name, s.Shards)
 	}
-	if i := sched.PermanentZero(); i >= 0 {
-		return nil, fmt.Errorf("fault: event %d (%s): permanent zero-capacity fault stalls prediction forever; add an until clause", i, sched.Events[i])
+	if !s.Topo.Trivial() {
+		name += "-" + s.Topo.Kind.String()
 	}
-	return fault.Compile(sched), nil
+	if !s.Faults.Empty() {
+		name += "-faulted"
+	}
+	return name
 }
 
 // modelAllocator adapts a penalty Model to the fluid Allocator
@@ -182,35 +197,33 @@ type Session struct {
 	times []float64 // result buffer
 }
 
-// NewSession builds a reusable prediction context for the model at the
-// given reference rate (bytes/second).
-func NewSession(m core.Model, refRate float64) *Session {
-	return &Session{m: m, ref: refRate, eng: NewEngine(m, refRate)}
-}
-
-// NewSessionWithTopology builds a reusable prediction context whose
-// progressive evaluation runs on the given fabric (see
-// NewEngineWithTopology). The static formulas (StaticTimes,
-// StaticPenalties) stay the paper's crossbar-level expressions: only the
-// progressive times feel the fabric. A trivial topology is exactly
-// NewSession.
-func NewSessionWithTopology(m core.Model, refRate float64, topo topology.Spec) *Session {
-	return &Session{m: m, ref: refRate, eng: NewEngineWithTopology(m, refRate, topo)}
-}
-
-// NewSessionWithFaults builds a reusable prediction context whose
-// progressive evaluation runs on a degraded fabric (see
-// NewEngineWithFaults): NIC slowdowns cap the affected endpoints'
-// model-level rates, link faults scale the fabric's uplinks, and every
-// Times call replays the same schedule from t=0 (Reset rewinds the
-// timeline with the engine). An empty schedule is exactly
-// NewSessionWithTopology.
-func NewSessionWithFaults(m core.Model, refRate float64, topo topology.Spec, sched fault.Schedule) (*Session, error) {
-	e, err := NewEngineWithFaults(m, refRate, topo, sched)
+// New builds a reusable prediction context on the engine of s (see
+// NewEngine). The static formulas (StaticTimes, StaticPenalties) stay
+// the paper's crossbar-level expressions: only the progressive times
+// feel the fabric and the faults, and every Times call replays the
+// schedule from t=0 (Reset rewinds the timeline with the engine).
+func New(s Spec) (*Session, error) {
+	e, err := NewEngine(s)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{m: m, ref: refRate, eng: e}, nil
+	return &Session{m: s.Model, ref: s.Ref, eng: e}, nil
+}
+
+// NewSession is New on the healthy crossbar.
+func NewSession(m core.Model, refRate float64) *Session {
+	return NewSessionWithTopology(m, refRate, topology.Spec{})
+}
+
+// NewSessionWithTopology is New on a healthy fabric, which cannot fail.
+func NewSessionWithTopology(m core.Model, refRate float64, topo topology.Spec) *Session {
+	s, _ := New(Spec{Model: m, Ref: refRate, Topo: topo})
+	return s
+}
+
+// NewSessionWithFaults is New on a degraded fabric.
+func NewSessionWithFaults(m core.Model, refRate float64, topo topology.Spec, sched fault.Schedule) (*Session, error) {
+	return New(Spec{Model: m, Ref: refRate, Topo: topo, Faults: sched})
 }
 
 // Model returns the session's penalty model.
@@ -324,18 +337,38 @@ func ModelNames() []string {
 // for "infiniband"; the baseline models run against the GigE substrate,
 // like the paper's Kim & Lee comparison.
 func LookupModel(name string) (core.Model, core.Engine, error) {
+	var m core.Model
+	sub := name
 	switch name {
 	case "gige":
-		return model.NewGigE(), gige.New(gige.DefaultConfig()), nil
+		m = model.NewGigE()
 	case "myrinet":
-		return model.NewMyrinet(), myrinet.New(myrinet.DefaultConfig()), nil
+		m = model.NewMyrinet()
 	case "infiniband", "ib":
-		return model.NewInfiniBand(), infiniband.New(infiniband.DefaultConfig()), nil
+		m = model.NewInfiniBand()
 	case "kimlee":
-		return model.KimLee{}, gige.New(gige.DefaultConfig()), nil
+		m, sub = model.KimLee{}, "gige"
 	case "linear":
-		return model.Linear{}, gige.New(gige.DefaultConfig()), nil
+		m, sub = model.Linear{}, "gige"
 	default:
 		return nil, nil, fmt.Errorf("unknown model %q (want one of gige, myrinet, infiniband, kimlee, linear)", name)
+	}
+	e, err := LookupSubstrate(sub)
+	return m, e, err
+}
+
+// LookupSubstrate builds the simulated substrate of a network name at
+// its default configuration; "ib" is accepted as an alias for
+// "infiniband".
+func LookupSubstrate(name string) (core.Engine, error) {
+	switch name {
+	case "gige":
+		return gige.New(gige.DefaultConfig()), nil
+	case "myrinet":
+		return myrinet.New(myrinet.DefaultConfig()), nil
+	case "infiniband", "ib":
+		return infiniband.New(infiniband.DefaultConfig()), nil
+	default:
+		return nil, fmt.Errorf("unknown substrate %q (want gige, myrinet or infiniband)", name)
 	}
 }

@@ -4,12 +4,10 @@ import (
 	"testing"
 
 	"bwshare/internal/core"
-	"bwshare/internal/fault"
 	"bwshare/internal/graph"
 	"bwshare/internal/predict"
 	"bwshare/internal/randgen"
 	"bwshare/internal/schemes"
-	"bwshare/internal/topology"
 )
 
 // TestSessionMatchesOneShot drives one reused Session across every
@@ -63,6 +61,24 @@ func TestLookupModelAliasAndError(t *testing.T) {
 	}
 }
 
+// TestLookupSubstrate: the three simulated networks resolve, "ib" is
+// InfiniBand, and anything else — the baseline models included — fails
+// with the list of valid names.
+func TestLookupSubstrate(t *testing.T) {
+	for name, want := range map[string]string{"gige": "gige", "myrinet": "myrinet", "infiniband": "infiniband", "ib": "infiniband"} {
+		e, err := predict.LookupSubstrate(name)
+		if err != nil || e.Name() != want {
+			t.Errorf("%s: %v, %v; want substrate %q", name, e, err, want)
+		}
+	}
+	for _, name := range []string{"kimlee", "linear", "nope"} {
+		_, err := predict.LookupSubstrate(name)
+		if want := `unknown substrate "` + name + `" (want gige, myrinet or infiniband)`; err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
+	}
+}
+
 // countingModel counts Penalties calls: one per engine event that
 // changes the active set.
 type countingModel struct {
@@ -94,7 +110,7 @@ func TestSessionTimesAllocsPerEvent(t *testing.T) {
 			t.Fatal(err)
 		}
 		cm := &countingModel{Model: m}
-		par, err := predict.NewSessionParallel(cm, sub.RefRate(), topology.Spec{}, fault.Schedule{}, 1)
+		par, err := predict.New(predict.Spec{Model: cm, Ref: sub.RefRate(), Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -167,7 +167,10 @@ func TestTraceReplays(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		e := predict.NewEngine(model.NewGigE(), 1e8)
+		e, err := predict.NewEngine(predict.Spec{Model: model.NewGigE(), Ref: 1e8})
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := replay.Run(e, clu, place, tr)
 		if err != nil {
 			t.Fatalf("seed %d: replay: %v", seed, err)

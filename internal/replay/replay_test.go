@@ -226,7 +226,11 @@ func TestMeasuredVsPredictedSameDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := Run(predict.NewEngine(model.NewGigE(), 0.75*125e6), clu, place, tr)
+	pe, err := predict.NewEngine(predict.Spec{Model: model.NewGigE(), Ref: 0.75 * 125e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := Run(pe, clu, place, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,10 +140,10 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Shards is the worker shard count of every simulator session the
 	// service builds — per-request predictions and cluster what-ifs
-	// alike (see predict.NewSessionParallel). 0 or 1 keeps the
-	// sequential sessions. Sharded results are bit-identical across
-	// shard counts and within float rounding of the sequential session,
-	// so a deployment must pin one setting for cache/replay stability.
+	// alike (predict.Spec.Shards). 0 or 1 keeps the sequential
+	// sessions. Sharded results are bit-identical across shard counts
+	// and within float rounding of the sequential session, so a
+	// deployment must pin one setting for cache/replay stability.
 	Shards int
 }
 
@@ -193,35 +193,23 @@ func statusFor(err error) int {
 // worker is owned by at most one request at a time, so its sessions'
 // scratch reuse is race-free.
 type worker struct {
-	sessions map[sessKey]*predict.Session
+	sessions map[string]*predict.Session // by canonical model name
 }
 
-type sessKey struct {
-	model string
-	ref   float64
-}
-
-// session returns the worker's session for (model, ref), creating it on
-// first use. Only trivial-topology sessions are cached (compute builds
-// throwaway sessions for fabrics), so the key needs no topology. shards
-// > 1 builds sharded sessions (predict.NewSessionParallel); since every
-// worker session of one server shares the count, it needs no key slot.
-func (w *worker) session(m core.Model, name string, ref float64, shards int) *predict.Session {
-	k := sessKey{name, ref}
-	s := w.sessions[k]
+// session returns the worker's session for the canonical model name,
+// building it from spec on first use. Only sessions at the substrate's
+// default rate on the healthy crossbar are cached (compute builds
+// throwaway sessions for the rest), so the name alone is the key.
+func (w *worker) session(name string, spec predict.Spec) (*predict.Session, error) {
+	s := w.sessions[name]
 	if s == nil {
-		if shards > 1 {
-			var err error
-			if s, err = predict.NewSessionParallel(m, ref, topology.Spec{}, fault.Schedule{}, shards); err != nil {
-				// Empty schedule: NewSessionParallel cannot fail.
-				panic("server: " + err.Error())
-			}
-		} else {
-			s = predict.NewSession(m, ref)
+		var err error
+		if s, err = predict.New(spec); err != nil {
+			return nil, err
 		}
-		w.sessions[k] = s
+		w.sessions[name] = s
 	}
-	return s
+	return s, nil
 }
 
 // New builds a Server. The model registry is fixed at construction: every
@@ -257,7 +245,7 @@ func New(cfg Config) *Server {
 	}
 	s.canon["ib"] = "infiniband"
 	for i := 0; i < cfg.Workers; i++ {
-		s.pool <- &worker{sessions: make(map[sessKey]*predict.Session)}
+		s.pool <- &worker{sessions: make(map[string]*predict.Session)}
 	}
 	s.routes()
 	return s
@@ -345,23 +333,17 @@ func (s *Server) compute(ctx context.Context, g *graph.Graph, name string, stati
 		// request-supplied ref_rate, fabric or fault schedule gets a
 		// throwaway session so clients cannot grow the per-worker session
 		// map without bound by sweeping rates, topologies or schedules.
+		spec := predict.Spec{Model: s.models[name], Ref: ref, Topo: topo, Faults: sched, Shards: s.cfg.Shards}
 		var sess *predict.Session
+		var err error
 		if ref == s.refs[name] && topo.Trivial() && sched.Empty() {
-			sess = w.session(s.models[name], name, ref, s.cfg.Shards)
-		} else if s.cfg.Shards > 1 {
-			var err error
-			if sess, err = predict.NewSessionParallel(s.models[name], ref, topo, sched, s.cfg.Shards); err != nil {
-				out = outcome{err: err}
-				return
-			}
-		} else if sched.Empty() {
-			sess = predict.NewSessionWithTopology(s.models[name], ref, topo)
+			sess, err = w.session(name, spec)
 		} else {
-			var err error
-			if sess, err = predict.NewSessionWithFaults(s.models[name], ref, topo, sched); err != nil {
-				out = outcome{err: err}
-				return
-			}
+			sess, err = predict.New(spec)
+		}
+		if err != nil {
+			out = outcome{err: err}
+			return
 		}
 		out.pen = sess.StaticPenalties(g)
 		if static {
