@@ -250,8 +250,8 @@ func churnEngineBench(jobs int) func(b *testing.B) {
 }
 
 // shardEngine builds the GigE substrate on the sharded component-lazy
-// core at an explicit shard count — including 1, which the gige.New
-// constructor would route to the sequential eager engine. The scaling
+// core at an explicit shard count — including 1 (gige.New always
+// builds the sequential eager engine). The scaling
 // rows below measure one core across counts, so the x8-vs-x1 ratio
 // isolates shard scoping from the eager/lazy core difference.
 func shardEngine(shards int) *netsim.FluidEngine {
@@ -482,7 +482,7 @@ func Suite() []Benchmark {
 		// workload on the component-lazy core at 1/2/4/8 worker shards
 		// (results bit-identical across the x-row; per-event scan work
 		// shrinks with the count), plus the sequential eager engine
-		// (`seq`, what Shards <= 1 builds) as the absolute reference —
+		// (`seq`, what gige.New builds) as the absolute reference —
 		// the x1-vs-seq gap is the lazy core's routing/bookkeeping
 		// overhead, which higher shard counts amortize.
 		{"ShardChurn/gige/64jobs/seq", shardChurnBench(64, seqEngine)},

@@ -279,39 +279,64 @@ func TestIncrementalDoesNotRetainFlowPointers(t *testing.T) {
 		h.add(graph.NodeID(2*i), graph.NodeID(2*i+1), 10e6)
 	}
 	h.check(t, "seed state")
-	for i, f := range h.inc.compFlows[:cap(h.inc.compFlows)] {
-		if f != nil {
-			t.Fatalf("compFlows[%d] retains a Flow pointer after Allocate", i)
+	for name, buf := range map[string][]*Flow{"dirty": h.inc.dirty, "grouper": h.inc.grp.sorted} {
+		for i, f := range buf[:cap(buf)] {
+			if f != nil {
+				t.Fatalf("%s[%d] retains a Flow pointer after Allocate", name, i)
+			}
+		}
+	}
+	for i, c := range h.inc.grp.comps[:cap(h.inc.grp.comps)] {
+		if c != nil {
+			t.Fatalf("grouper component %d retains a flow slice after Allocate", i)
 		}
 	}
 }
 
 // TestIncrementalShedsOversizedState: a run that addressed a huge node
-// id (or a huge flow count) must not pin the inflated tables past the
-// next engine reset, mirroring the fillPool shedding cap.
+// id (or a huge flow count) must not pin the inflated slot index past
+// the next engine reset, mirroring the fillPool shedding cap. The
+// index is the one type both IncrementalAllocator and the sharded
+// engine core keep, so both must shed through it.
 func TestIncrementalShedsOversizedState(t *testing.T) {
+	huge := graph.NodeID(maxPooledScratchLen + 10)
 	a := &IncrementalAllocator{Cfg: churnSubstrates[0].cfg}
 	a.ActiveSetReset()
-	f := &Flow{ID: 0, Src: maxPooledScratchLen + 10, Dst: 1, Remaining: 1e6}
+	f := &Flow{ID: 0, Src: huge, Dst: 1, Remaining: 1e6}
 	a.FlowStarted(f)
 	a.Allocate([]*Flow{f})
-	if len(a.sndSlot) <= maxPooledScratchLen {
-		t.Fatalf("test setup: slot table not inflated (len %d)", len(a.sndSlot))
+	e := NewShardedFluidEngine("sh", 1e6, 2, func() Allocator { return &IncrementalAllocator{Cfg: churnSubstrates[0].cfg} })
+	e.StartFlow(huge, 1, 1e6, 0)
+	for _, x := range []struct {
+		name string
+		idx  *slotIndex
+	}{{"incremental", &a.idx}, {"sharded core", &e.sh.idx}} {
+		if len(x.idx.snd) <= maxPooledScratchLen {
+			t.Fatalf("%s: test setup: slot table not inflated (len %d)", x.name, len(x.idx.snd))
+		}
 	}
 	a.FlowFinished(f)
 	a.ActiveSetReset()
-	if len(a.sndSlot) != 0 || len(a.rcvSlot) != 0 {
-		t.Fatalf("reset kept inflated slot tables (snd %d, rcv %d)", len(a.sndSlot), len(a.rcvSlot))
+	e.Reset()
+	for _, x := range []struct {
+		name string
+		idx  *slotIndex
+	}{{"incremental", &a.idx}, {"sharded core", &e.sh.idx}} {
+		if len(x.idx.snd) != 0 || len(x.idx.rcv) != 0 {
+			t.Fatalf("%s: reset kept inflated slot tables (snd %d, rcv %d)", x.name, len(x.idx.snd), len(x.idx.rcv))
+		}
 	}
 	// A normally sized run keeps its capacity across resets (the
 	// zero-allocation steady state depends on it).
 	g := &Flow{ID: 1, Src: 3, Dst: 4, Remaining: 1e6}
 	a.FlowStarted(g)
 	a.Allocate([]*Flow{g})
-	snd := len(a.sndSlot)
+	e.StartFlow(3, 4, 1e6, 0)
+	snd, esnd := len(a.idx.snd), len(e.sh.idx.snd)
 	a.FlowFinished(g)
 	a.ActiveSetReset()
-	if cap(a.sndSlot) < snd {
+	e.Reset()
+	if cap(a.idx.snd) < snd || cap(e.sh.idx.snd) < esnd {
 		t.Fatal("reset shed a normally sized slot table")
 	}
 }

@@ -48,13 +48,6 @@ type Config struct {
 	// is the static healthy fabric, bit-identical to the pre-fault
 	// engine. The schedule must validate against Topo.
 	Faults fault.Schedule
-	// Shards is the worker shard count of the engine: independent
-	// constraint components advance in parallel on up to Shards worker
-	// shards (see netsim.NewShardedFluidEngine). 0 or 1 keeps the
-	// sequential engine. Sharded results are bit-identical across shard
-	// counts and within float rounding of the sequential engine (whose
-	// eager core groups integration steps differently).
-	Shards int
 }
 
 // DefaultConfig returns the calibrated configuration used in the
@@ -100,19 +93,7 @@ func New(cfg Config) *netsim.FluidEngine {
 		tl = fault.Compile(cfg.Faults)
 		ccfg.Faults = tl.State()
 	}
-	// Shards > 1 opts in to the component-parallel core: one incremental
-	// allocator per shard, with a fault timeline's mutable State shared
-	// by all of them (each refills only components it owns, and fills
-	// only read the State). Otherwise the sequential engine — identical
-	// event cost and arithmetic to the single-threaded path.
-	var e *netsim.FluidEngine
-	if cfg.Shards > 1 {
-		e = netsim.NewShardedFluidEngine("gige", cfg.Beta*cfg.LineRate, cfg.Shards,
-			func() netsim.Allocator { return &netsim.IncrementalAllocator{Cfg: ccfg} })
-	} else {
-		e = netsim.NewFluidEngine("gige", cfg.Beta*cfg.LineRate,
-			&netsim.IncrementalAllocator{Cfg: ccfg})
-	}
+	e := netsim.NewFluidEngine("gige", cfg.Beta*cfg.LineRate, &netsim.IncrementalAllocator{Cfg: ccfg})
 	e.SetFaults(tl)
 	return e
 }

@@ -7,7 +7,8 @@ import "bwshare/internal/topology"
 // the flow set into connected components of the constraint graph from
 // scratch and fills each component with the retained reference routines.
 // IncrementalAllocator is differential-tested against it and must
-// produce bit-identical rates. Do not "optimize" this file.
+// produce bit-identical rates, and ComponentGrouper against its
+// partition. Do not "optimize" this file.
 
 // componentKind distinguishes the constraint namespaces of the graph:
 // flows sharing any one constraint belong to one component.
@@ -32,8 +33,20 @@ type componentKey struct {
 // preserved inside a component. On a flow set forming one component it
 // is exactly referenceCoupledTopoAllocate.
 func referenceComponentAllocate(cfg CoupledConfig, flows []*Flow) {
+	for _, comp := range referenceComponents(cfg.Topo, flows) {
+		referenceCoupledTopoAllocate(cfg, comp)
+	}
+}
+
+// referenceComponents partitions flows into the connected components of
+// their constraint graph on topo with a map-keyed union-find over
+// constraint elements: components ordered by their first flow, flows
+// inside a component in slice order. It is the grouping oracle of
+// ComponentGrouper and its fallback for node ids outside the dense
+// range.
+func referenceComponents(topo topology.Spec, flows []*Flow) [][]*Flow {
 	if len(flows) == 0 {
-		return
+		return nil
 	}
 	// Transliterated textbook union-find over constraint elements.
 	elem := make(map[componentKey]int)
@@ -66,8 +79,8 @@ func referenceComponentAllocate(cfg CoupledConfig, flows []*Flow) {
 		s := slot(componentKey{compSender, int(f.Src)})
 		r := slot(componentKey{compReceiver, int(f.Dst)})
 		root := union(s, r)
-		if !cfg.Topo.Trivial() {
-			ss, ds := cfg.Topo.SwitchOf(f.Src), cfg.Topo.SwitchOf(f.Dst)
+		if !topo.Trivial() {
+			ss, ds := topo.SwitchOf(f.Src), topo.SwitchOf(f.Dst)
 			if ss != ds {
 				root = union(root, slot(componentKey{compUplink, ss}))
 				union(root, slot(componentKey{compDownlink, ds}))
@@ -77,18 +90,19 @@ func referenceComponentAllocate(cfg CoupledConfig, flows []*Flow) {
 	}
 	// Group flows by component root, components ordered by their first
 	// flow, flows inside a component in slice order.
-	groups := make(map[int][]*Flow)
-	var order []int
+	index := make(map[int]int)
+	var comps [][]*Flow
 	for i, f := range flows {
 		root := find(anchor[i])
-		if _, ok := groups[root]; !ok {
-			order = append(order, root)
+		c, ok := index[root]
+		if !ok {
+			c = len(comps)
+			index[root] = c
+			comps = append(comps, nil)
 		}
-		groups[root] = append(groups[root], f)
+		comps[c] = append(comps[c], f)
 	}
-	for _, root := range order {
-		referenceCoupledTopoAllocate(cfg, groups[root])
-	}
+	return comps
 }
 
 // ReferenceComponentAllocator runs the retained map-based

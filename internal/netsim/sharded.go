@@ -18,11 +18,12 @@ import (
 // The coupled allocation decomposes over connected components of the
 // flow constraint graph (see incremental.go); this file exploits the
 // same decomposition one level up, in the engine itself. The core keeps
-// its own constraint-slot index and union-find over the active flows
-// and routes every event — StartFlow, completion, fault step — to the
-// constraint components it touches. Flows of untouched components are
-// left alone entirely: their Remaining is not integrated and their
-// cached completion deadline is not recomputed. A flow's byte state is
+// a slotIndex (component.go) over the active flows, the same index type
+// IncrementalAllocator keeps per shard, and routes every event —
+// StartFlow, completion, fault step — to the constraint components it
+// touches. Flows of untouched components are left alone entirely: their
+// Remaining is not integrated and their cached completion deadline is
+// not recomputed. A flow's byte state is
 // therefore valid at its private sync point (Flow.synced), not at the
 // engine frontier, and is only brought forward when an event touches
 // its component. Per event, work scales with the touched component plus
@@ -130,27 +131,22 @@ func (s *engineShard) allocate() {
 // frontier, the fault timeline, and the phase scheduler that fans
 // refresh/reap work out to the shards.
 type shardedCore struct {
-	topo   topology.Spec
 	shards []*engineShard
 
-	now      float64
-	nextID   int
-	nlive    int // live flows across all shards
-	removals int // completions since the routing index was rebuilt
-	epoch    uint64
-	coarse   bool // an out-of-range node id collapsed routing to shard 0
+	now    float64
+	nextID int
+	nlive  int // live flows across all shards
+	epoch  uint64
+	coarse bool // an out-of-range node id collapsed routing to shard 0
 
-	// Constraint-slot interning (-1 = no slot yet): senders/receivers
-	// by node id, uplinks/downlinks by edge-switch id. owner, csize and
-	// touch are per slot and authoritative at component roots: the
-	// owning shard, the live flow count, and the epoch of the last
-	// touching event.
-	snd, rcv []int32
-	up, dn   []int32
-	uf       unionFind
-	owner    []int32
-	csize    []int32
-	touch    []uint64
+	// idx routes events by component; its touch stamps hold the epoch
+	// of the last event touching each component and its removals count
+	// completions since the last compaction. owner and csize are per
+	// slot and authoritative at component roots: the owning shard and
+	// the live flow count.
+	idx   slotIndex
+	owner []int32
+	csize []int32
 
 	faults *fault.Timeline // nil = static healthy fabric
 
@@ -165,7 +161,7 @@ type shardedCore struct {
 // newShardedCore wires one allocator per shard. Observing allocators
 // are armed immediately (ActiveSetReset), mirroring NewFluidEngine.
 func newShardedCore(nshards int, allocs []Allocator, topo topology.Spec) *shardedCore {
-	c := &shardedCore{topo: topo}
+	c := &shardedCore{idx: slotIndex{topo: topo}}
 	c.shards = make([]*engineShard, nshards)
 	for i, a := range allocs {
 		s := &engineShard{alloc: a, min: math.Inf(1)}
@@ -228,65 +224,6 @@ func (c *shardedCore) enter() {
 
 func (c *shardedCore) exit() { c.inOp.Store(false) }
 
-// findRO returns the root of x without path compression — safe for
-// phase workers to call concurrently while the coordinator is parked at
-// the phase barrier (union by rank keeps chains logarithmic).
-func (u *unionFind) findRO(x int32) int32 {
-	for u.parent[x] != x {
-		x = u.parent[x]
-	}
-	return x
-}
-
-// slotFor interns a constraint slot in the given namespace table.
-func (c *shardedCore) slotFor(tbl *[]int32, id int) int32 {
-	for len(*tbl) <= id {
-		*tbl = append(*tbl, -1)
-	}
-	if (*tbl)[id] < 0 {
-		s := int32(len(c.uf.parent))
-		c.uf.grow(int(s) + 1)
-		c.owner = append(c.owner, -1)
-		c.csize = append(c.csize, 0)
-		c.touch = append(c.touch, 0)
-		(*tbl)[id] = s
-	}
-	return (*tbl)[id]
-}
-
-// union merges the components of two slots, carrying the newest pending
-// touch stamp to the surviving root, and returns it.
-func (c *shardedCore) union(x, y int32) int32 {
-	rx, ry := c.uf.find(x), c.uf.find(y)
-	if rx == ry {
-		return rx
-	}
-	if c.uf.rank[rx] < c.uf.rank[ry] {
-		rx, ry = ry, rx
-	} else if c.uf.rank[rx] == c.uf.rank[ry] {
-		c.uf.rank[rx]++
-	}
-	c.uf.parent[ry] = rx
-	if c.touch[ry] > c.touch[rx] {
-		c.touch[rx] = c.touch[ry]
-	}
-	return rx
-}
-
-// link unions f's constraint slots and returns (sender slot, root).
-func (c *shardedCore) link(f *Flow) (int32, int32) {
-	s1 := c.slotFor(&c.snd, int(f.Src))
-	root := c.union(s1, c.slotFor(&c.rcv, int(f.Dst)))
-	if !c.topo.Trivial() {
-		ss, ds := c.topo.SwitchOf(f.Src), c.topo.SwitchOf(f.Dst)
-		if ss != ds {
-			root = c.union(root, c.slotFor(&c.up, ss))
-			root = c.union(root, c.slotFor(&c.dn, ds))
-		}
-	}
-	return s1, root
-}
-
 // setFaults mirrors FluidEngine.SetFaults for the sharded core.
 func (c *shardedCore) setFaults(tl *fault.Timeline) {
 	if c.now != 0 || c.nlive != 0 || c.nextID != 0 {
@@ -318,13 +255,15 @@ func (c *shardedCore) stepFault() {
 		c.shards[0].dirty = true
 	} else {
 		for _, t := range targets {
-			switch t.Kind {
-			case fault.TargetLink:
-				c.markSlot(c.up, t.ID)
-				c.markSlot(c.dn, t.ID)
-			case fault.TargetHost:
-				c.markSlot(c.snd, t.ID)
-				c.markSlot(c.rcv, t.ID)
+			for _, sl := range c.idx.faultSlots(t) {
+				if sl < 0 {
+					continue
+				}
+				// Mark the owning shard dirty when the component holds
+				// live flows.
+				if r := c.idx.stamp(sl, c.epoch); c.csize[r] > 0 {
+					c.shards[c.owner[r]].dirty = true
+				}
 			}
 		}
 	}
@@ -332,19 +271,6 @@ func (c *shardedCore) stepFault() {
 		if s.fobs != nil {
 			s.fobs.FaultTargetsChanged(targets)
 		}
-	}
-}
-
-// markSlot stamps the component of the slot interned for id, if any,
-// and marks its owning shard dirty when it holds live flows.
-func (c *shardedCore) markSlot(tbl []int32, id int) {
-	if id < 0 || id >= len(tbl) || tbl[id] < 0 {
-		return
-	}
-	r := c.uf.find(tbl[id])
-	c.touch[r] = c.epoch
-	if c.csize[r] > 0 {
-		c.shards[c.owner[r]].dirty = true
 	}
 }
 
@@ -385,7 +311,7 @@ func (s *engineShard) refresh(c *shardedCore) {
 	all := s.touchAll
 	s.touchAll = false
 	for _, f := range s.active {
-		f.touched = all || c.touch[c.uf.findRO(f.slot)] > s.seen
+		f.touched = all || c.idx.touch[c.idx.uf.findRO(f.slot)] > s.seen
 		if f.touched {
 			if dt := now - f.synced; dt > 0 {
 				f.Remaining -= f.Rate * dt
@@ -425,12 +351,12 @@ func (s *engineShard) reapAt(c *shardedCore, te float64) {
 	if !all {
 		for _, f := range s.active {
 			if f.deadline <= te {
-				c.touch[c.uf.findRO(f.slot)] = epoch
+				c.idx.touch[c.idx.uf.findRO(f.slot)] = epoch
 			}
 		}
 	}
 	for _, f := range s.active {
-		f.touched = all || c.touch[c.uf.findRO(f.slot)] > s.seen
+		f.touched = all || c.idx.touch[c.idx.uf.findRO(f.slot)] > s.seen
 		if f.touched {
 			if dt := te - f.synced; dt > 0 {
 				f.Remaining -= f.Rate * dt
@@ -452,7 +378,7 @@ func (s *engineShard) reapAt(c *shardedCore, te float64) {
 				s.obs.FlowFinished(f)
 			}
 			if !c.coarse {
-				c.csize[c.uf.findRO(f.slot)]--
+				c.csize[c.idx.uf.findRO(f.slot)]--
 			}
 			s.recycle(f)
 			s.nrem++
@@ -629,7 +555,7 @@ func (c *shardedCore) reapAll(te float64) []core.Completion {
 	c.done = c.done[:0]
 	for i := 0; i < n; i++ {
 		c.done = append(c.done, c.phaseList[i].done...)
-		c.removals += c.phaseList[i].nrem
+		c.idx.removals += c.phaseList[i].nrem
 		c.nlive -= c.phaseList[i].nrem
 	}
 	// Insertion sort by flow id: completion batches are small and often
@@ -722,24 +648,17 @@ func (c *shardedCore) addFlow(src, dst graph.NodeID, bytes float64) int {
 // on different shards, unions everything and stamps the merged root.
 // Returns (sender slot, shard index).
 func (c *shardedCore) place(src, dst graph.NodeID) (int32, int) {
-	s1 := c.slotFor(&c.snd, int(src))
-	s2 := c.slotFor(&c.rcv, int(dst))
-	s3, s4 := int32(-1), int32(-1)
-	if !c.topo.Trivial() {
-		ss, ds := c.topo.SwitchOf(src), c.topo.SwitchOf(dst)
-		if ss != ds {
-			s3 = c.slotFor(&c.up, ss)
-			s4 = c.slotFor(&c.dn, ds)
-		}
+	var sl [4]int32
+	touched := sl[:c.idx.slots(src, dst, &sl)]
+	for n := c.idx.numSlots(); len(c.owner) < n; {
+		c.owner = append(c.owner, -1)
+		c.csize = append(c.csize, 0)
 	}
 	// Distinct roots holding live flows among the touched slots.
 	var lives [4]int32
 	nl := 0
-	for _, sl := range [4]int32{s1, s2, s3, s4} {
-		if sl < 0 {
-			continue
-		}
-		r := c.uf.find(sl)
+	for _, s := range touched {
+		r := c.idx.uf.find(s)
 		if c.csize[r] <= 0 {
 			continue
 		}
@@ -782,20 +701,11 @@ func (c *shardedCore) place(src, dst graph.NodeID) (int32, int) {
 			}
 		}
 	}
-	if s2 >= 0 {
-		c.union(s1, s2)
-	}
-	if s3 >= 0 {
-		c.union(s1, s3)
-	}
-	if s4 >= 0 {
-		c.union(s1, s4)
-	}
-	root := c.uf.find(s1)
+	root := c.idx.join(touched)
 	c.owner[root] = int32(target)
 	c.csize[root] = total + 1
-	c.touch[root] = c.epoch
-	return s1, target
+	c.idx.touch[root] = c.epoch
+	return sl[0], target
 }
 
 // leastLoaded returns the shard with the fewest active flows (ties:
@@ -821,7 +731,7 @@ func (c *shardedCore) moveComp(r int32, from, to int) {
 	c.mig = c.mig[:0]
 	keep := src.active[:0]
 	for _, f := range src.active {
-		if c.uf.find(f.slot) == r {
+		if c.idx.uf.find(f.slot) == r {
 			c.mig = append(c.mig, f)
 		} else {
 			keep = append(keep, f)
@@ -912,43 +822,27 @@ func (c *shardedCore) enterCoarse() {
 // events regardless of shard count — keeping touch sets, and therefore
 // every integration instant, shard-count-independent. Pending touch
 // stamps are consumed by a full refresh first, since the rebuild clears
-// the stamp table.
+// them. Slots keep their numbers, so each flow's sender slot stays
+// valid.
 func (c *shardedCore) maybeRebuild() {
-	if c.coarse || c.removals < compactionFloor || c.removals < c.nlive {
+	if c.coarse || !c.idx.compactDue(c.nlive) {
 		return
 	}
 	c.refreshDirty()
-	for i := range c.snd {
-		c.snd[i] = -1
-	}
-	for i := range c.rcv {
-		c.rcv[i] = -1
-	}
-	for i := range c.up {
-		c.up[i] = -1
-	}
-	for i := range c.dn {
-		c.dn[i] = -1
-	}
-	c.uf.parent = c.uf.parent[:0]
-	c.uf.rank = c.uf.rank[:0]
-	c.owner = c.owner[:0]
-	c.csize = c.csize[:0]
-	c.touch = c.touch[:0]
+	c.idx.unlink()
+	clear(c.csize)
 	for _, s := range c.shards {
 		for _, f := range s.active {
-			slot, _ := c.link(f)
-			f.slot = slot
+			c.idx.link(f)
 		}
 	}
 	for si, s := range c.shards {
 		for _, f := range s.active {
-			r := c.uf.find(f.slot)
+			r := c.idx.uf.find(f.slot)
 			c.owner[r] = int32(si)
 			c.csize[r]++
 		}
 	}
-	c.removals = 0
 }
 
 // reset mirrors FluidEngine.Reset for the sharded core; it allocates
@@ -960,7 +854,6 @@ func (c *shardedCore) reset() {
 	c.now = 0
 	c.nextID = 0
 	c.nlive = 0
-	c.removals = 0
 	c.epoch = 0
 	c.coarse = false
 	for _, s := range c.shards {
@@ -987,37 +880,16 @@ func (c *shardedCore) reset() {
 }
 
 // resetIndex empties the routing index, keeping steady-state capacity
-// but shedding what one huge transient run inflated (mirroring
-// IncrementalAllocator.resetPartition).
+// but shedding what one huge transient run inflated (see
+// slotIndex.reset).
 func (c *shardedCore) resetIndex() {
-	if len(c.snd) > maxPooledScratchLen || len(c.rcv) > maxPooledScratchLen {
-		c.snd, c.rcv = nil, nil
-	}
-	if len(c.up) > maxPooledScratchLen || len(c.dn) > maxPooledScratchLen {
-		c.up, c.dn = nil, nil
-	}
-	if cap(c.uf.parent) > maxPooledScratchLen {
-		c.uf.parent, c.uf.rank = nil, nil
-		c.owner, c.csize, c.touch = nil, nil, nil
+	c.idx.reset()
+	if cap(c.owner) > maxPooledScratchLen {
+		c.owner, c.csize = nil, nil
 	}
 	if cap(c.mig) > maxPooledScratchLen || cap(c.mergeBuf) > maxPooledScratchLen {
 		c.mig, c.mergeBuf = nil, nil
 	}
-	for i := range c.snd {
-		c.snd[i] = -1
-	}
-	for i := range c.rcv {
-		c.rcv[i] = -1
-	}
-	for i := range c.up {
-		c.up[i] = -1
-	}
-	for i := range c.dn {
-		c.dn[i] = -1
-	}
-	c.uf.parent = c.uf.parent[:0]
-	c.uf.rank = c.uf.rank[:0]
 	c.owner = c.owner[:0]
 	c.csize = c.csize[:0]
-	c.touch = c.touch[:0]
 }

@@ -218,7 +218,7 @@ func TestShardedEngineBitIdenticalWithFaults(t *testing.T) {
 
 // eagerTestEngine builds the sequential eager-core engine over a single
 // IncrementalAllocator — the exact engine the gige/infiniband
-// substrates use at Shards <= 1 — wiring a compiled fault timeline
+// substrates build — wiring a compiled fault timeline
 // (its own State) when sched is non-nil.
 func eagerTestEngine(cfg CoupledConfig, sched *fault.Schedule) *FluidEngine {
 	var tl *fault.Timeline
@@ -289,9 +289,9 @@ func compareCrossCore(t *testing.T, ctx string, par, seq map[int]float64) {
 // TestShardedEngineMatchesSequentialEngine is the cross-core acceptance
 // matrix: the sharded component-lazy core at 1 and 8 shards against the
 // sequential eager engine over the seeded scheme matrix. This is the
-// contract the substrate constructors rely on — Shards <= 1 builds the
-// eager engine, Shards > 1 the sharded one, and the choice must not
-// change any completion beyond final-ulp rounding. (Bit-exact equality
+// contract the engine choice relies on — the sequential engine or the
+// sharded one must not change any completion beyond final-ulp
+// rounding. (Bit-exact equality
 // across shard counts of the sharded core itself is pinned by the
 // lockstep matrix above.)
 func TestShardedEngineMatchesSequentialEngine(t *testing.T) {

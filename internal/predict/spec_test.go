@@ -87,6 +87,61 @@ func TestNewSpecMatrix(t *testing.T) {
 	}
 }
 
+// TestNewSpecHugeNodeIDs: a scheme addressing node ids past the dense
+// slot range (>= 1<<22) drives the sharded core into its coarse mode
+// and the grouping onto its map fallback. 2 and 3 shards must still
+// agree bitwise, and stay within 1e-9 relative of the sequential
+// session, for every model.
+func TestNewSpecHugeNodeIDs(t *testing.T) {
+	const h = graph.NodeID(1 << 22)
+	b := graph.NewBuilder()
+	for i, c := range []struct {
+		src, dst graph.NodeID
+		vol      float64
+	}{
+		{0, 1, 8e6}, {0, 2, 3e6}, // one component on dense ids
+		{h, 3, 5e6}, {h, 5, 11e6}, // sharing the huge sender's NIC
+		{6, h + 7, 7e6}, {2, h + 7, 2e6}, // sharing a huge receiver's NIC
+		{h + 9, h + 1, 4e6}, // alone, both ends huge
+		{8, 9, 6e6},
+	} {
+		b.Add(fmt.Sprintf("c%d", i), c.src, c.dst, c.vol)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range predict.ModelNames() {
+		m, sub, err := predict.LookupModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := predict.Spec{Model: m, Ref: sub.RefRate()}
+		seq, err := predict.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]float64(nil), seq.Times(g)...)
+		var par [2][]float64
+		for k, shards := range []int{2, 3} {
+			spec.Shards = shards
+			s, err := predict.New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par[k] = append([]float64(nil), s.Times(g)...)
+		}
+		for i := range want {
+			if par[0][i] != par[1][i] {
+				t.Fatalf("%s comm %d: 2 shards %.17g, 3 shards %.17g", name, i, par[0][i], par[1][i])
+			}
+			if math.Abs(par[0][i]-want[i]) > 1e-9*want[i] {
+				t.Fatalf("%s comm %d: sharded %.17g, sequential %.17g", name, i, par[0][i], want[i])
+			}
+		}
+	}
+}
+
 // TestNewSpecRejections: every shard count rejects a schedule that does
 // not fit the fabric, or that no finite prediction survives, with the
 // same error text.

@@ -7,6 +7,7 @@ import (
 	"bwshare/internal/cluster"
 	"bwshare/internal/core"
 	"bwshare/internal/graph"
+	"bwshare/internal/netsim"
 	"bwshare/internal/netsim/gige"
 	"bwshare/internal/netsim/infiniband"
 	"bwshare/internal/randgen"
@@ -16,9 +17,11 @@ import (
 // shardedSubstrates builds the same substrate at a given shard count;
 // the replay differential below demands bit-identical results across
 // sharded counts and rounding-level agreement with the sequential
-// engine (shards <= 1 builds the eager core, whose float grouping
-// differs from the component-lazy core by ulps on multi-component
-// workloads — see netsim's cross-core differential).
+// engine (shards <= 1 builds the substrate's own eager core, whose
+// float grouping differs from the component-lazy core by ulps on
+// multi-component workloads — see netsim's cross-core differential).
+// Sharded engines run one incremental allocator per shard on the
+// substrate's coupled configuration.
 var shardedSubstrates = []struct {
 	name string
 	make func(topo topology.Spec, shards int) core.Engine
@@ -26,15 +29,26 @@ var shardedSubstrates = []struct {
 	{"gige", func(topo topology.Spec, shards int) core.Engine {
 		cfg := gige.DefaultConfig()
 		cfg.Topo = topo
-		cfg.Shards = shards
-		return gige.New(cfg)
+		if shards <= 1 {
+			return gige.New(cfg)
+		}
+		return shardedEngine("gige", cfg.Beta*cfg.LineRate, cfg.Coupled(), shards)
 	}},
 	{"infiniband", func(topo topology.Spec, shards int) core.Engine {
 		cfg := infiniband.DefaultConfig()
 		cfg.Topo = topo
-		cfg.Shards = shards
-		return infiniband.New(cfg)
+		if shards <= 1 {
+			return infiniband.New(cfg)
+		}
+		return shardedEngine("infiniband", cfg.BetaIB*cfg.LineRate, cfg.Coupled(), shards)
 	}},
+}
+
+// shardedEngine builds a sharded fluid engine with one
+// IncrementalAllocator on ccfg per shard.
+func shardedEngine(name string, ref float64, ccfg netsim.CoupledConfig, shards int) core.Engine {
+	return netsim.NewShardedFluidEngine(name, ref, shards,
+		func() netsim.Allocator { return &netsim.IncrementalAllocator{Cfg: ccfg} })
 }
 
 // TestShardedReplayBitIdentical replays composed multi-application
