@@ -15,7 +15,6 @@ import (
 	"bwshare/internal/measure"
 	"bwshare/internal/mis"
 	"bwshare/internal/model"
-	"bwshare/internal/netsim"
 	"bwshare/internal/netsim/gige"
 	"bwshare/internal/netsim/myrinet"
 	"bwshare/internal/predict"
@@ -199,18 +198,6 @@ func BenchmarkMISK5(b *testing.B) {
 		if len(mis.MaximalIndependentSets(adj)) == 0 {
 			b.Fatal("no sets")
 		}
-	}
-}
-
-// BenchmarkWaterFill measures one max-min allocation over 64 flows.
-func BenchmarkWaterFill(b *testing.B) {
-	flows := make([]*netsim.Flow, 64)
-	for i := range flows {
-		flows[i] = &netsim.Flow{ID: i, Src: graph.NodeID(i % 8), Dst: graph.NodeID(8 + i%16)}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		netsim.WaterFill(flows, 0.75, nil, nil, 1, 1)
 	}
 }
 

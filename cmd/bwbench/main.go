@@ -9,7 +9,7 @@
 //	  "pr": 2,
 //	  "go": "go1.24.0", "goos": "linux", "goarch": "amd64",
 //	  "benchmarks": [
-//	    {"name": "WaterFill/opt/32", "n": 123, "ns_per_op": 4567.8,
+//	    {"name": "ChurnAlloc/inc/gige/8jobs", "n": 123, "ns_per_op": 4567.8,
 //	     "bytes_per_op": 0, "allocs_per_op": 0},
 //	    ...
 //	  ]
@@ -24,7 +24,7 @@
 //	bwbench                          # full suite -> next free BENCH_<n>.json
 //	bwbench -pr 3                    # -> BENCH_3.json (overwrites)
 //	bwbench -out /tmp/b.json         # explicit path
-//	bwbench -filter 'WaterFill'      # subset by regexp
+//	bwbench -filter 'ChurnAlloc'     # subset by regexp
 //	bwbench -list                    # print benchmark names and exit
 //	bwbench -check                   # regression gate vs latest snapshot
 //	bwbench -check -baseline BENCH_2.json -threshold 25 -slo-threshold 50

@@ -17,7 +17,7 @@ func TestListPrintsSuite(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"WaterFill/opt/32", "CoupledAllocator/ref/gige/32", "Sweep/exp-rnd/8"} {
+	for _, want := range []string{"ChurnAlloc/inc/gige/8jobs", "ShardChurn/gige/64jobs/x2", "Sweep/exp-rnd/8"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-list output missing %q:\n%s", want, out.String())
 		}
@@ -49,18 +49,18 @@ func TestBadFilter(t *testing.T) {
 	}
 }
 
-// TestWritesSnapshot runs the cheapest benchmark and checks the JSON
-// document shape.
+// TestWritesSnapshot runs a cheap zero-allocation benchmark and checks
+// the JSON document shape.
 func TestWritesSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real benchmark")
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var out bytes.Buffer
-	if err := run([]string{"-filter", "^WaterFill/opt/32$", "-out", path, "-pr", "42"}, &out); err != nil {
+	if err := run([]string{"-filter", "^ChurnAlloc/inc/gige/8jobs$", "-out", path, "-pr", "42"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "BenchmarkWaterFill/opt/32") {
+	if !strings.Contains(out.String(), "BenchmarkChurnAlloc/inc/gige/8jobs") {
 		t.Errorf("missing go-bench progress line:\n%s", out.String())
 	}
 	data, err := os.ReadFile(path)
@@ -75,11 +75,11 @@ func TestWritesSnapshot(t *testing.T) {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	b := snap.Benchmarks[0]
-	if b.Name != "WaterFill/opt/32" || b.N <= 0 || b.NsPerOp <= 0 {
+	if b.Name != "ChurnAlloc/inc/gige/8jobs" || b.N <= 0 || b.NsPerOp <= 0 {
 		t.Fatalf("benchmark result = %+v", b)
 	}
-	if !raceEnabled && b.AllocsPerOp != 0 {
-		t.Errorf("steady-state WaterFill allocs/op = %d, want 0", b.AllocsPerOp)
+	if b.AllocsPerOp != 0 {
+		t.Errorf("steady-state ChurnAlloc allocs/op = %d, want 0", b.AllocsPerOp)
 	}
 }
 
@@ -193,11 +193,11 @@ func TestTakeBestAndNameFilter(t *testing.T) {
 	if out[0].NsPerOp != 150 || out[1].NsPerOp != 100 {
 		t.Errorf("takeBest = %v", out)
 	}
-	re := nameFilter([]string{"WaterFill/opt/32", "a+b"})
-	if !re.MatchString("WaterFill/opt/32") || !re.MatchString("a+b") {
+	re := nameFilter([]string{"ChurnAlloc/inc/gige/8jobs", "a+b"})
+	if !re.MatchString("ChurnAlloc/inc/gige/8jobs") || !re.MatchString("a+b") {
 		t.Error("nameFilter should match listed names exactly")
 	}
-	if re.MatchString("WaterFill/opt/322") || re.MatchString("aab") {
+	if re.MatchString("ChurnAlloc/inc/gige/8jobsx") || re.MatchString("aab") {
 		t.Error("nameFilter must not match other names")
 	}
 }
@@ -305,22 +305,16 @@ func TestBaselineValidation(t *testing.T) {
 }
 
 // TestCheckMode runs the real -check flow against synthetic baselines
-// using the cheapest benchmark.
+// using a cheap zero-allocation benchmark.
 func TestCheckMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real benchmark")
-	}
-	if raceEnabled {
-		// sync.Pool drops items under -race, so the pool-backed
-		// WaterFill benchmark allocates and trips the zero-alloc gate
-		// against the synthetic zero-alloc baseline.
-		t.Skip("zero-alloc baselines do not hold under the race detector")
 	}
 	dir := t.TempDir()
 	writeBase := func(name string, ns float64, allocs int64) string {
 		snap := snapshot{
 			Schema: "bwshare-bench/v1", PR: 1,
-			Benchmarks: []benchsuite.Result{{Name: "WaterFill/opt/32", N: 1, NsPerOp: ns, AllocsPerOp: allocs}},
+			Benchmarks: []benchsuite.Result{{Name: "ChurnAlloc/inc/gige/8jobs", N: 1, NsPerOp: ns, AllocsPerOp: allocs}},
 		}
 		data, _ := json.Marshal(snap)
 		path := filepath.Join(dir, name)
@@ -331,7 +325,7 @@ func TestCheckMode(t *testing.T) {
 	}
 	generous := writeBase("generous.json", 1e12, 0)
 	var out bytes.Buffer
-	if err := run([]string{"-check", "-baseline", generous, "-filter", "^WaterFill/opt/32$"}, &out); err != nil {
+	if err := run([]string{"-check", "-baseline", generous, "-filter", "^ChurnAlloc/inc/gige/8jobs$"}, &out); err != nil {
 		t.Fatalf("generous baseline should pass: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "check passed") {
@@ -339,7 +333,7 @@ func TestCheckMode(t *testing.T) {
 	}
 	tight := writeBase("tight.json", 1e-6, 0)
 	out.Reset()
-	err := run([]string{"-check", "-baseline", tight, "-filter", "^WaterFill/opt/32$"}, &out)
+	err := run([]string{"-check", "-baseline", tight, "-filter", "^ChurnAlloc/inc/gige/8jobs$"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "bench regression") {
 		t.Fatalf("tight baseline should fail with a regression, got %v", err)
 	}
@@ -352,8 +346,8 @@ func TestCheckMode(t *testing.T) {
 	withGone := snapshot{
 		Schema: "bwshare-bench/v1", PR: 1,
 		Benchmarks: []benchsuite.Result{
-			{Name: "WaterFill/opt/32", N: 1, NsPerOp: 1e12, AllocsPerOp: 0},
-			{Name: "WaterFill/renamed-away/32", N: 1, NsPerOp: 1e12, AllocsPerOp: 0},
+			{Name: "ChurnAlloc/inc/gige/8jobs", N: 1, NsPerOp: 1e12, AllocsPerOp: 0},
+			{Name: "ChurnAlloc/renamed-away/8jobs", N: 1, NsPerOp: 1e12, AllocsPerOp: 0},
 			{Name: "Unrelated/outside-filter", N: 1, NsPerOp: 1e12, AllocsPerOp: 0},
 		},
 	}
@@ -363,7 +357,7 @@ func TestCheckMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.Reset()
-	err = run([]string{"-check", "-baseline", gonePath, "-filter", "^WaterFill/"}, &out)
+	err = run([]string{"-check", "-baseline", gonePath, "-filter", "^ChurnAlloc/"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "missing from this run") {
 		t.Fatalf("baseline benchmark absent from the run should fail the gate, got %v", err)
 	}

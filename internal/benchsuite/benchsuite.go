@@ -63,15 +63,14 @@ type Result struct {
 	P99Ns         float64 `json:"p99_ns,omitempty"`
 }
 
-// benchSeed fixes the random scheme used by the allocator benchmarks.
+// benchSeed fixes the random scheme of the rand32 benchmarks.
 const benchSeed = 7
 
-// BenchFlowsN is the flow count of the allocator benchmarks (the PR-2
-// acceptance criterion is stated on a 32-flow random scheme).
+// BenchFlowsN is the communication count of the rand32 scheme.
 const BenchFlowsN = 32
 
 // randomScheme32 draws the fixed 32-communication scheme on 16 nodes
-// used by the allocator micro-benchmarks.
+// used by the rand32 substrate and session benchmarks.
 func randomScheme32() *graph.Graph {
 	g, err := randgen.SchemeFromSeed(benchSeed, randgen.SchemeConfig{
 		MinNodes: 16, MaxNodes: 16,
@@ -86,28 +85,6 @@ func randomScheme32() *graph.Graph {
 		panic(fmt.Sprintf("benchsuite: degree caps truncated the bench scheme to %d comms", g.Len()))
 	}
 	return g
-}
-
-func schemeFlows(g *graph.Graph) []*netsim.Flow {
-	flows := make([]*netsim.Flow, g.Len())
-	for _, c := range g.Comms() {
-		flows[c.ID] = &netsim.Flow{ID: int(c.ID), Src: c.Src, Dst: c.Dst, Remaining: c.Volume}
-	}
-	return flows
-}
-
-// allocBench benchmarks one Allocator over the fixed 32-flow scheme.
-func allocBench(mk func() netsim.Allocator) func(b *testing.B) {
-	return func(b *testing.B) {
-		flows := schemeFlows(randomScheme32())
-		alloc := mk()
-		alloc.Allocate(flows) // warm scratch so steady state is measured
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			alloc.Allocate(flows)
-		}
-	}
 }
 
 // engineBench benchmarks a full measure.Run (start all flows, run the
@@ -126,22 +103,6 @@ func engineBench(mkEngine func() core.Engine, g *graph.Graph) func(b *testing.B)
 			}
 		}
 	}
-}
-
-// waterFillAllocator adapts the optimized WaterFill to the Allocator
-// interface with GigE-scale capacities (so both WaterFill benchmarks
-// exercise realistic magnitudes).
-type waterFillAllocator struct{}
-
-func (waterFillAllocator) Allocate(flows []*netsim.Flow) {
-	netsim.WaterFill(flows, 0.75*125e6, nil, nil, 125e6, 125e6)
-}
-
-// referenceWaterFillAllocator is the retained map-based counterpart.
-type referenceWaterFillAllocator struct{}
-
-func (referenceWaterFillAllocator) Allocate(flows []*netsim.Flow) {
-	netsim.ReferenceWaterFill(flows, 0.75*125e6, nil, nil, 125e6, 125e6)
 }
 
 // benchTopo is the fabric used by the topology benchmarks: the 16-node
@@ -170,10 +131,9 @@ func churnFlows(jobs int) []*netsim.Flow {
 // churnAllocBench measures the allocation cost of one churn event pair
 // (a flow departs, the active set is reallocated, the flow returns, the
 // set is reallocated again) with `jobs` independent jobs active. The
-// churned job rotates across iterations. The PR-5 acceptance comparison
-// pairs the incremental component-scoped allocator against the
-// whole-active-set fill at 8 and 64 jobs: the incremental side's event
-// cost must track the (fixed) component size, not the total flow count.
+// churned job rotates across iterations. At 8 and 64 jobs the
+// incremental component-scoped allocator's event cost must track the
+// (fixed) component size, not the total flow count.
 func churnAllocBench(mk func() netsim.Allocator, jobs int) func(b *testing.B) {
 	return func(b *testing.B) {
 		flows := churnFlows(jobs)
@@ -448,35 +408,18 @@ func multiJobReplayBench(jobs int) func(b *testing.B) {
 // Suite returns the canonical benchmark list in presentation order.
 func Suite() []Benchmark {
 	gigeCfg := gige.DefaultConfig().Coupled()
-	ibCfg := infiniband.DefaultConfig().Coupled()
 	gigeTopoCfg := gigeCfg
 	gigeTopoCfg.Topo = benchTopo
 	s6 := schemes.Fig2(6)
 	rand32 := randomScheme32()
 	return []Benchmark{
-		// Dense optimized allocators vs retained references, 32-flow
-		// random scheme (the PR-2 acceptance pair).
-		{"WaterFill/opt/32", allocBench(func() netsim.Allocator { return waterFillAllocator{} })},
-		{"WaterFill/ref/32", allocBench(func() netsim.Allocator { return referenceWaterFillAllocator{} })},
-		{"CoupledAllocator/opt/gige/32", allocBench(func() netsim.Allocator { return &netsim.CoupledAllocator{Cfg: gigeCfg} })},
-		{"CoupledAllocator/ref/gige/32", allocBench(func() netsim.Allocator { return &netsim.ReferenceAllocator{Cfg: gigeCfg} })},
-		{"CoupledAllocator/opt/infiniband/32", allocBench(func() netsim.Allocator { return &netsim.CoupledAllocator{Cfg: ibCfg} })},
-		{"CoupledAllocator/ref/infiniband/32", allocBench(func() netsim.Allocator { return &netsim.ReferenceAllocator{Cfg: ibCfg} })},
-		// Topology-aware hot path: same scheme on the oversubscribed
-		// fat-tree vs its map-based oracle (PR-4 acceptance pair: the
-		// opt side must stay at 0 allocs/op).
-		{"CoupledAllocator/opt/gige-fattree/32", allocBench(func() netsim.Allocator { return &netsim.CoupledAllocator{Cfg: gigeTopoCfg} })},
-		{"CoupledAllocator/ref/gige-fattree/32", allocBench(func() netsim.Allocator { return &netsim.ReferenceTopoAllocator{Cfg: gigeTopoCfg} })},
 		// Churn under multi-job consolidation (the PR-5 acceptance
-		// scenario): per-event allocation cost with 8 vs 64 independent
-		// 4-flow jobs active. inc is the incremental component-scoped
-		// allocator (event cost ~ component size), full the whole-set
-		// dense fill (event cost ~ total active flows), and the engine
-		// benchmark runs the complete DES loop at 0 allocs/op.
+		// scenario): per-event allocation cost of the incremental
+		// component-scoped allocator with 8 vs 64 independent 4-flow jobs
+		// active (event cost ~ component size), and the engine benchmark
+		// running the complete DES loop at 0 allocs/op.
 		{"ChurnAlloc/inc/gige/8jobs", churnAllocBench(func() netsim.Allocator { return &netsim.IncrementalAllocator{Cfg: gigeCfg} }, 8)},
 		{"ChurnAlloc/inc/gige/64jobs", churnAllocBench(func() netsim.Allocator { return &netsim.IncrementalAllocator{Cfg: gigeCfg} }, 64)},
-		{"ChurnAlloc/full/gige/8jobs", churnAllocBench(func() netsim.Allocator { return &netsim.CoupledAllocator{Cfg: gigeCfg} }, 8)},
-		{"ChurnAlloc/full/gige/64jobs", churnAllocBench(func() netsim.Allocator { return &netsim.CoupledAllocator{Cfg: gigeCfg} }, 64)},
 		{"ChurnEngine/gige/32jobs", churnEngineBench(32)},
 		// Sharded engine scaling (PR-9): the same 64-job multi-component
 		// workload on the component-lazy core at 1/2/4/8 worker shards

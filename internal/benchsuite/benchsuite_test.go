@@ -16,16 +16,6 @@ func TestSuiteNamesUnique(t *testing.T) {
 		}
 		seen[bm.Name] = true
 	}
-	// Every optimized allocator benchmark needs its reference twin for
-	// the trajectory comparison.
-	for name := range seen {
-		if m := regexp.MustCompile(`^(WaterFill|CoupledAllocator)/opt(/.*)?$`).FindStringSubmatch(name); m != nil {
-			twin := m[1] + "/ref" + m[2]
-			if !seen[twin] {
-				t.Errorf("benchmark %q has no reference twin %q", name, twin)
-			}
-		}
-	}
 }
 
 func TestRunNoMatch(t *testing.T) {

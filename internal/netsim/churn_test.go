@@ -10,8 +10,8 @@ import (
 )
 
 // Differential tests for the incremental component-scoped allocator:
-// IncrementalAllocator must reproduce ReferenceComponentAllocator — the
-// retained map-based oracle that repartitions and refills every
+// IncrementalAllocator must reproduce componentOracle — the retained
+// map-based oracle that repartitions and refills every
 // component on every call — bit for bit, across substrate configs,
 // fabrics, and adversarial add/remove/barrier interleavings. Equality
 // is exact (==), not a tolerance: the incremental path is required to
@@ -56,7 +56,7 @@ func TestIncrementalEngineMatchesOracleSeededSchemes(t *testing.T) {
 			cfg := sub.cfg
 			cfg.Topo = fab.spec
 			inc := NewFluidEngine("inc", cfg.FlowCap, &IncrementalAllocator{Cfg: cfg})
-			ref := NewFluidEngine("ref", cfg.FlowCap, &ReferenceComponentAllocator{Cfg: cfg})
+			ref := NewFluidEngine("ref", cfg.FlowCap, &componentOracle{Cfg: cfg})
 			for si, g := range schemes {
 				ra := measure.Run(inc, g)
 				rb := measure.Run(ref, g)
@@ -84,7 +84,7 @@ func TestIncrementalDirectMatchesOracle(t *testing.T) {
 			cfg := sub.cfg
 			cfg.Topo = fab.spec
 			inc := &IncrementalAllocator{Cfg: cfg}
-			ref := &ReferenceComponentAllocator{Cfg: cfg}
+			ref := &componentOracle{Cfg: cfg}
 			for si, g := range schemes {
 				a := schemeFlows(t, g)
 				b := schemeFlows(t, g)
@@ -106,7 +106,7 @@ func TestIncrementalDirectMatchesOracle(t *testing.T) {
 // the oracle, keeping both slices in identical order.
 type churnHarness struct {
 	inc    *IncrementalAllocator
-	oracle *ReferenceComponentAllocator
+	oracle *componentOracle
 	a, b   []*Flow // inc / oracle mirrors, same order
 	nextID int
 }
@@ -114,7 +114,7 @@ type churnHarness struct {
 func newChurnHarness(cfg CoupledConfig) *churnHarness {
 	h := &churnHarness{
 		inc:    &IncrementalAllocator{Cfg: cfg},
-		oracle: &ReferenceComponentAllocator{Cfg: cfg},
+		oracle: &componentOracle{Cfg: cfg},
 	}
 	h.inc.ActiveSetReset() // arm tracking, as NewFluidEngine does
 	return h
@@ -295,7 +295,7 @@ func TestIncrementalDoesNotRetainFlowPointers(t *testing.T) {
 
 // TestIncrementalShedsOversizedState: a run that addressed a huge node
 // id (or a huge flow count) must not pin the inflated slot index past
-// the next engine reset, mirroring the fillPool shedding cap. The
+// the next engine reset, mirroring the fillScratch shedding cap. The
 // index is the one type both IncrementalAllocator and the sharded
 // engine core keep, so both must shed through it.
 func TestIncrementalShedsOversizedState(t *testing.T) {
@@ -311,8 +311,8 @@ func TestIncrementalShedsOversizedState(t *testing.T) {
 		name string
 		idx  *slotIndex
 	}{{"incremental", &a.idx}, {"sharded core", &e.sh.idx}} {
-		if len(x.idx.snd) <= maxPooledScratchLen {
-			t.Fatalf("%s: test setup: slot table not inflated (len %d)", x.name, len(x.idx.snd))
+		if len(x.idx.snd.dense) <= maxPooledScratchLen {
+			t.Fatalf("%s: test setup: slot table not inflated (len %d)", x.name, len(x.idx.snd.dense))
 		}
 	}
 	a.FlowFinished(f)
@@ -322,8 +322,8 @@ func TestIncrementalShedsOversizedState(t *testing.T) {
 		name string
 		idx  *slotIndex
 	}{{"incremental", &a.idx}, {"sharded core", &e.sh.idx}} {
-		if len(x.idx.snd) != 0 || len(x.idx.rcv) != 0 {
-			t.Fatalf("%s: reset kept inflated slot tables (snd %d, rcv %d)", x.name, len(x.idx.snd), len(x.idx.rcv))
+		if len(x.idx.snd.dense) != 0 || len(x.idx.rcv.dense) != 0 {
+			t.Fatalf("%s: reset kept inflated slot tables (snd %d, rcv %d)", x.name, len(x.idx.snd.dense), len(x.idx.rcv.dense))
 		}
 	}
 	// A normally sized run keeps its capacity across resets (the
@@ -332,11 +332,11 @@ func TestIncrementalShedsOversizedState(t *testing.T) {
 	a.FlowStarted(g)
 	a.Allocate([]*Flow{g})
 	e.StartFlow(3, 4, 1e6, 0)
-	snd, esnd := len(a.idx.snd), len(e.sh.idx.snd)
+	snd, esnd := len(a.idx.snd.dense), len(e.sh.idx.snd.dense)
 	a.FlowFinished(g)
 	a.ActiveSetReset()
 	e.Reset()
-	if cap(a.idx.snd) < snd || cap(e.sh.idx.snd) < esnd {
+	if cap(a.idx.snd.dense) < snd || cap(e.sh.idx.snd.dense) < esnd {
 		t.Fatal("reset shed a normally sized slot table")
 	}
 }

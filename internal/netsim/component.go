@@ -97,18 +97,51 @@ func (u *unionFind) union(x, y int32) (int32, int32) {
 // re-derivation to constant work per event.
 const compactionFloor = 64
 
+// slotTable maps the ids of one namespace to slots (-1 = none yet): an
+// id in [0, maxDenseNode) indexes a flat slice, any other id a small
+// overflow map.
+type slotTable struct {
+	dense []int32
+	big   map[int]int32
+}
+
+// get returns the slot of id, or -1 if it has none.
+func (t *slotTable) get(id int) int32 {
+	if uint(id) < uint(len(t.dense)) {
+		return t.dense[id]
+	}
+	if s, ok := t.big[id]; ok {
+		return s
+	}
+	return -1
+}
+
+// oversized reports whether one huge run inflated the table past the
+// retention cap.
+func (t *slotTable) oversized() bool {
+	return len(t.dense) > maxPooledScratchLen || len(t.big) > maxPooledScratchLen
+}
+
+// clear unassigns every id, keeping capacity.
+func (t *slotTable) clear() {
+	for i := range t.dense {
+		t.dense[i] = -1
+	}
+	clear(t.big)
+}
+
 // slotIndex is the persistent constraint-slot index over the active
 // flows of one engine run. Slots are interned per namespace on first
-// sight (-1 = none yet): senders and receivers by node id, uplinks and
-// downlinks by edge-switch id, and they keep their number until reset.
-// touch is per slot and authoritative at union-find roots: the epoch of
-// the last event that touched the component, merged by max on union.
-// Owners keep their per-component payloads in slices indexed by slot,
-// grown to numSlots after interning.
+// sight: senders and receivers by node id, uplinks and downlinks by
+// edge-switch id, and they keep their number until reset. touch is per
+// slot and authoritative at union-find roots: the epoch of the last
+// event that touched the component, merged by max on union. Owners keep
+// their per-component payloads in slices indexed by slot, grown to
+// numSlots after interning.
 type slotIndex struct {
 	topo     topology.Spec
-	snd, rcv []int32
-	up, dn   []int32
+	snd, rcv slotTable
+	up, dn   slotTable
 	uf       unionFind
 	touch    []uint64
 	removals int // departures since the last compaction, counted by the owner
@@ -117,19 +150,27 @@ type slotIndex struct {
 // numSlots returns the number of interned slots.
 func (x *slotIndex) numSlots() int { return len(x.touch) }
 
-// intern returns the slot for id in the namespace table tbl, issuing a
+// intern returns the slot for id in the namespace table t, issuing a
 // fresh singleton slot on first sight.
-func (x *slotIndex) intern(tbl *[]int32, id int) int32 {
-	for len(*tbl) <= id {
-		*tbl = append(*tbl, -1)
+func (x *slotIndex) intern(t *slotTable, id int) int32 {
+	if s := t.get(id); s >= 0 {
+		return s
 	}
-	if (*tbl)[id] < 0 {
-		s := int32(len(x.touch))
-		x.uf.grow(int(s) + 1)
-		x.touch = append(x.touch, 0)
-		(*tbl)[id] = s
+	s := int32(len(x.touch))
+	x.uf.grow(int(s) + 1)
+	x.touch = append(x.touch, 0)
+	if id < 0 || id >= maxDenseNode {
+		if t.big == nil {
+			t.big = make(map[int]int32)
+		}
+		t.big[id] = s
+		return s
 	}
-	return (*tbl)[id]
+	for len(t.dense) <= id {
+		t.dense = append(t.dense, -1)
+	}
+	t.dense[id] = s
+	return s
 }
 
 // slots interns the constraint slots of a flow from src to dst into sl
@@ -174,7 +215,7 @@ func (x *slotIndex) link(f *Flow) int32 {
 }
 
 // root returns the component root of f, whose slots must be interned.
-func (x *slotIndex) root(f *Flow) int32 { return x.uf.find(x.snd[f.Src]) }
+func (x *slotIndex) root(f *Flow) int32 { return x.uf.find(x.snd.get(int(f.Src))) }
 
 // stamp sets the touch stamp of slot s's component and returns its root.
 func (x *slotIndex) stamp(s int32, epoch uint64) int32 {
@@ -187,17 +228,11 @@ func (x *slotIndex) stamp(s int32, epoch uint64) int32 {
 // — a link target's uplink and downlink, a host target's sender and
 // receiver NIC — or -1 where no active flow has interned one.
 func (x *slotIndex) faultSlots(t fault.Target) [2]int32 {
-	lookup := func(tbl []int32, id int) int32 {
-		if id < 0 || id >= len(tbl) {
-			return -1
-		}
-		return tbl[id]
-	}
 	switch t.Kind {
 	case fault.TargetLink:
-		return [2]int32{lookup(x.up, t.ID), lookup(x.dn, t.ID)}
+		return [2]int32{x.up.get(t.ID), x.dn.get(t.ID)}
 	case fault.TargetHost:
-		return [2]int32{lookup(x.snd, t.ID), lookup(x.rcv, t.ID)}
+		return [2]int32{x.snd.get(t.ID), x.rcv.get(t.ID)}
 	}
 	return [2]int32{-1, -1}
 }
@@ -219,24 +254,22 @@ func (x *slotIndex) unlink() {
 }
 
 // reset empties the index for a new run. Capacity is kept for the
-// steady state but shed where one huge transient run inflated it
-// (mirroring putFillScratch): without the shed, a single scheme
-// addressing a near-maxDenseNode id or carrying an enormous flow count
-// would pin tens of megabytes in every long-lived engine forever.
+// steady state but shed where one huge transient run inflated it:
+// without the shed, a single scheme addressing many distinct node ids
+// or carrying an enormous flow count would pin tens of megabytes in
+// every long-lived engine forever.
 func (x *slotIndex) reset() {
-	if len(x.snd) > maxPooledScratchLen || len(x.rcv) > maxPooledScratchLen {
-		x.snd, x.rcv = nil, nil
+	if x.snd.oversized() || x.rcv.oversized() {
+		x.snd, x.rcv = slotTable{}, slotTable{}
 	}
-	if len(x.up) > maxPooledScratchLen || len(x.dn) > maxPooledScratchLen {
-		x.up, x.dn = nil, nil
+	if x.up.oversized() || x.dn.oversized() {
+		x.up, x.dn = slotTable{}, slotTable{}
+	}
+	for _, t := range [...]*slotTable{&x.snd, &x.rcv, &x.up, &x.dn} {
+		t.clear()
 	}
 	if cap(x.touch) > maxPooledScratchLen {
 		x.uf, x.touch = unionFind{}, nil
-	}
-	for _, tbl := range [...][]int32{x.snd, x.rcv, x.up, x.dn} {
-		for i := range tbl {
-			tbl[i] = -1
-		}
 	}
 	x.uf.resize(0)
 	x.touch = x.touch[:0]
@@ -249,9 +282,7 @@ func (x *slotIndex) reset() {
 // source switch or downlink of the destination switch of a crossing
 // flow. Components come in first-flow order with slice order kept
 // inside each. The zero value is ready to use; once warm, grouping
-// allocates nothing. Node ids outside the dense slot range fall back to
-// the map partition of ReferenceComponentAllocator, so the grouping is
-// exact for any id.
+// allocates nothing. The grouping is exact for any node id.
 type ComponentGrouper struct {
 	idx slotIndex // slot interning for Group
 
@@ -269,10 +300,6 @@ type ComponentGrouper struct {
 // Component slices alias the grouper's scratch (or flows itself, for a
 // single component) and stay valid until the next Group or Reset.
 func (g *ComponentGrouper) Group(flows []*Flow, topo topology.Spec) int {
-	if !denseOK(flows) {
-		g.comps = referenceComponents(topo, flows)
-		return len(g.comps)
-	}
 	g.idx.topo = topo
 	return g.group(&g.idx, flows)
 }
@@ -300,10 +327,10 @@ func (g *ComponentGrouper) drop() {
 	g.comps = g.comps[:0]
 }
 
-// group partitions flows, whose ids must be dense, interning their
-// slots in x. Connectivity comes from the flows alone: members claiming
-// the same slot are united, so the grouping is exact even when x's own
-// union-find over-approximates.
+// group partitions flows, interning their slots in x. Connectivity
+// comes from the flows alone: members claiming the same slot are
+// united, so the grouping is exact even when x's own union-find
+// over-approximates.
 func (g *ComponentGrouper) group(x *slotIndex, flows []*Flow) int {
 	k := len(flows)
 	g.comps = g.comps[:0]

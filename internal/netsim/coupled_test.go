@@ -17,7 +17,7 @@ func cfg(coupling, threshold float64) CoupledConfig {
 }
 
 func alloc(c CoupledConfig, flows []*Flow) {
-	(&CoupledAllocator{Cfg: c}).Allocate(flows)
+	(&denseCoupled{Cfg: c}).Allocate(flows)
 }
 
 // TestCouplingBelowThresholdIsMaxMin: a mildly oversubscribed receiver
@@ -72,7 +72,7 @@ func TestCouplingZeroDisables(t *testing.T) {
 	coupled := mk()
 	plain := mk()
 	alloc(cfg(0, 1), coupled)
-	WaterFill(plain, 0.75, nil, nil, 1, 1)
+	waterFillChecked(t, plain, 0.75, nil, nil, 1, 1)
 	for i := range coupled {
 		if math.Abs(coupled[i].Rate-plain[i].Rate) > 1e-9 {
 			t.Errorf("flow %d: kappa=0 gave %.4f, max-min %.4f", i, coupled[i].Rate, plain[i].Rate)

@@ -5,56 +5,40 @@ import "math"
 // Dense scratch state for the allocation core. graph.NodeID values are
 // small cluster indices, so per-node state lives in flat slices indexed by
 // an interned slot instead of maps. All buffers are reused across epochs
-// (one epoch per Allocate call): the interner invalidates old slots with
-// an epoch stamp instead of clearing, so a steady-state allocation does
-// zero heap allocation.
+// (one epoch per fill): the interner invalidates old slots with an epoch
+// stamp instead of clearing, so a steady-state allocation does zero heap
+// allocation.
 
-// maxDenseNode bounds the node ids the dense path will intern. Schemes
-// use cluster node indices (tens to thousands); anything larger falls
-// back to the map-based reference implementation rather than allocating
-// a huge stamp table.
+// maxDenseNode bounds the ids the interning tables index directly.
+// Schemes use cluster node indices (tens to thousands); an id outside
+// [0, maxDenseNode) is interned through a small overflow map instead of
+// a huge stamp table, on the same slow path that grows the tables.
 const maxDenseNode = 1 << 22
 
-// denseOK reports whether every endpoint of flows is eligible for the
-// dense slot tables.
-func denseOK(flows []*Flow) bool {
-	for _, f := range flows {
-		if f.Src < 0 || f.Dst < 0 || int(f.Src) >= maxDenseNode || int(f.Dst) >= maxDenseNode {
-			return false
-		}
-	}
-	return true
-}
-
-// interner assigns dense slots 0,1,2,... to the distinct node ids seen
-// during one epoch. Slots are issued in first-seen order, which matches
-// the first-visit order of the reference implementation's maps.
+// interner assigns dense slots 0,1,2,... to the distinct ids seen during
+// one epoch. Slots are issued in first-seen order, which matches the
+// first-visit order of the reference implementation's maps.
 type interner struct {
 	slot  []int32
 	stamp []uint64
 	epoch uint64
-	n     int32 // slots issued this epoch
+	n     int32         // slots issued this epoch
+	big   map[int]int32 // this epoch's ids outside [0, maxDenseNode)
 }
 
 func (it *interner) begin() {
 	it.epoch++
 	it.n = 0
+	if len(it.big) > 0 {
+		clear(it.big)
+	}
 }
 
-// intern returns the slot for node id v, issuing a fresh one on first
-// sight this epoch.
+// intern returns the slot for id v, issuing a fresh one on first sight
+// this epoch.
 func (it *interner) intern(v int) (slot int32, fresh bool) {
-	if v >= len(it.slot) {
-		n := v + 1
-		if n < 2*len(it.slot) {
-			n = 2 * len(it.slot)
-		}
-		ns := make([]int32, n)
-		copy(ns, it.slot)
-		it.slot = ns
-		nst := make([]uint64, n)
-		copy(nst, it.stamp)
-		it.stamp = nst
+	if uint(v) >= uint(len(it.slot)) {
+		return it.internSlow(v)
 	}
 	if it.stamp[v] != it.epoch {
 		it.stamp[v] = it.epoch
@@ -63,6 +47,30 @@ func (it *interner) intern(v int) (slot int32, fresh bool) {
 		return it.slot[v], true
 	}
 	return it.slot[v], false
+}
+
+// internSlow is intern for an id past the tables: an id in the dense
+// range grows them, any other goes to the overflow map.
+func (it *interner) internSlow(v int) (int32, bool) {
+	if v < 0 || v >= maxDenseNode {
+		if s, ok := it.big[v]; ok {
+			return s, false
+		}
+		if it.big == nil {
+			it.big = make(map[int]int32)
+		}
+		it.big[v] = it.n
+		it.n++
+		return it.n - 1, true
+	}
+	n := max(v+1, 2*len(it.slot))
+	ns := make([]int32, n)
+	copy(ns, it.slot)
+	it.slot = ns
+	nst := make([]uint64, n)
+	copy(nst, it.stamp)
+	it.stamp = nst
+	return it.intern(v)
 }
 
 // denseFill is the slice-backed progressive-filling state: per-flow
@@ -108,8 +116,10 @@ func (d *denseFill) reset() {
 	d.frozen = d.frozen[:0]
 }
 
-// run executes progressive filling over the prepared dense state. It is a
-// line-for-line transliteration of referenceWaterFill's rounds — same
+// run executes progressive filling over the prepared dense state: grow
+// all unfrozen flows at the same speed until a constraint saturates,
+// freeze the flows bound by it, repeat — at most len(flows) rounds. It
+// is a line-for-line transliteration of referenceWaterFill's rounds — same
 // loop order, same floating-point operations — so rates are bit-identical
 // to the reference. sndCount/rcvCount must hold the number of flows per
 // slot on entry; they are consumed (decremented as flows freeze).
@@ -186,8 +196,8 @@ func (d *denseFill) run(flows []*Flow, flowCap float64) {
 }
 
 // fillScratch bundles everything one allocation epoch needs: interners,
-// the dense fill state and the coupled allocator's intermediate arrays.
-// WaterFill draws one from a pool; each CoupledAllocator owns one.
+// the dense fill state and the coupled fill's intermediate arrays.
+// IncrementalAllocator and TopoFiller each own one.
 type fillScratch struct {
 	snd, rcv interner
 	up, dn   interner // edge-switch slots for the topology extension
@@ -209,11 +219,12 @@ func (s *fillScratch) begin() {
 	s.rxCap = s.rxCap[:0]
 }
 
-// maxPooledScratchLen bounds what fillPool retains: a scratch whose
-// per-flow arrays or interner stamp tables grew beyond this (one huge
-// transient scheme, or a scheme addressing a huge node id) is dropped on
-// put instead of pinning its capacity forever. Steady workloads stay far
-// below the cap, so they keep the zero-allocation fast path.
+// maxPooledScratchLen bounds the scratch a long-lived owner retains
+// between runs: a scratch whose per-flow arrays or interner tables grew
+// beyond this (one huge transient scheme, or a scheme addressing many
+// distinct node ids) is dropped at the next reset instead of pinning its
+// capacity forever. Steady workloads stay far below the cap, so they
+// keep the zero-allocation fast path.
 const maxPooledScratchLen = 1 << 14
 
 // oversized reports whether the scratch has outgrown the pooling cap.
@@ -225,5 +236,6 @@ func (s *fillScratch) oversized() bool {
 		len(s.snd.slot) > maxPooledScratchLen ||
 		len(s.rcv.slot) > maxPooledScratchLen ||
 		len(s.up.slot) > maxPooledScratchLen ||
-		len(s.dn.slot) > maxPooledScratchLen
+		len(s.dn.slot) > maxPooledScratchLen ||
+		len(s.snd.big)+len(s.rcv.big) > maxPooledScratchLen
 }

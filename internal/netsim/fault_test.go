@@ -15,7 +15,7 @@ import (
 
 // Differential tests for fault-injected replay: an engine driving the
 // incremental allocator through a fault timeline must reproduce the
-// full-recompute oracle engine (ReferenceComponentAllocator, which
+// full-recompute oracle engine (componentOracle, which
 // rereads the mutated fault.State on every Allocate) bit for bit. The
 // fabrics and substrates are the churn-test matrix; the schedules add
 // seeded link failures, degradations and NIC slowdowns on top.
@@ -74,7 +74,7 @@ func faultedEngine(name string, cfg CoupledConfig, sched fault.Schedule, oracle 
 	cfg.Faults = tl.State()
 	var alloc Allocator
 	if oracle {
-		alloc = &ReferenceComponentAllocator{Cfg: cfg}
+		alloc = &componentOracle{Cfg: cfg}
 	} else {
 		alloc = &IncrementalAllocator{Cfg: cfg}
 	}

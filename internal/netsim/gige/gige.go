@@ -57,8 +57,9 @@ func DefaultConfig() Config {
 }
 
 // Coupled translates the GigE parameters into the generic coupled
-// allocator configuration. Exposed so differential tests and the bwbench
-// harness can benchmark the allocator in isolation.
+// allocation configuration of netsim.IncrementalAllocator. Exposed so
+// the bwbench harness and the replay tests can build the allocator
+// directly (e.g. on the sharded engine core).
 func (cfg Config) Coupled() netsim.CoupledConfig {
 	coupling := 0.0
 	if cfg.PauseCoupling {
@@ -78,8 +79,8 @@ func (cfg Config) Coupled() netsim.CoupledConfig {
 // component-scoped allocator: each flow arrival or departure refills
 // only the constraint-graph component it touches, so event cost under
 // churn of independent jobs scales with the touched component rather
-// than the whole active set (differential-tested against the
-// full-recompute oracle, netsim.ReferenceComponentAllocator).
+// than the whole active set (differential-tested in netsim against a
+// map-based full-recompute oracle).
 func New(cfg Config) *netsim.FluidEngine {
 	if cfg.LineRate <= 0 || cfg.Beta <= 0 || cfg.Beta > 1 {
 		panic("gige: invalid config")

@@ -7,7 +7,7 @@ import (
 
 // Incremental component-scoped allocation.
 //
-// The coupled allocation (CoupledAllocator) decomposes over the
+// The coupled allocation (coupledDenseAllocate) decomposes over the
 // connected components of the constraint graph on active flows: two
 // flows interact only if they share a sender NIC, a receiver NIC, or —
 // on a multi-switch fabric — an edge-switch uplink or downlink. Base
@@ -36,10 +36,10 @@ import (
 // enough removals accumulate, which amortizes the linear rebuild cost
 // to O(1) per event.
 //
-// Equivalence contract: rates are bit-identical to
-// ReferenceComponentAllocator, the retained map-based full-recompute
-// oracle that partitions the flow set from scratch on every call and
-// fills each component with the PR-2/PR-4 reference routines. This
+// Equivalence contract: rates are bit-identical to the map-based
+// full-recompute oracle of the tests (referenceComponentAllocate), which
+// partitions the flow set from scratch on every call and fills each
+// component with the retained reference routines, for any node ids. This
 // holds because (a) a cached component's rates were produced by a fill
 // over exactly its current member flows in active-slice order — the
 // same sub-slice the oracle fills — and (b) the per-component dense
@@ -49,7 +49,7 @@ import (
 // the sub-slice order never drifts between the two.
 
 // IncrementalAllocator is the production allocator of the GigE and
-// InfiniBand substrates: CoupledAllocator semantics, evaluated
+// InfiniBand substrates: the coupled allocation, evaluated
 // incrementally per connected component of the flow constraint graph
 // (see the package comment above). It implements ActiveSetObserver;
 // driven by a FluidEngine it refills only dirty components, and a
@@ -101,12 +101,6 @@ func (a *IncrementalAllocator) FlowStarted(f *Flow) {
 	if !a.tracking {
 		return
 	}
-	if f.Src < 0 || f.Dst < 0 || int(f.Src) >= maxDenseNode || int(f.Dst) >= maxDenseNode {
-		// Out-of-range ids take the reference fallback in Allocate; stop
-		// tracking rather than keep a partial partition.
-		a.tracking = false
-		return
-	}
 	a.idx.touch[a.idx.link(f)] = a.seen + 1
 	a.nlive++
 }
@@ -119,7 +113,7 @@ func (a *IncrementalAllocator) FlowFinished(f *Flow) {
 	if !a.tracking {
 		return
 	}
-	a.idx.stamp(a.idx.snd[f.Src], a.seen+1)
+	a.idx.stamp(a.idx.snd.get(int(f.Src)), a.seen+1)
 	a.idx.removals++
 	a.nlive--
 }
@@ -167,19 +161,15 @@ func (a *IncrementalAllocator) ActiveSetReset() {
 	}
 }
 
-// Allocate implements Allocator. Rates are bit-identical to
-// ReferenceComponentAllocator.Allocate on the same flow slice.
+// Allocate implements Allocator. Rates are bit-identical to the
+// full-recompute oracle on the same flow slice.
 func (a *IncrementalAllocator) Allocate(flows []*Flow) {
 	if len(flows) == 0 {
 		return
 	}
-	if !denseOK(flows) {
-		referenceComponentAllocate(a.Cfg, flows)
-		return
-	}
 	if !a.tracking {
-		// Standalone (engine-less) path, also taken after tracking is
-		// disarmed mid-run: recompute every component from scratch.
+		// Standalone (engine-less) path: recompute every component from
+		// scratch.
 		a.idx.topo = a.Cfg.Topo
 		a.fill(flows)
 		return
@@ -226,7 +216,7 @@ func (a *IncrementalAllocator) Allocate(flows []*Flow) {
 func (a *IncrementalAllocator) fill(flows []*Flow) {
 	n := a.grp.group(&a.idx, flows)
 	for c := 0; c < n; c++ {
-		coupledDenseAllocate(a.Cfg, a.grp.Component(c), &a.scr, nil)
+		coupledDenseAllocate(a.Cfg, a.grp.Component(c), &a.scr)
 	}
 	a.grp.drop()
 }

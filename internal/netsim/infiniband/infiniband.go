@@ -53,8 +53,9 @@ func DefaultConfig() Config {
 }
 
 // Coupled translates the InfiniBand parameters into the generic coupled
-// allocator configuration. Exposed so differential tests and the bwbench
-// harness can benchmark the allocator in isolation.
+// allocation configuration of netsim.IncrementalAllocator. Exposed so
+// the bwbench harness and the replay tests can build the allocator
+// directly (e.g. on the sharded engine core).
 func (cfg Config) Coupled() netsim.CoupledConfig {
 	return netsim.CoupledConfig{
 		LineRate: cfg.LineRate,

@@ -2,76 +2,12 @@ package netsim
 
 import (
 	"math"
-	"sync"
 
 	"bwshare/internal/fault"
-	"bwshare/internal/graph"
 	"bwshare/internal/topology"
 )
 
-// fillPool recycles WaterFill scratch state across calls (and across
-// engines: the experiment runner allocates on many goroutines).
-var fillPool = sync.Pool{New: func() any { return new(fillScratch) }}
-
-// putFillScratch returns scratch to fillPool unless it has outgrown the
-// pooling cap, in which case it is dropped so one huge transient scheme
-// cannot pin its capacity for the life of the process.
-func putFillScratch(sc *fillScratch) {
-	if sc.oversized() {
-		return
-	}
-	fillPool.Put(sc)
-}
-
-// WaterFill computes the max-min fair allocation of rates to flows under
-// three families of constraints: a per-flow rate cap, a capacity per
-// sender NIC and a capacity per receiver NIC. senderCap and recvCap give
-// the capacity for each node actually appearing as an endpoint; missing
-// entries default to def. Rates are written into the flows.
-//
-// The algorithm is classic progressive filling: grow all unfrozen flows
-// at the same speed until a constraint saturates, freeze the flows bound
-// by it, repeat. It terminates in at most len(flows) rounds.
-//
-// Per-node state is slice-backed (node ids are interned to dense slots)
-// and drawn from a pool, so repeated calls do zero heap allocation in
-// steady state. Rates are bit-identical to ReferenceWaterFill.
-func WaterFill(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.NodeID]float64, defSend, defRecv float64) {
-	if len(flows) == 0 {
-		return
-	}
-	if !denseOK(flows) {
-		referenceWaterFill(flows, flowCap, senderCap, recvCap, defSend, defRecv)
-		return
-	}
-	sc := fillPool.Get().(*fillScratch)
-	sc.begin()
-	d := &sc.d
-	for _, f := range flows {
-		si, fresh := sc.snd.intern(int(f.Src))
-		if fresh {
-			c := capOf(senderCap, f.Src, defSend)
-			d.sndLeft = append(d.sndLeft, c)
-			d.sndOrig = append(d.sndOrig, c)
-			d.sndCount = append(d.sndCount, 0)
-		}
-		d.sndCount[si]++
-		d.sidx = append(d.sidx, si)
-		ri, fresh := sc.rcv.intern(int(f.Dst))
-		if fresh {
-			c := capOf(recvCap, f.Dst, defRecv)
-			d.rcvLeft = append(d.rcvLeft, c)
-			d.rcvOrig = append(d.rcvOrig, c)
-			d.rcvCount = append(d.rcvCount, 0)
-		}
-		d.rcvCount[ri]++
-		d.ridx = append(d.ridx, ri)
-	}
-	d.run(flows, flowCap)
-	putFillScratch(sc)
-}
-
-// CoupledConfig parameterizes CoupledAllocator.
+// CoupledConfig parameterizes the coupled allocation (coupledDenseAllocate).
 type CoupledConfig struct {
 	// LineRate is the NIC transmit capacity in bytes/second.
 	LineRate float64
@@ -120,8 +56,9 @@ type CoupledConfig struct {
 	Faults *fault.State
 }
 
-// CoupledAllocator implements the two-phase rate allocation shared by the
-// GigE and InfiniBand substrates:
+// coupledDenseAllocate runs the two-phase rate allocation shared by the
+// GigE and InfiniBand substrates over flows, using sc for all per-epoch
+// state:
 //
 //  1. Base demand: each sender divides its line rate equally among its
 //     active flows, each capped at FlowCap.
@@ -132,175 +69,32 @@ type CoupledConfig struct {
 //  3. Final rates: max-min water-filling under FlowCap, the reduced
 //     sender capacities and RxCap.
 //
-// The allocator owns reusable dense scratch state, so steady-state
-// Allocate calls do zero heap allocation, and it implements
-// ActiveSetObserver: when driven by a FluidEngine, per-sender and
-// per-receiver active-flow counts are maintained incrementally across
-// active-set changes instead of being recounted every allocation. One
-// allocator must serve at most one engine.
-type CoupledAllocator struct {
-	Cfg CoupledConfig
-
-	scr      *fillScratch
-	live     activeCounts
-	attached bool
-}
-
-// claim marks the allocator as owned by an engine; a second engine
-// claiming it is refused (NewFluidEngine panics loudly rather than
-// letting shared tracked counts corrupt rates silently).
-func (a *CoupledAllocator) claim() bool {
-	if a.attached {
-		return false
-	}
-	a.attached = true
-	return true
-}
-
-// activeCounts tracks per-node active flow counts, updated incrementally
-// by the ActiveSetObserver callbacks. tracking stays false until an
-// engine arms it via ActiveSetReset, so a standalone Allocate call (no
-// engine) recounts from the flow slice and observes identical values.
-type activeCounts struct {
-	tracking bool
-	out, in  []int32 // indexed by graph.NodeID
-}
-
-func (c *activeCounts) bump(f *Flow, delta int32) {
-	if !c.tracking {
-		return
-	}
-	if f.Src < 0 || f.Dst < 0 || int(f.Src) >= maxDenseNode || int(f.Dst) >= maxDenseNode {
-		// Out-of-range ids take the reference fallback in Allocate;
-		// stop tracking rather than keep partial counts.
-		c.tracking = false
-		return
-	}
-	if need := max(int(f.Src), int(f.Dst)) + 1; need > len(c.out) {
-		n := max(need, 2*len(c.out))
-		no := make([]int32, n)
-		copy(no, c.out)
-		c.out = no
-		ni := make([]int32, n)
-		copy(ni, c.in)
-		c.in = ni
-	}
-	c.out[f.Src] += delta
-	c.in[f.Dst] += delta
-}
-
-// countOut and countIn read the tracked counts defensively: a node the
-// observer never saw has count zero.
-func (c *activeCounts) countOut(n graph.NodeID) int32 {
-	if int(n) >= len(c.out) {
-		return 0
-	}
-	return c.out[n]
-}
-
-func (c *activeCounts) countIn(n graph.NodeID) int32 {
-	if int(n) >= len(c.in) {
-		return 0
-	}
-	return c.in[n]
-}
-
-var _ ActiveSetObserver = (*CoupledAllocator)(nil)
-
-// FlowStarted implements ActiveSetObserver.
-func (a *CoupledAllocator) FlowStarted(f *Flow) { a.live.bump(f, 1) }
-
-// FlowFinished implements ActiveSetObserver.
-func (a *CoupledAllocator) FlowFinished(f *Flow) { a.live.bump(f, -1) }
-
-// ActiveSetReset implements ActiveSetObserver: the engine is (re)starting
-// from an empty active set, which arms incremental count tracking.
-func (a *CoupledAllocator) ActiveSetReset() {
-	a.live.tracking = true
-	clear(a.live.out)
-	clear(a.live.in)
-}
-
-// scratch returns the allocator's reusable scratch, creating it on first
-// use (so the zero value and struct literals keep working).
-func (a *CoupledAllocator) scratch() *fillScratch {
-	if a.scr == nil {
-		a.scr = new(fillScratch)
-	}
-	return a.scr
-}
-
-// Allocate implements Allocator. Rates are bit-identical to
-// ReferenceAllocator.Allocate.
-func (a *CoupledAllocator) Allocate(flows []*Flow) {
-	if len(flows) == 0 {
-		return
-	}
-	if !denseOK(flows) {
-		referenceCoupledTopoAllocate(a.Cfg, flows)
-		return
-	}
-	coupledDenseAllocate(a.Cfg, flows, a.scratch(), &a.live)
-}
-
-// coupledDenseAllocate runs the dense coupled allocation (phases 1-3)
-// over flows, using sc for all per-epoch state. live, when non-nil and
-// tracking, supplies incrementally maintained per-node active counts;
-// otherwise counts are recounted from the slice. Every flow must have
-// passed denseOK. It is the shared core of CoupledAllocator.Allocate and
-// of the per-component fills of IncrementalAllocator, which keeps the
-// two bit-identical on identical flow slices by construction.
-func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch, live *activeCounts) {
+// It is the fill of every component IncrementalAllocator refills, and
+// bit-identical to the map-based reference allocation on the same flow
+// slice, for any node ids. A warm scratch makes it allocation-free.
+func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch) {
 	sc.begin()
 	d := &sc.d
 
-	// Phase 1a: intern endpoints and establish per-sender/per-receiver
-	// active counts — incrementally maintained ones when an engine feeds
-	// us active-set changes, otherwise recounted from the slice. NIC
-	// capacities carry the fault overlay's per-host factor (1 on a
-	// healthy fabric, which multiplies exactly).
-	tracked := live != nil && live.tracking
+	// Phase 1a: intern endpoints and count per-sender/per-receiver active
+	// flows. NIC capacities carry the fault overlay's per-host factor (1
+	// on a healthy fabric, which multiplies exactly).
 	for _, f := range flows {
 		si, fresh := sc.snd.intern(int(f.Src))
 		if fresh {
 			d.sndCount = append(d.sndCount, 0)
 			sc.effSend = append(sc.effSend, cfg.LineRate*cfg.Faults.HostFactor(int(f.Src)))
-			if tracked {
-				d.sndCount[si] = live.countOut(f.Src)
-			}
 		}
-		if !tracked {
-			d.sndCount[si]++
-		}
+		d.sndCount[si]++
 		d.sidx = append(d.sidx, si)
 		ri, fresh := sc.rcv.intern(int(f.Dst))
 		if fresh {
 			d.rcvCount = append(d.rcvCount, 0)
 			sc.inflow = append(sc.inflow, 0)
 			sc.rxCap = append(sc.rxCap, cfg.RxCap*cfg.Faults.HostFactor(int(f.Dst)))
-			if tracked {
-				d.rcvCount[ri] = live.countIn(f.Dst)
-			}
 		}
-		if !tracked {
-			d.rcvCount[ri]++
-		}
+		d.rcvCount[ri]++
 		d.ridx = append(d.ridx, ri)
-	}
-	if tracked {
-		// Consistency guard: every active flow contributes one to its
-		// sender's tracked count, so the distinct-sender counts must sum
-		// to len(flows). A mismatch means the allocator was fed a flow
-		// set it was not tracking (e.g. a direct Allocate call while
-		// serving an engine) — fail loudly instead of computing wrong
-		// rates.
-		total := 0
-		for _, c := range d.sndCount {
-			total += int(c)
-		}
-		if total != len(flows) {
-			panic("netsim: CoupledAllocator tracked counts disagree with the flow set; an engine-attached allocator must only be invoked by its engine")
-		}
 	}
 
 	// Phase 1b: base demand per sender, accumulated per receiver. The

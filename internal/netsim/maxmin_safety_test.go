@@ -7,8 +7,8 @@ import (
 	"bwshare/internal/graph"
 )
 
-// Tests for WaterFill's numeric edges and safety valves, run against
-// both the optimized and the reference implementation (they must agree).
+// Tests for the water-fill's numeric edges and safety valves, run against
+// both the dense and the reference implementation (they must agree).
 
 type fillFunc func(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.NodeID]float64, defSend, defRecv float64)
 
@@ -16,7 +16,7 @@ var fillImpls = []struct {
 	name string
 	fill fillFunc
 }{
-	{"opt", WaterFill},
+	{"opt", waterFill},
 	{"ref", referenceWaterFill},
 }
 
@@ -36,9 +36,9 @@ func TestWaterFillEmpty(t *testing.T) {
 		impl.fill([]*Flow{}, 0.75, nil, nil, 1, 1)
 	}
 	cfg := CoupledConfig{LineRate: 1, FlowCap: 1, RxCap: 1}
-	(&CoupledAllocator{Cfg: cfg}).Allocate(nil)
-	(&CoupledAllocator{Cfg: cfg}).Allocate([]*Flow{})
-	(&ReferenceAllocator{Cfg: cfg}).Allocate(nil)
+	(&denseCoupled{Cfg: cfg}).Allocate(nil)
+	(&denseCoupled{Cfg: cfg}).Allocate([]*Flow{})
+	(&coupledOracle{Cfg: cfg}).Allocate(nil)
 }
 
 // TestWaterFillZeroCapacitySender: a sender with zero capacity freezes
@@ -106,7 +106,7 @@ func TestWaterFillAllConstraintsUnbounded(t *testing.T) {
 // yet the saturation test left <= relEps*orig fails because relEps*orig
 // underflows to exactly 0 while left stays positive. No flow freezes, so
 // without the valve the filling loop would never terminate; with it,
-// WaterFill returns with all rates 0.
+// the fill returns with all rates 0.
 func TestWaterFillNonProgressValve(t *testing.T) {
 	tiny := math.SmallestNonzeroFloat64 // 2^-1074
 	if tiny/3 != 0 {

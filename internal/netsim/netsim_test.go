@@ -109,7 +109,7 @@ func TestWaterFillTwoFlowsOneSender(t *testing.T) {
 		{ID: 0, Src: 0, Dst: 1},
 		{ID: 1, Src: 0, Dst: 2},
 	}
-	WaterFill(flows, 0.75, nil, nil, 1, 1)
+	waterFillChecked(t, flows, 0.75, nil, nil, 1, 1)
 	for _, f := range flows {
 		if math.Abs(f.Rate-0.5) > 1e-9 {
 			t.Errorf("flow %d rate = %g, want 0.5 (sender fair share)", f.ID, f.Rate)
@@ -119,7 +119,7 @@ func TestWaterFillTwoFlowsOneSender(t *testing.T) {
 
 func TestWaterFillFlowCapBinds(t *testing.T) {
 	flows := []*Flow{{ID: 0, Src: 0, Dst: 1}}
-	WaterFill(flows, 0.75, nil, nil, 1, 1)
+	waterFillChecked(t, flows, 0.75, nil, nil, 1, 1)
 	if math.Abs(flows[0].Rate-0.75) > 1e-9 {
 		t.Errorf("rate = %g, want flow cap 0.75", flows[0].Rate)
 	}
@@ -131,7 +131,7 @@ func TestWaterFillReceiverContention(t *testing.T) {
 		{ID: 0, Src: 0, Dst: 9},
 		{ID: 1, Src: 1, Dst: 9},
 	}
-	WaterFill(flows, 0.75, nil, nil, 1, 1)
+	waterFillChecked(t, flows, 0.75, nil, nil, 1, 1)
 	for _, f := range flows {
 		if math.Abs(f.Rate-0.5) > 1e-9 {
 			t.Errorf("flow %d rate = %g, want 0.5 (receiver fair share)", f.ID, f.Rate)
@@ -148,7 +148,7 @@ func TestWaterFillAsymmetric(t *testing.T) {
 		{ID: 2, Src: 0, Dst: 3},
 		{ID: 3, Src: 4, Dst: 2},
 	}
-	WaterFill(flows, 0.75, nil, nil, 1, 1)
+	waterFillChecked(t, flows, 0.75, nil, nil, 1, 1)
 	third := 1.0 / 3.0
 	for i := 0; i < 3; i++ {
 		if math.Abs(flows[i].Rate-third) > 1e-9 {
@@ -172,7 +172,7 @@ func TestWaterFillFeasibility(t *testing.T) {
 			d := graph.NodeID(dsts[i]%4) + 4 // disjoint sender/receiver sets
 			flows[i] = &Flow{ID: i, Src: s, Dst: d}
 		}
-		WaterFill(flows, 0.75, nil, nil, 1, 1)
+		waterFillChecked(t, flows, 0.75, nil, nil, 1, 1)
 		sndSum := map[graph.NodeID]float64{}
 		rcvSum := map[graph.NodeID]float64{}
 		for _, f := range flows {
@@ -209,7 +209,7 @@ func TestWaterFillMaxMinOptimality(t *testing.T) {
 		{ID: 2, Src: 3, Dst: 2},
 		{ID: 3, Src: 3, Dst: 4},
 	}
-	WaterFill(flows, 10, nil, nil, 1, 1)
+	waterFillChecked(t, flows, 10, nil, nil, 1, 1)
 	// Everything is symmetric: all should be 0.5.
 	for _, f := range flows {
 		if math.Abs(f.Rate-0.5) > 1e-9 {

@@ -8,7 +8,9 @@ import "bwshare/internal/topology"
 // scratch and fills each component with the retained reference routines.
 // IncrementalAllocator is differential-tested against it and must
 // produce bit-identical rates, and ComponentGrouper against its
-// partition. Do not "optimize" this file.
+// partition. The file also holds the test-only Allocator adapters over
+// the oracles and the whole-set dense fill. Do not "optimize" the
+// oracles.
 
 // componentKind distinguishes the constraint namespaces of the graph:
 // flows sharing any one constraint belong to one component.
@@ -42,8 +44,7 @@ func referenceComponentAllocate(cfg CoupledConfig, flows []*Flow) {
 // their constraint graph on topo with a map-keyed union-find over
 // constraint elements: components ordered by their first flow, flows
 // inside a component in slice order. It is the grouping oracle of
-// ComponentGrouper and its fallback for node ids outside the dense
-// range.
+// ComponentGrouper.
 func referenceComponents(topo topology.Spec, flows []*Flow) [][]*Flow {
 	if len(flows) == 0 {
 		return nil
@@ -105,23 +106,46 @@ func referenceComponents(topo topology.Spec, flows []*Flow) [][]*Flow {
 	return comps
 }
 
-// ReferenceComponentAllocator runs the retained map-based
-// component-scoped coupled allocation with a full recompute on every
-// call: the oracle for IncrementalAllocator in differential tests and
-// the bwbench churn harness. Production substrates use
-// IncrementalAllocator.
-type ReferenceComponentAllocator struct {
+// componentOracle is an Allocator running referenceComponentAllocate
+// with a full recompute on every call: the oracle for
+// IncrementalAllocator in the engine-driven differential tests.
+type componentOracle struct {
 	Cfg CoupledConfig
 }
 
 // Allocate implements Allocator.
-func (a *ReferenceComponentAllocator) Allocate(flows []*Flow) {
+func (a *componentOracle) Allocate(flows []*Flow) {
 	referenceComponentAllocate(a.Cfg, flows)
 }
 
-var _ ComponentAllocator = (*ReferenceComponentAllocator)(nil)
+var _ ComponentAllocator = (*componentOracle)(nil)
 
 // ComponentTopology implements ComponentAllocator: the oracle fills per
 // constraint component by construction, so it may serve as a shard
 // allocator (or the oracle side of sharded differential tests).
-func (a *ReferenceComponentAllocator) ComponentTopology() topology.Spec { return a.Cfg.Topo }
+func (a *componentOracle) ComponentTopology() topology.Spec { return a.Cfg.Topo }
+
+// coupledOracle is an Allocator running the whole-set map-based coupled
+// allocation, referenceCoupledTopoAllocate.
+type coupledOracle struct {
+	Cfg CoupledConfig
+}
+
+// Allocate implements Allocator.
+func (a *coupledOracle) Allocate(flows []*Flow) {
+	referenceCoupledTopoAllocate(a.Cfg, flows)
+}
+
+// denseCoupled is an Allocator running the dense coupled fill over the
+// whole flow set at once, the counterpart of coupledOracle.
+type denseCoupled struct {
+	Cfg CoupledConfig
+	scr fillScratch
+}
+
+// Allocate implements Allocator.
+func (a *denseCoupled) Allocate(flows []*Flow) {
+	if len(flows) > 0 {
+		coupledDenseAllocate(a.Cfg, flows, &a.scr)
+	}
+}

@@ -6,14 +6,12 @@ import (
 	"bwshare/internal/graph"
 )
 
-// This file retains the original map-based allocation core verbatim. The
-// optimized dense-indexed implementations in maxmin.go are differential-
-// tested against these references (equiv_test.go) and benchmarked against
-// them by cmd/bwbench, so every change to the hot path has a bit-exact
-// oracle and a perf baseline. Do not "optimize" this file.
+// This file retains the original map-based allocation core verbatim, as
+// the test oracle of the dense-indexed fill in maxmin.go and dense.go:
+// equiv_test.go holds the two bitwise equal, so every change to the hot
+// path has a bit-exact oracle. Do not "optimize" this file.
 
 // capOf resolves a per-node capacity with a default for missing entries.
-// Shared by the reference and optimized paths so both see the same values.
 func capOf(m map[graph.NodeID]float64, n graph.NodeID, def float64) float64 {
 	if c, ok := m[n]; ok {
 		return c
@@ -22,8 +20,8 @@ func capOf(m map[graph.NodeID]float64, n graph.NodeID, def float64) float64 {
 }
 
 // referenceWaterFill is the retained map-based progressive-filling
-// implementation of WaterFill. It is the semantic oracle: WaterFill must
-// produce bit-identical rates.
+// implementation. It is the semantic oracle: the dense fill (denseFill.run,
+// driven by waterFill in the tests) must produce bit-identical rates.
 func referenceWaterFill(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.NodeID]float64, defSend, defRecv float64) {
 	const relEps = 1e-9
 	type side struct {
@@ -111,7 +109,7 @@ func referenceWaterFill(flows []*Flow, flowCap float64, senderCap, recvCap map[g
 }
 
 // referenceCoupledAllocate is the retained map-based two-phase coupled
-// allocation (see CoupledAllocator for the model description). Fault
+// allocation (see coupledDenseAllocate for the model description). Fault
 // overlay semantics (cfg.Faults) mirror coupledDenseAllocate operation
 // for operation: host factors scale the sender line rate (base demand,
 // coupling reduction, water-fill capacity) and the receive capacity
@@ -156,23 +154,4 @@ func referenceCoupledAllocate(cfg CoupledConfig, flows []*Flow) {
 		recvCap[d] = cfg.RxCap * cfg.Faults.HostFactor(int(d))
 	}
 	referenceWaterFill(flows, cfg.FlowCap, effSend, recvCap, cfg.LineRate, cfg.RxCap)
-}
-
-// ReferenceWaterFill exposes the retained reference implementation for
-// differential tests and the bwbench perf-trajectory harness. Production
-// code should call WaterFill.
-func ReferenceWaterFill(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.NodeID]float64, defSend, defRecv float64) {
-	referenceWaterFill(flows, flowCap, senderCap, recvCap, defSend, defRecv)
-}
-
-// ReferenceAllocator is an Allocator running the retained map-based
-// coupled allocation. It exists for differential tests and benchmarks;
-// production substrates use CoupledAllocator.
-type ReferenceAllocator struct {
-	Cfg CoupledConfig
-}
-
-// Allocate implements Allocator.
-func (a *ReferenceAllocator) Allocate(flows []*Flow) {
-	referenceCoupledAllocate(a.Cfg, flows)
 }

@@ -11,8 +11,7 @@ import (
 // Map-based reference implementations of the topology-aware allocation
 // path, in the style of reference.go: the dense-indexed code in topo.go
 // is differential-tested against these (topo_test.go) and must produce
-// bit-identical rates. They also serve as the fallback for node ids
-// beyond the dense-interning bound. Do not "optimize" this file.
+// bit-identical rates. Do not "optimize" this file.
 
 // linkSide is the reference per-link state (one direction of one edge
 // switch's uplink).
@@ -201,16 +200,4 @@ func referenceCoupledTopoAllocate(cfg CoupledConfig, flows []*Flow) {
 		recvCap[d] = cfg.RxCap * cfg.Faults.HostFactor(int(d))
 	}
 	referenceWaterFillTopo(flows, cfg.FlowCap, effSend, recvCap, cfg.LineRate, cfg.RxCap, cfg.Topo, cfg.FlowCap, cfg.Faults)
-}
-
-// ReferenceTopoAllocator runs the retained map-based topology-aware
-// coupled allocation; the oracle for CoupledAllocator with a
-// non-trivial Cfg.Topo.
-type ReferenceTopoAllocator struct {
-	Cfg CoupledConfig
-}
-
-// Allocate implements Allocator.
-func (a *ReferenceTopoAllocator) Allocate(flows []*Flow) {
-	referenceCoupledTopoAllocate(a.Cfg, flows)
 }

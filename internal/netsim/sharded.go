@@ -83,11 +83,10 @@ type engineShard struct {
 	free   []*Flow
 	done   []core.Completion // completions of the current reap phase
 
-	dirty    bool    // some owned component needs refresh
-	touchAll bool    // coarse mode: treat every flow as touched
-	seen     uint64  // touch-epoch watermark of the last refresh
-	min      float64 // min cached deadline over active; +Inf when none
-	nrem     int     // flows removed by the current reap phase
+	dirty bool    // some owned component needs refresh
+	seen  uint64  // touch-epoch watermark of the last refresh
+	min   float64 // min cached deadline over active; +Inf when none
+	nrem  int     // flows removed by the current reap phase
 }
 
 func (s *engineShard) recycle(f *Flow) {
@@ -137,7 +136,6 @@ type shardedCore struct {
 	nextID int
 	nlive  int // live flows across all shards
 	epoch  uint64
-	coarse bool // an out-of-range node id collapsed routing to shard 0
 
 	// idx routes events by component; its touch stamps hold the epoch
 	// of the last event touching each component and its removals count
@@ -152,6 +150,7 @@ type shardedCore struct {
 
 	done      []core.Completion // merged completions, engine-owned scratch
 	phaseList []*engineShard    // shards selected for the current phase
+	phase     phaseBarrier      // state of the running parallel phase
 	mig       []*Flow           // migration extraction scratch
 	mergeBuf  []*Flow           // migration merge scratch
 
@@ -250,20 +249,15 @@ func (c *shardedCore) nextFaultTime() (float64, bool) {
 func (c *shardedCore) stepFault() {
 	targets := c.faults.Step()
 	c.epoch++
-	if c.coarse {
-		c.shards[0].touchAll = true
-		c.shards[0].dirty = true
-	} else {
-		for _, t := range targets {
-			for _, sl := range c.idx.faultSlots(t) {
-				if sl < 0 {
-					continue
-				}
-				// Mark the owning shard dirty when the component holds
-				// live flows.
-				if r := c.idx.stamp(sl, c.epoch); c.csize[r] > 0 {
-					c.shards[c.owner[r]].dirty = true
-				}
+	for _, t := range targets {
+		for _, sl := range c.idx.faultSlots(t) {
+			if sl < 0 {
+				continue
+			}
+			// Mark the owning shard dirty when the component holds live
+			// flows.
+			if r := c.idx.stamp(sl, c.epoch); c.csize[r] > 0 {
+				c.shards[c.owner[r]].dirty = true
 			}
 		}
 	}
@@ -308,10 +302,8 @@ func flowDeadline(f *Flow, now float64) float64 {
 // on phase workers.
 func (s *engineShard) refresh(c *shardedCore) {
 	now := c.now
-	all := s.touchAll
-	s.touchAll = false
 	for _, f := range s.active {
-		f.touched = all || c.idx.touch[c.idx.uf.findRO(f.slot)] > s.seen
+		f.touched = c.idx.touch[c.idx.uf.findRO(f.slot)] > s.seen
 		if f.touched {
 			if dt := now - f.synced; dt > 0 {
 				f.Remaining -= f.Rate * dt
@@ -346,17 +338,13 @@ func (s *engineShard) refresh(c *shardedCore) {
 // shards.
 func (s *engineShard) reapAt(c *shardedCore, te float64) {
 	epoch := c.epoch
-	all := s.touchAll
-	s.touchAll = false
-	if !all {
-		for _, f := range s.active {
-			if f.deadline <= te {
-				c.idx.touch[c.idx.uf.findRO(f.slot)] = epoch
-			}
+	for _, f := range s.active {
+		if f.deadline <= te {
+			c.idx.touch[c.idx.uf.findRO(f.slot)] = epoch
 		}
 	}
 	for _, f := range s.active {
-		f.touched = all || c.idx.touch[c.idx.uf.findRO(f.slot)] > s.seen
+		f.touched = c.idx.touch[c.idx.uf.findRO(f.slot)] > s.seen
 		if f.touched {
 			if dt := te - f.synced; dt > 0 {
 				f.Remaining -= f.Rate * dt
@@ -377,9 +365,7 @@ func (s *engineShard) reapAt(c *shardedCore, te float64) {
 			if s.obs != nil {
 				s.obs.FlowFinished(f)
 			}
-			if !c.coarse {
-				c.csize[c.idx.uf.findRO(f.slot)]--
-			}
+			c.csize[c.idx.uf.findRO(f.slot)]--
 			s.recycle(f)
 			s.nrem++
 		} else {
@@ -402,64 +388,69 @@ func (s *engineShard) reapAt(c *shardedCore, te float64) {
 	s.dirty = false
 }
 
-// runPhase executes a shard phase (refresh or reap) over list. With one
-// usable worker the phase runs inline — the zero-allocation path; with
-// more, workers pull shards off an atomic cursor and any panic is
-// re-raised on the coordinator goroutine after the barrier.
+// phaseBarrier is the shared state of one shard phase. It
+// lives on the core, not on runPhase's stack, so starting a phase's
+// workers allocates nothing but the goroutines' own closures.
+type phaseBarrier struct {
+	list     []*engineShard
+	te       float64
+	reap     bool
+	next     atomic.Int64
+	wg       sync.WaitGroup
+	panicMu  sync.Mutex
+	panicVal any
+}
+
+// runPhase executes a shard phase (refresh or reap) over list. The
+// coordinator starts w-1 workers, w the usable parallelism, and works
+// beside them, all pulling shards off an atomic cursor, so a phase with
+// one usable worker starts no goroutine and allocates nothing. Any panic
+// is re-raised on the coordinator goroutine after the barrier.
 func (c *shardedCore) runPhase(list []*engineShard, te float64, reap bool) {
-	n := len(list)
-	if n == 0 {
+	if len(list) == 0 {
 		return
 	}
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
+	p := &c.phase
+	p.list, p.te, p.reap = list, te, reap
+	p.next.Store(0)
+	w := min(runtime.GOMAXPROCS(0), len(list))
+	p.wg.Add(w)
+	for i := 1; i < w; i++ {
+		go c.phaseWorker()
 	}
-	if w <= 1 {
-		for _, s := range list {
-			if reap {
-				s.reapAt(c, te)
-			} else {
-				s.refresh(c)
+	c.phaseWorker()
+	p.wg.Wait()
+	pv := p.panicVal
+	p.list, p.panicVal = nil, nil
+	if pv != nil {
+		panic(pv)
+	}
+}
+
+// phaseWorker runs shards of the current phase until the cursor passes
+// the end, recording the first panic for runPhase to re-raise.
+func (c *shardedCore) phaseWorker() {
+	p := &c.phase
+	defer p.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			p.panicMu.Lock()
+			if p.panicVal == nil {
+				p.panicVal = r
 			}
+			p.panicMu.Unlock()
 		}
-		return
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicVal == nil {
-						panicVal = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= n {
-					return
-				}
-				if reap {
-					list[j].reapAt(c, te)
-				} else {
-					list[j].refresh(c)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
+	}()
+	for {
+		j := int(p.next.Add(1)) - 1
+		if j >= len(p.list) {
+			return
+		}
+		if p.reap {
+			p.list[j].reapAt(c, p.te)
+		} else {
+			p.list[j].refresh(c)
+		}
 	}
 }
 
@@ -614,19 +605,7 @@ func (c *shardedCore) startFlow(src, dst graph.NodeID, bytes float64, now float6
 // shards, and stamps the (possibly merged) component touched.
 func (c *shardedCore) addFlow(src, dst graph.NodeID, bytes float64) int {
 	c.epoch++
-	if !c.coarse && (src < 0 || dst < 0 || int(src) >= maxDenseNode || int(dst) >= maxDenseNode) {
-		c.enterCoarse()
-	}
-	var (
-		slot   int32
-		target int
-	)
-	if c.coarse {
-		target = 0
-		c.shards[0].touchAll = true
-	} else {
-		slot, target = c.place(src, dst)
-	}
+	slot, target := c.place(src, dst)
 	s := c.shards[target]
 	f := c.getFlow(target)
 	*f = Flow{
@@ -780,39 +759,6 @@ func clearFlowPtrs(buf []*Flow) {
 	}
 }
 
-// enterCoarse handles a node id outside the dense range: per-component
-// routing is abandoned for the run — every flow migrates to shard 0 and
-// every subsequent event touches everything there. The shard allocators
-// disarm their own tracking on the same condition and fall back to the
-// reference path, so results stay correct, just unscoped. Touch-all is
-// shard-count-independent, preserving the determinism contract.
-func (c *shardedCore) enterCoarse() {
-	c.coarse = true
-	s0 := c.shards[0]
-	for i := 1; i < len(c.shards); i++ {
-		s := c.shards[i]
-		if len(s.active) == 0 {
-			continue
-		}
-		c.mig = append(c.mig[:0], s.active...)
-		clearFlowPtrs(s.active)
-		s.active = s.active[:0]
-		c.mergeInto(s0, c.mig)
-		for _, f := range c.mig {
-			if s.obs != nil {
-				s.obs.FlowFinished(f)
-			}
-			if s0.obs != nil {
-				s0.obs.FlowStarted(f)
-			}
-		}
-		clearFlowPtrs(c.mig)
-		s.dirty = true
-	}
-	s0.touchAll = true
-	s0.dirty = true
-}
-
 // maybeRebuild re-derives the routing index from the live flows once
 // enough departures accumulate: the persistent union-find only accretes
 // unions, so after removals it over-approximates connectivity (touching
@@ -825,7 +771,7 @@ func (c *shardedCore) enterCoarse() {
 // them. Slots keep their numbers, so each flow's sender slot stays
 // valid.
 func (c *shardedCore) maybeRebuild() {
-	if c.coarse || !c.idx.compactDue(c.nlive) {
+	if !c.idx.compactDue(c.nlive) {
 		return
 	}
 	c.refreshDirty()
@@ -855,7 +801,6 @@ func (c *shardedCore) reset() {
 	c.nextID = 0
 	c.nlive = 0
 	c.epoch = 0
-	c.coarse = false
 	for _, s := range c.shards {
 		for _, f := range s.active {
 			s.recycle(f)
@@ -864,7 +809,6 @@ func (c *shardedCore) reset() {
 		s.active = s.active[:0]
 		s.done = s.done[:0]
 		s.dirty = false
-		s.touchAll = false
 		s.seen = 0
 		s.min = math.Inf(1)
 		s.nrem = 0

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bwshare/internal/core"
@@ -387,10 +388,10 @@ func TestShardedMigrationMergesComponents(t *testing.T) {
 	}
 }
 
-// TestShardedCoarseFallback: a node id outside the dense range degrades
-// routing to a single shard (the allocators fall back to their
-// reference path on the same condition), and results still match the
-// 1-shard engine exactly.
+// TestShardedCoarseFallback: a node id outside the dense table range no
+// longer degrades routing to a single coarse shard; its flow is routed
+// by component like any other, the flows stay spread over several
+// shards, and the results still match the 1-shard engine exactly.
 func TestShardedCoarseFallback(t *testing.T) {
 	cfg := churnSubstrates[1].cfg
 	par := shardedTestEngine(cfg, nil, 4)
@@ -401,23 +402,103 @@ func TestShardedCoarseFallback(t *testing.T) {
 		e.StartFlow(graph.NodeID(maxDenseNode)+7, 4, 5e6, 0) // out of dense range
 		e.StartFlow(5, 6, 15e6, 0.001)
 	}
-	if !par.sh.coarse {
-		t.Fatal("out-of-range node id did not enter coarse mode")
-	}
-	for i := 1; i < len(par.sh.shards); i++ {
-		if n := len(par.sh.shards[i].active); n != 0 {
-			t.Fatalf("coarse mode left %d flows on shard %d", n, i)
+	busy := 0
+	for _, s := range par.sh.shards {
+		if len(s.active) > 0 {
+			busy++
 		}
+	}
+	if busy < 2 {
+		t.Fatalf("out-of-range node id left the flows on %d of %d shards", busy, len(par.sh.shards))
 	}
 	got := core.Drain(par)
 	want := core.Drain(seq)
-	if len(got) != len(want) {
-		t.Fatalf("completion count diverged: %d vs %d", len(got), len(want))
+	if len(got) != len(want) || len(got) != 4 {
+		t.Fatalf("completion count diverged: %d vs %d, want 4", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("completion %d diverged: %+v vs %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestHugeNodeIDsEngineMatchesOracle: node ids outside the dense table
+// range (negative or >= maxDenseNode) are interned through the overflow
+// maps and take the same component-scoped path as small ids. On the
+// crossbar and on a star fabric, with a NIC fault on a huge host id
+// mid-run, the sequential engine on IncrementalAllocator keeps tracking
+// and matches the map-based oracle bitwise, and the sharded core keeps
+// routing per component: 1 and 3 shards agree bitwise with the flows
+// spread over several shards.
+func TestHugeNodeIDsEngineMatchesOracle(t *testing.T) {
+	h := graph.NodeID(maxDenseNode)
+	starts := []struct {
+		src, dst graph.NodeID
+		vol, at  float64
+	}{
+		{h, 1, 10e6, 0}, {h, 2, 8e6, 0}, {3, 2, 6e6, 0}, // a huge sender's NIC
+		{4, h + 7, 12e6, 0}, {5, h + 7, 9e6, 0}, // a huge receiver's NIC
+		{h + 9, h + 1, 7e6, 0}, // both ends huge
+		{-3, 6, 5e6, 0},        // negative sender
+		{8, 9, 11e6, 0.01}, {h, 10, 4e6, 0.03},
+	}
+	// One timeline serves every engine in turn (SetFaults rewinds it):
+	// the factor tables span the huge host id, so a private copy per
+	// engine would cost tens of megabytes each.
+	tl := fault.Compile(fault.Schedule{Events: []fault.Event{
+		{Kind: fault.HostSlow, Target: int(h), Factor: 0.4, At: 0.02},
+	}})
+	start := func(e *FluidEngine) *FluidEngine {
+		e.SetFaults(tl)
+		for _, s := range starts {
+			if s.at > e.Now() {
+				if done, _ := e.Advance(s.at); len(done) > 0 {
+					t.Fatalf("completion before the last start at %g", s.at)
+				}
+			}
+			e.StartFlow(s.src, s.dst, s.vol, s.at)
+		}
+		return e
+	}
+	run := func(e *FluidEngine) []core.Completion { return core.Drain(start(e)) }
+	same := func(what string, got, want []core.Completion) {
+		t.Helper()
+		if len(got) != len(want) || len(got) != len(starts) {
+			t.Fatalf("%s: %d vs %d completions, want %d", what, len(got), len(want), len(starts))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: completion %d diverged: %+v vs %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for _, fab := range churnFabrics[:2] {
+		cfg := churnSubstrates[0].cfg
+		cfg.Topo = fab.spec
+		cfg.Faults = tl.State()
+		inc := &IncrementalAllocator{Cfg: cfg}
+		got := run(NewFluidEngine("inc", cfg.FlowCap, inc))
+		if !inc.tracking || len(inc.idx.snd.big) == 0 || len(inc.idx.rcv.big) == 0 {
+			t.Fatalf("%s: incremental allocator not tracking huge ids (tracking %v, overflow %d/%d)",
+				fab.name, inc.tracking, len(inc.idx.snd.big), len(inc.idx.rcv.big))
+		}
+		same(fab.name+" incremental vs oracle", got, run(NewFluidEngine("ref", cfg.FlowCap, &componentOracle{Cfg: cfg})))
+
+		mk := func(k int) *FluidEngine {
+			return NewShardedFluidEngine("sharded", cfg.FlowCap, k, func() Allocator { return &IncrementalAllocator{Cfg: cfg} })
+		}
+		par := start(mk(3))
+		busy := 0
+		for _, s := range par.sh.shards {
+			if len(s.active) > 0 {
+				busy++
+			}
+		}
+		if fab.spec.Trivial() && busy < 2 {
+			t.Fatalf("%s: flows on %d of 3 shards, want the components spread", fab.name, busy)
+		}
+		same(fab.name+" 3 shards vs 1", core.Drain(par), run(mk(1)))
 	}
 }
 
@@ -481,6 +562,40 @@ func TestShardedConcurrentMisusePanics(t *testing.T) {
 	}
 }
 
+// panicAlloc is a component allocator whose fill panics once armed.
+type panicAlloc struct {
+	IncrementalAllocator
+	armed *atomic.Bool
+}
+
+func (p *panicAlloc) Allocate(flows []*Flow) {
+	if p.armed.Load() {
+		panic("fill failed")
+	}
+	p.IncrementalAllocator.Allocate(flows)
+}
+
+// TestShardedPhasePanicReraised: a panic inside a shard phase reaches
+// the engine's caller, whether the phase ran inline (GOMAXPROCS=1) or
+// on the coordinator and a started worker.
+func TestShardedPhasePanicReraised(t *testing.T) {
+	var armed atomic.Bool
+	cfg := churnSubstrates[0].cfg
+	e := NewShardedFluidEngine("panic", cfg.FlowCap, 2, func() Allocator {
+		return &panicAlloc{IncrementalAllocator{Cfg: cfg}, &armed}
+	})
+	e.StartFlow(0, 1, 1e6, 0)
+	e.StartFlow(2, 3, 1e6, 0) // a second component, on the second shard
+	armed.Store(true)
+	defer func() {
+		if r := recover(); r != "fill failed" {
+			t.Fatalf("recovered %v, want the fill's panic", r)
+		}
+	}()
+	e.Advance(core.Inf)
+	t.Fatal("Advance returned despite a panicking fill")
+}
+
 // TestShardedAllocatorOwnershipRefused mirrors TestSharedAllocatorRefused
 // for the sharded constructor: a factory handing the same claimable
 // allocator to two shards (or a second engine) must panic instead of
@@ -503,7 +618,7 @@ func TestShardedAllocatorOwnershipRefused(t *testing.T) {
 			}
 		}()
 		NewShardedFluidEngine("plain", cfg.FlowCap, 2, func() Allocator {
-			return &CoupledAllocator{Cfg: cfg}
+			return &denseCoupled{Cfg: cfg}
 		})
 	}()
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"bwshare/internal/fault"
-	"bwshare/internal/graph"
 	"bwshare/internal/topology"
 )
 
@@ -19,9 +18,9 @@ import (
 // The dense path mirrors dense.go: edge-switch ids are interned to
 // slots, per-slot state lives in the reusable fillScratch arrays, and a
 // steady-state allocation does zero heap allocation. Under a trivial
-// (single-crossbar) topology none of this code runs — the callers branch
-// to the exact PR-2 code path, so crossbar results are bit-identical to
-// the topology-free ones by construction (and proven by topo_test.go).
+// (single-crossbar) topology none of this code runs — coupledDenseAllocate
+// branches to the crossbar routine, so crossbar results are bit-identical
+// to the topology-free ones by construction (and proven by topo_test.go).
 
 // prepTopoLinks interns the edge switches touched by inter-switch flows
 // and fills the per-flow uplink/downlink slot arrays. linkCap is the
@@ -236,50 +235,6 @@ func (d *denseFill) runCaps(flows []*Flow, caps []float64) {
 			break
 		}
 	}
-}
-
-// WaterFillTopo is WaterFill with the fabric's uplink constraints: flows
-// crossing edge switches additionally share the per-direction uplink
-// capacity topo.UplinkCap(hostRate). A trivial topology is exactly
-// WaterFill (bit-identical). Zero heap allocation in steady state.
-func WaterFillTopo(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.NodeID]float64, defSend, defRecv float64, topo topology.Spec, hostRate float64) {
-	if topo.Trivial() {
-		WaterFill(flows, flowCap, senderCap, recvCap, defSend, defRecv)
-		return
-	}
-	if len(flows) == 0 {
-		return
-	}
-	if !denseOK(flows) {
-		referenceWaterFillTopo(flows, flowCap, senderCap, recvCap, defSend, defRecv, topo, hostRate, nil)
-		return
-	}
-	sc := fillPool.Get().(*fillScratch)
-	sc.begin()
-	d := &sc.d
-	for _, f := range flows {
-		si, fresh := sc.snd.intern(int(f.Src))
-		if fresh {
-			c := capOf(senderCap, f.Src, defSend)
-			d.sndLeft = append(d.sndLeft, c)
-			d.sndOrig = append(d.sndOrig, c)
-			d.sndCount = append(d.sndCount, 0)
-		}
-		d.sndCount[si]++
-		d.sidx = append(d.sidx, si)
-		ri, fresh := sc.rcv.intern(int(f.Dst))
-		if fresh {
-			c := capOf(recvCap, f.Dst, defRecv)
-			d.rcvLeft = append(d.rcvLeft, c)
-			d.rcvOrig = append(d.rcvOrig, c)
-			d.rcvCount = append(d.rcvCount, 0)
-		}
-		d.rcvCount[ri]++
-		d.ridx = append(d.ridx, ri)
-	}
-	prepTopoLinks(sc, flows, topo, topo.UplinkCap(hostRate), nil)
-	d.runTopo(flows, flowCap)
-	putFillScratch(sc)
 }
 
 // TopoFiller imposes a fabric's uplink capacities on flow rates computed

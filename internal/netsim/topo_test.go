@@ -22,18 +22,17 @@ var topoSpecs = []topology.Spec{
 // TestCrossbarTopoBitIdentical is the PR-4 acceptance differential: over
 // >= 50 seeded schemes and every substrate configuration, an allocator
 // given the explicit single-crossbar topology produces rates that are
-// bit-identical (==, no tolerance) to the topology-free allocator, and
-// WaterFillTopo under a crossbar is bit-identical to WaterFill.
+// bit-identical (==, no tolerance) to the topology-free allocator.
 func TestCrossbarTopoBitIdentical(t *testing.T) {
 	schemes, err := randgen.Schemes(4, 60, randgen.DefaultSchemeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sub := range substrateConfigs {
-		plain := &CoupledAllocator{Cfg: sub.cfg}
+		plain := &denseCoupled{Cfg: sub.cfg}
 		cfgTopo := sub.cfg
 		cfgTopo.Topo = topology.Spec{} // explicit crossbar
-		withTopo := &CoupledAllocator{Cfg: cfgTopo}
+		withTopo := &denseCoupled{Cfg: cfgTopo}
 		for si, g := range schemes {
 			a := schemeFlows(t, g)
 			b := schemeFlows(t, g)
@@ -44,18 +43,6 @@ func TestCrossbarTopoBitIdentical(t *testing.T) {
 					t.Fatalf("%s scheme %d flow %d: crossbar topo changed the rate: %.17g vs %.17g",
 						sub.name, si, i, b[i].Rate, a[i].Rate)
 				}
-			}
-		}
-	}
-	for si, g := range schemes {
-		a := schemeFlows(t, g)
-		b := schemeFlows(t, g)
-		WaterFill(a, 0.75*125e6, nil, nil, 125e6, 125e6)
-		WaterFillTopo(b, 0.75*125e6, nil, nil, 125e6, 125e6, topology.Spec{}, 125e6)
-		for i := range a {
-			if a[i].Rate != b[i].Rate {
-				t.Fatalf("scheme %d flow %d: WaterFillTopo(crossbar) %.17g vs WaterFill %.17g",
-					si, i, b[i].Rate, a[i].Rate)
 			}
 		}
 	}
@@ -75,10 +62,10 @@ func TestNonCrossingTopoBitIdentical(t *testing.T) {
 	// <= 12-node scheme on switch 0.
 	wide := topology.Spec{Kind: topology.FatTree, Switches: 2, HostsPerSwitch: 512, Oversub: 2, Place: topology.Block}
 	for _, sub := range substrateConfigs {
-		plain := &CoupledAllocator{Cfg: sub.cfg}
+		plain := &denseCoupled{Cfg: sub.cfg}
 		cfgTopo := sub.cfg
 		cfgTopo.Topo = wide
-		withTopo := &CoupledAllocator{Cfg: cfgTopo}
+		withTopo := &denseCoupled{Cfg: cfgTopo}
 		for si, g := range schemes {
 			a := schemeFlows(t, g)
 			b := schemeFlows(t, g)
@@ -95,9 +82,9 @@ func TestNonCrossingTopoBitIdentical(t *testing.T) {
 }
 
 // TestTopoAllocatorMatchesReference: dense topology-aware rates equal
-// the retained map-based reference on >= 50 random schemes for every
-// (substrate, fabric) pair. One allocator is reused across all schemes,
-// exercising scratch recycling of the link tables.
+// the retained map-based reference bitwise on >= 50 random schemes for
+// every (substrate, fabric) pair. One scratch is reused across all
+// schemes, exercising recycling of the link tables.
 func TestTopoAllocatorMatchesReference(t *testing.T) {
 	schemes, err := randgen.Schemes(6, 60, randgen.DefaultSchemeConfig())
 	if err != nil {
@@ -107,17 +94,17 @@ func TestTopoAllocatorMatchesReference(t *testing.T) {
 		for _, spec := range topoSpecs {
 			cfg := sub.cfg
 			cfg.Topo = spec
-			opt := &CoupledAllocator{Cfg: cfg}
-			ref := &ReferenceTopoAllocator{Cfg: cfg}
+			opt := &denseCoupled{Cfg: cfg}
+			ref := &coupledOracle{Cfg: cfg}
 			for si, g := range schemes {
 				a := schemeFlows(t, g)
 				b := schemeFlows(t, g)
 				opt.Allocate(a)
 				ref.Allocate(b)
 				for i := range a {
-					if d := relDiff(a[i].Rate, b[i].Rate); d > 1e-12 {
-						t.Fatalf("%s %s scheme %d flow %d: opt %.17g ref %.17g (rel %g)",
-							sub.name, spec, si, i, a[i].Rate, b[i].Rate, d)
+					if a[i].Rate != b[i].Rate {
+						t.Fatalf("%s %s scheme %d flow %d: dense %.17g ref %.17g",
+							sub.name, spec, si, i, a[i].Rate, b[i].Rate)
 					}
 				}
 			}
@@ -125,8 +112,9 @@ func TestTopoAllocatorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWaterFillTopoMatchesReference: the pooled WaterFillTopo equals the
-// map-based reference under randomized capacity maps and every fabric.
+// TestWaterFillTopoMatchesReference: the dense topology fill equals the
+// map-based reference bitwise under randomized capacity maps and every
+// fabric.
 func TestWaterFillTopoMatchesReference(t *testing.T) {
 	schemes, err := randgen.Schemes(7, 60, randgen.DefaultSchemeConfig())
 	if err != nil {
@@ -149,12 +137,12 @@ func TestWaterFillTopoMatchesReference(t *testing.T) {
 			}
 			flowCap := 0.25 + rng.Float64()
 			host := 0.5 + rng.Float64()
-			WaterFillTopo(a, flowCap, sndCap, rcvCap, 1, 1.1, spec, host)
+			waterFillTopo(a, flowCap, sndCap, rcvCap, 1, 1.1, spec, host)
 			referenceWaterFillTopo(b, flowCap, sndCap, rcvCap, 1, 1.1, spec, host, nil)
 			for i := range a {
-				if d := relDiff(a[i].Rate, b[i].Rate); d > 1e-12 {
-					t.Fatalf("%s scheme %d flow %d: opt %.17g ref %.17g (rel %g)",
-						spec, si, i, a[i].Rate, b[i].Rate, d)
+				if a[i].Rate != b[i].Rate {
+					t.Fatalf("%s scheme %d flow %d: dense %.17g ref %.17g",
+						spec, si, i, a[i].Rate, b[i].Rate)
 				}
 			}
 		}
@@ -162,8 +150,7 @@ func TestWaterFillTopoMatchesReference(t *testing.T) {
 }
 
 // TestTopoEngineMatchesReference: whole-run equivalence through a
-// FluidEngine, exercising incremental active-set counting and flow
-// recycling together with the link tables.
+// FluidEngine, exercising flow recycling together with the link tables.
 func TestTopoEngineMatchesReference(t *testing.T) {
 	schemes, err := randgen.Schemes(8, 60, randgen.DefaultSchemeConfig())
 	if err != nil {
@@ -173,15 +160,15 @@ func TestTopoEngineMatchesReference(t *testing.T) {
 		for _, spec := range topoSpecs {
 			cfg := sub.cfg
 			cfg.Topo = spec
-			optEng := NewFluidEngine(sub.name, cfg.FlowCap, &CoupledAllocator{Cfg: cfg})
-			refEng := NewFluidEngine(sub.name, cfg.FlowCap, &ReferenceTopoAllocator{Cfg: cfg})
+			optEng := NewFluidEngine(sub.name, cfg.FlowCap, &denseCoupled{Cfg: cfg})
+			refEng := NewFluidEngine(sub.name, cfg.FlowCap, &coupledOracle{Cfg: cfg})
 			for si, g := range schemes {
 				ra := measure.Run(optEng, g)
 				rb := measure.Run(refEng, g)
 				for i := range ra.Times {
-					if d := relDiff(ra.Times[i], rb.Times[i]); d > 1e-12 {
-						t.Fatalf("%s %s scheme %d comm %d: opt %.17g ref %.17g (rel %g)",
-							sub.name, spec, si, i, ra.Times[i], rb.Times[i], d)
+					if ra.Times[i] != rb.Times[i] {
+						t.Fatalf("%s %s scheme %d comm %d: dense %.17g ref %.17g",
+							sub.name, spec, si, i, ra.Times[i], rb.Times[i])
 					}
 				}
 			}
@@ -203,7 +190,7 @@ func TestTopoOversubscriptionBinds(t *testing.T) {
 		{ID: 0, Src: 0, Dst: 2}, // switch 0 -> switch 1
 		{ID: 1, Src: 1, Dst: 3}, // switch 0 -> switch 1
 	}
-	(&CoupledAllocator{Cfg: cfg}).Allocate(flows)
+	(&denseCoupled{Cfg: cfg}).Allocate(flows)
 	for i, f := range flows {
 		if d := relDiff(f.Rate, 37.5); d > 1e-9 {
 			t.Errorf("flow %d rate %g, want 37.5 (uplink 75 shared two ways)", i, f.Rate)
@@ -212,7 +199,7 @@ func TestTopoOversubscriptionBinds(t *testing.T) {
 	// Same flows on a crossbar reach the per-flow cap.
 	cfg.Topo = topology.Spec{}
 	flows2 := []*Flow{{ID: 0, Src: 0, Dst: 2}, {ID: 1, Src: 1, Dst: 3}}
-	(&CoupledAllocator{Cfg: cfg}).Allocate(flows2)
+	(&denseCoupled{Cfg: cfg}).Allocate(flows2)
 	for i, f := range flows2 {
 		if f.Rate != 75 {
 			t.Errorf("crossbar flow %d rate %g, want 75", i, f.Rate)
@@ -265,27 +252,21 @@ func TestTopoSteadyStateZeroAllocs(t *testing.T) {
 	flows := schemeFlows(t, g)
 	cfg := substrateConfigs[0].cfg
 	cfg.Topo = spec
-	alloc := &CoupledAllocator{Cfg: cfg}
-	alloc.Allocate(flows) // warm the scratch
-	if avg := testing.AllocsPerRun(100, func() { alloc.Allocate(flows) }); avg != 0 {
-		t.Errorf("topo CoupledAllocator.Allocate allocates %.1f objects/op in steady state, want 0", avg)
+	var sc fillScratch
+	coupledDenseAllocate(cfg, flows, &sc) // warm the scratch
+	if avg := testing.AllocsPerRun(100, func() { coupledDenseAllocate(cfg, flows, &sc) }); avg != 0 {
+		t.Errorf("topo coupledDenseAllocate allocates %.1f objects/op in steady state, want 0", avg)
 	}
 	var tf TopoFiller
 	tf.Apply(flows, spec, 125e6)
 	if avg := testing.AllocsPerRun(100, func() { tf.Apply(flows, spec, 125e6) }); avg != 0 {
 		t.Errorf("TopoFiller.Apply allocates %.1f objects/op in steady state, want 0", avg)
 	}
-	if raceEnabled {
-		return // sync.Pool drops items under -race
-	}
-	WaterFillTopo(flows, 0.75, nil, nil, 1, 1, spec, 1)
-	if avg := testing.AllocsPerRun(100, func() { WaterFillTopo(flows, 0.75, nil, nil, 1, 1, spec, 1) }); avg != 0 {
-		t.Errorf("WaterFillTopo allocates %.1f objects/op in steady state, want 0", avg)
-	}
 }
 
-// TestTopoDenseFallbackHugeNodeIDs: endpoints beyond the dense bound
-// take the map-based reference path and agree with it.
+// TestTopoDenseFallbackHugeNodeIDs: on a star fabric, endpoints beyond
+// the dense table range are interned like any other and agree with the
+// map-based reference.
 func TestTopoDenseFallbackHugeNodeIDs(t *testing.T) {
 	spec := topology.Spec{Kind: topology.Star, Switches: 4, HostsPerSwitch: 3, Place: topology.RoundRobin}
 	huge := graph.NodeID(maxDenseNode + 5)
@@ -299,8 +280,8 @@ func TestTopoDenseFallbackHugeNodeIDs(t *testing.T) {
 	cfg := substrateConfigs[0].cfg
 	cfg.Topo = spec
 	a, b := mk(), mk()
-	(&CoupledAllocator{Cfg: cfg}).Allocate(a)
-	(&ReferenceTopoAllocator{Cfg: cfg}).Allocate(b)
+	(&IncrementalAllocator{Cfg: cfg}).Allocate(a)
+	(&coupledOracle{Cfg: cfg}).Allocate(b)
 	for i := range a {
 		if a[i].Rate != b[i].Rate {
 			t.Fatalf("flow %d: opt %g ref %g", i, a[i].Rate, b[i].Rate)

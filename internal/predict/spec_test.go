@@ -88,10 +88,10 @@ func TestNewSpecMatrix(t *testing.T) {
 }
 
 // TestNewSpecHugeNodeIDs: a scheme addressing node ids past the dense
-// slot range (>= 1<<22) drives the sharded core into its coarse mode
-// and the grouping onto its map fallback. 2 and 3 shards must still
-// agree bitwise, and stay within 1e-9 relative of the sequential
-// session, for every model.
+// interning tables (>= 1<<22) routes them through netsim's overflow
+// maps, in the sharded core's routing index and in the component
+// grouping alike. 2 and 3 shards must still agree bitwise, and stay
+// within 1e-9 relative of the sequential session, for every model.
 func TestNewSpecHugeNodeIDs(t *testing.T) {
 	const h = graph.NodeID(1 << 22)
 	b := graph.NewBuilder()
