@@ -16,11 +16,10 @@ test:
 
 # race covers the concurrency-bearing packages, matching the CI race
 # step: the parallel experiment runner, the engines, and the HTTP
-# serving layer (worker tier, gateway tier and their binaries). The sharded-engine packages (worker-shard fan-out in
-# netsim, the parallel predict sessions, the des queues they own and
-# the replay driver on top) additionally run at -cpu=1,2,8 so the
-# shard workers execute both inline (GOMAXPROCS=1) and truly parallel,
-# with the bit-identical differential tests under the detector.
+# serving layer (worker tier, gateway tier and their binaries). The
+# engine packages (netsim, des, predict and the replay driver on top)
+# additionally run at -cpu=1,2,8: their results must not depend on
+# GOMAXPROCS.
 race:
 	$(GO) test -race -cpu=1,2,8 ./internal/netsim/... ./internal/des/ ./internal/predict/ ./internal/replay/
 	$(GO) test -race ./internal/experiments/ ./internal/fault/ ./internal/server/ ./internal/fleet/ ./internal/gateway/ ./cmd/bwserved/ ./cmd/bwgate/

@@ -17,7 +17,7 @@ func TestListPrintsSuite(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"ChurnAlloc/inc/gige/8jobs", "ShardChurn/gige/64jobs/x2", "Sweep/exp-rnd/8"} {
+	for _, want := range []string{"ChurnAlloc/inc/gige/8jobs", "ShardChurn/gige/64jobs/seq", "Sweep/exp-rnd/8"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-list output missing %q:\n%s", want, out.String())
 		}

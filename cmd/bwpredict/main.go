@@ -8,7 +8,6 @@
 //	bwpredict -model gige -file myscheme.txt -static
 //	bwpredict -model gige -scheme s5 -compare   # side by side with substrate
 //	bwpredict -model gige -scheme s6 -topology "fattree 2x4 oversub 4"
-//	bwpredict -model gige -scheme s5 -shards 8  # component-parallel simulation
 //
 // A scheme file may declare its fabric with a 'topology:' header
 // instead of the -topology flag (not both). On a multi-switch fabric
@@ -51,12 +50,8 @@ func run(args []string, out io.Writer) error {
 	compare := fs.Bool("compare", false, "also run the matching substrate and print errors")
 	refFlag := fs.Float64("ref", 0, "reference rate override in bytes/second (0 = substrate default)")
 	topoFlag := fs.String("topology", "", `switch fabric, e.g. "fattree 2x4 oversub 2" (default: the scheme's header, or a crossbar)`)
-	shards := fs.Int("shards", 0, "worker shards for the progressive simulator; independent constraint components advance in parallel (0 or 1 = sequential; sharded results are bit-identical across shard counts and within float rounding of sequential)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
 	}
 	// Flag parsing happily produces negative, NaN and ±Inf floats;
 	// reject them here instead of predicting garbage penalties.
@@ -98,7 +93,7 @@ func run(args []string, out io.Writer) error {
 	if !sched.Empty() && *compare {
 		return fmt.Errorf("-compare measures the healthy substrate; drop -compare or the fault: headers")
 	}
-	sess, err := predict.New(predict.Spec{Model: m, Ref: ref, Topo: topo, Faults: sched, Shards: *shards})
+	sess, err := predict.New(predict.Spec{Model: m, Ref: ref, Topo: topo, Faults: sched})
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,6 @@
 //	bwserved -addr 127.0.0.1:0        # ephemeral port, printed on stdout
 //	bwserved -workers 8 -cache 4096
 //	bwserved -request-timeout 5s      # 503 predictions that run longer
-//	bwserved -shards 8                # component-parallel simulator sessions
 //
 // Prediction endpoints: POST /v1/predict, POST /v1/predict/batch,
 // GET /v1/predict (catalog schemes), GET /v1/models, GET /v1/schemes,
@@ -72,12 +71,8 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 	cache := fs.Int("cache", 0, "response cache capacity in entries (0 = default 1024, negative disables)")
 	timeout := fs.Duration("request-timeout", server.DefaultRequestTimeout,
 		"per-request deadline for queueing and simulation (503 on exceed; <= 0 disables)")
-	shards := fs.Int("shards", 0, "worker shards per simulator session; independent constraint components advance in parallel (0 or 1 = sequential; sharded results are bit-identical across shard counts and within float rounding of sequential)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
 	}
 	// The flag surface uses <= 0 to disable; the Config field reserves 0
 	// for "default" so zero-valued configs stay safe elsewhere.
@@ -85,7 +80,7 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 	if rt <= 0 {
 		rt = -1
 	}
-	s := server.New(server.Config{Workers: *workers, CacheSize: *cache, RequestTimeout: rt, Shards: *shards})
+	s := server.New(server.Config{Workers: *workers, CacheSize: *cache, RequestTimeout: rt})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err

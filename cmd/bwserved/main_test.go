@@ -121,4 +121,8 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-bogus-flag"}, &out, nil); err == nil {
 		t.Error("unknown flag should error")
 	}
+	// The simulator has one engine core; -shards is gone.
+	if err := run([]string{"-shards", "2"}, &out, nil); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Errorf("-shards 2: error %v, want an unknown-flag error", err)
+	}
 }

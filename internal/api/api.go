@@ -177,10 +177,24 @@ func (fr FaultRequest) Event(i int) (fault.Event, error) {
 		return fault.Event{}, fmt.Errorf("faults[%d]: %s faults need a %q field", i, fr.Kind, field)
 	}
 	e.Target = *target
+	if err := checkFaultHost(e); err != nil {
+		return fault.Event{}, fmt.Errorf("faults[%d]: %s", i, err)
+	}
 	e.Factor = fr.Factor
 	e.At = fr.At
 	e.Until = fr.Until
 	return e, nil
+}
+
+// checkFaultHost bounds a host fault's target by MaxNodeID. A crossbar
+// declares no host count of its own, and the compiled fault state keeps
+// one factor per host up to the largest target, so an unbounded id
+// would size that table from the request.
+func checkFaultHost(e fault.Event) error {
+	if e.Kind == fault.HostSlow && e.Target >= MaxNodeID {
+		return fmt.Errorf("host %d exceeds limit %d", e.Target, MaxNodeID-1)
+	}
+	return nil
 }
 
 // BuildSchedule converts a request's faults block into a fault

@@ -50,6 +50,17 @@ func ResolveGraph(req PredictRequest) (*graph.Graph, topology.Spec, fault.Schedu
 				return nil, topo, sched, fmt.Errorf("faults[%d]: %s", i, err)
 			}
 		}
+	} else {
+		// BuildSchedule bounded the faults block; bound the scheme's
+		// fault: headers the same way.
+		if len(sched.Events) > MaxFaultEvents {
+			return nil, topo, sched, fmt.Errorf("schedule of %d faults exceeds limit %d", len(sched.Events), MaxFaultEvents)
+		}
+		for _, e := range sched.Events {
+			if err := checkFaultHost(e); err != nil {
+				return nil, topo, sched, fmt.Errorf("fault (%s): %s", e, err)
+			}
+		}
 	}
 	if g.Len() > MaxComms {
 		return nil, topo, sched, fmt.Errorf("scheme has %d communications, limit %d", g.Len(), MaxComms)

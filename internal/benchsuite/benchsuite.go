@@ -209,33 +209,12 @@ func churnEngineBench(jobs int) func(b *testing.B) {
 	}
 }
 
-// shardEngine builds the GigE substrate on the sharded component-lazy
-// core at an explicit shard count — including 1 (gige.New always
-// builds the sequential eager engine). The scaling
-// rows below measure one core across counts, so the x8-vs-x1 ratio
-// isolates shard scoping from the eager/lazy core difference.
-func shardEngine(shards int) *netsim.FluidEngine {
-	ccfg := gige.DefaultConfig().Coupled()
-	return netsim.NewShardedFluidEngine("gige", ccfg.FlowCap, shards,
-		func() netsim.Allocator { return &netsim.IncrementalAllocator{Cfg: ccfg} })
-}
-
-// seqEngine builds the default sequential eager engine on the same
-// substrate, the `seq` reference row of the scaling benchmarks.
-func seqEngine() *netsim.FluidEngine {
-	return gige.New(gige.DefaultConfig())
-}
-
-// shardChurnBench measures the churn cycle of churnEngineBench on a
+// ringChurnBench measures the churn cycle of churnEngineBench on a
 // bigger multi-component population — `jobs` independent 8-node ring
-// jobs with staggered volumes — on the engine mk builds. The PR-9
-// acceptance comparison runs it on the sharded core at 1/2/4/8 shards:
-// event cost there scales with the owning shard's population, so
-// higher counts shrink per-event work even on one CPU (results stay
-// bit-identical; only the distribution changes).
-func shardChurnBench(jobs int, mk func() *netsim.FluidEngine) func(b *testing.B) {
+// jobs with staggered volumes — on the default GigE engine.
+func ringChurnBench(jobs int) func(b *testing.B) {
 	return func(b *testing.B) {
-		e := mk()
+		e := gige.New(gige.DefaultConfig())
 		startJob := func(j int) {
 			base := graph.NodeID(8 * (j % jobs))
 			for k := 0; k < 8; k++ {
@@ -262,7 +241,7 @@ func shardChurnBench(jobs int, mk func() *netsim.FluidEngine) func(b *testing.B)
 			}
 		}
 		for i := 0; i < 2*jobs; i++ {
-			cycle() // warm every pool and shard to steady state
+			cycle() // warm every pool to steady state
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -272,14 +251,13 @@ func shardChurnBench(jobs int, mk func() *netsim.FluidEngine) func(b *testing.B)
 	}
 }
 
-// shardReplayBench measures a whole replay — Reset, start every job's
-// flows at t=0, drain to empty — of the shardChurnBench population at a
-// fixed shard count. Where the churn benchmark isolates steady-state
-// event cost, this one covers the full lifecycle including placement
-// and the final drain tail.
-func shardReplayBench(jobs int, mk func() *netsim.FluidEngine) func(b *testing.B) {
+// ringReplayBench measures a whole replay — Reset, start every job's
+// flows at t=0, drain to empty — of the ringChurnBench population.
+// Where the churn benchmark isolates steady-state event cost, this one
+// covers the full lifecycle including the final drain tail.
+func ringReplayBench(jobs int) func(b *testing.B) {
 	return func(b *testing.B) {
-		e := mk()
+		e := gige.New(gige.DefaultConfig())
 		n := 8 * jobs
 		cycle := func() {
 			e.Reset()
@@ -421,23 +399,12 @@ func Suite() []Benchmark {
 		{"ChurnAlloc/inc/gige/8jobs", churnAllocBench(func() netsim.Allocator { return &netsim.IncrementalAllocator{Cfg: gigeCfg} }, 8)},
 		{"ChurnAlloc/inc/gige/64jobs", churnAllocBench(func() netsim.Allocator { return &netsim.IncrementalAllocator{Cfg: gigeCfg} }, 64)},
 		{"ChurnEngine/gige/32jobs", churnEngineBench(32)},
-		// Sharded engine scaling (PR-9): the same 64-job multi-component
-		// workload on the component-lazy core at 1/2/4/8 worker shards
-		// (results bit-identical across the x-row; per-event scan work
-		// shrinks with the count), plus the sequential eager engine
-		// (`seq`, what gige.New builds) as the absolute reference —
-		// the x1-vs-seq gap is the lazy core's routing/bookkeeping
-		// overhead, which higher shard counts amortize.
-		{"ShardChurn/gige/64jobs/seq", shardChurnBench(64, seqEngine)},
-		{"ShardChurn/gige/64jobs/x1", shardChurnBench(64, func() *netsim.FluidEngine { return shardEngine(1) })},
-		{"ShardChurn/gige/64jobs/x2", shardChurnBench(64, func() *netsim.FluidEngine { return shardEngine(2) })},
-		{"ShardChurn/gige/64jobs/x4", shardChurnBench(64, func() *netsim.FluidEngine { return shardEngine(4) })},
-		{"ShardChurn/gige/64jobs/x8", shardChurnBench(64, func() *netsim.FluidEngine { return shardEngine(8) })},
-		{"ShardReplay/gige/64jobs/seq", shardReplayBench(64, seqEngine)},
-		{"ShardReplay/gige/64jobs/x1", shardReplayBench(64, func() *netsim.FluidEngine { return shardEngine(1) })},
-		{"ShardReplay/gige/64jobs/x2", shardReplayBench(64, func() *netsim.FluidEngine { return shardEngine(2) })},
-		{"ShardReplay/gige/64jobs/x4", shardReplayBench(64, func() *netsim.FluidEngine { return shardEngine(4) })},
-		{"ShardReplay/gige/64jobs/x8", shardReplayBench(64, func() *netsim.FluidEngine { return shardEngine(8) })},
+		// Large-population rows: the same 64-job multi-component
+		// workload as steady-state churn and as a whole replay, on the
+		// default GigE engine (the `seq` suffix keeps the row names of
+		// earlier snapshots comparable).
+		{"ShardChurn/gige/64jobs/seq", ringChurnBench(64)},
+		{"ShardReplay/gige/64jobs/seq", ringReplayBench(64)},
 		// Fault churn: the dynamic-fabric replay cycle (PR 7) on the
 		// bench fat-tree at 0 allocs/op.
 		{"FaultChurn/inc/gige-fattree/8flows", faultChurnBench(gigeTopoCfg)},

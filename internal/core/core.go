@@ -72,15 +72,7 @@ type Completion struct {
 // a moment at which new flows could be injected.
 //
 // Every Engine is single-driver: StartFlow, Advance and Reset must be
-// issued from one goroutine (or be externally serialized). This holds
-// even for sharded implementations (ShardedEngine) — internally they may
-// fan work out to parallel worker shards, but the calling contract stays
-// sequential, and the sharded fluid engine panics on detected concurrent
-// calls rather than corrupting shard state. Shard-safe implementations:
-// netsim.FluidEngine over a ComponentAllocator (the GigE and InfiniBand
-// substrates, and predict's parallel sessions). The Myrinet packet
-// engine and the model-driven predictor's sequential session are
-// single-shard only.
+// issued from one goroutine (or be externally serialized).
 type Engine interface {
 	// Name identifies the engine, e.g. "gige".
 	Name() string
@@ -100,18 +92,6 @@ type Engine interface {
 // state at time zero, allowing reuse across experiment repetitions.
 type Resetter interface {
 	Reset()
-}
-
-// ShardedEngine is implemented by engines whose Advance distributes
-// independent work (disjoint constraint components) across internal
-// worker shards. The Engine calling contract is unchanged — a sharded
-// engine is still single-driver — and results must be deterministic for
-// a fixed shard count: completions within one Advance return share a
-// single time and are merged across shards in flow-id order.
-type ShardedEngine interface {
-	Engine
-	// Shards returns the configured worker shard count (>= 1).
-	Shards() int
 }
 
 // Drain advances e repeatedly with no time limit and returns every

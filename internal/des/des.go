@@ -16,8 +16,7 @@
 //
 // A Queue is single-owner: it has no internal locking, and every method
 // must be called from one goroutine (or otherwise externally
-// serialized). The sharded simulation engine gives each worker shard
-// its own Queue (see NewQueue) rather than sharing one.
+// serialized).
 package des
 
 import "container/heap"
@@ -53,8 +52,7 @@ type Handle struct {
 // Queue is a deterministic event queue. The zero value is ready to use.
 //
 // A Queue must be owned by a single driver goroutine for its lifetime:
-// methods are not safe for concurrent use. Per-shard simulation state
-// embeds one Queue per shard instead of locking a shared one.
+// methods are not safe for concurrent use.
 type Queue struct {
 	h    eventHeap
 	seq  uint64
@@ -62,10 +60,8 @@ type Queue struct {
 	free []*Event
 }
 
-// NewQueue returns a fresh shard-local queue. It is equivalent to
-// new(Queue) — the zero value is ready — and exists to give sharded
-// callers an explicit construction point for per-shard, single-owner
-// queues (one per worker shard, never shared across goroutines).
+// NewQueue returns a fresh queue. It is equivalent to new(Queue) — the
+// zero value is ready.
 func NewQueue() *Queue { return new(Queue) }
 
 // maxFreeEvents bounds the event free list, mirroring netsim's

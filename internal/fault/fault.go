@@ -136,6 +136,14 @@ func (e Event) activeAt(t float64) bool {
 	return e.At <= t && (e.Until == 0 || t < e.Until)
 }
 
+// target returns the fabric resource the fault degrades.
+func (e Event) target() Target {
+	if e.Kind == HostSlow {
+		return Target{TargetHost, e.Target}
+	}
+	return Target{TargetLink, e.Target}
+}
+
 // ParseEvent parses the String form. It accepts exactly the grammar in
 // the package comment; errors name the offending token.
 func ParseEvent(src string) (Event, error) {

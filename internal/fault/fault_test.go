@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -203,6 +204,133 @@ func TestRewindStepZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("rewind/step cycle allocates %g/op, want 0", allocs)
+	}
+}
+
+// denseSnapshot is the compile oracle: every factor of the fabric at
+// time t, recomputed from the whole schedule into tables sized by the
+// largest target id.
+func denseSnapshot(sched Schedule, nLink, nHost int, t float64) (link, host []float64) {
+	link, host = make([]float64, nLink), make([]float64, nHost)
+	for i := range link {
+		link[i] = 1
+	}
+	for i := range host {
+		host[i] = 1
+	}
+	for _, e := range sched.Events {
+		if !e.activeAt(t) {
+			continue
+		}
+		if e.Kind == HostSlow {
+			host[e.Target] *= e.Factor
+		} else {
+			link[e.Target] *= e.Factor
+		}
+	}
+	return link, host
+}
+
+// TestCompileMatchesDenseSnapshots holds the compiled timeline bitwise
+// to dense snapshots over seeded schedules mixing overlapping link and
+// host faults: the initial state after every Rewind, each change time,
+// each step's changed targets (links first, then hosts, by id) and
+// every factor after each step.
+func TestCompileMatchesDenseSnapshots(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := randgen.NewRand(1900 + seed)
+		sched := RandomLinks(rng, 4, 1+rng.IntN(12), 1)
+		for i := rng.IntN(10); i > 0; i-- {
+			e := Event{Kind: HostSlow, Target: rng.IntN(9), Factor: float64(rng.IntN(4)) / 4, At: float64(rng.IntN(6)) / 4}
+			if rng.IntN(3) != 0 {
+				e.Until = e.At + float64(1+rng.IntN(4))/4
+			}
+			sched.Events = append(sched.Events, e)
+		}
+		nLink, nHost := 0, 0
+		for _, e := range sched.Events {
+			if e.Kind == HostSlow {
+				nHost = max(nHost, e.Target+1)
+			} else {
+				nLink = max(nLink, e.Target+1)
+			}
+		}
+		tl := Compile(sched)
+		st := tl.State()
+		check := func(when float64, at string) {
+			t.Helper()
+			link, host := denseSnapshot(sched, nLink, nHost, when)
+			for i := range link {
+				if got := st.LinkFactor(i); got != link[i] {
+					t.Fatalf("seed %d, %s: link %d factor %v, want %v", seed, at, i, got, link[i])
+				}
+			}
+			for i := range host {
+				if got := st.HostFactor(i); got != host[i] {
+					t.Fatalf("seed %d, %s: host %d factor %v, want %v", seed, at, i, got, host[i])
+				}
+			}
+		}
+		for pass := 0; pass < 2; pass++ {
+			tl.Rewind()
+			check(0, "rewind")
+			prevLink, prevHost := denseSnapshot(sched, nLink, nHost, 0)
+			for {
+				at, ok := tl.Next()
+				if !ok {
+					break
+				}
+				link, host := denseSnapshot(sched, nLink, nHost, at)
+				var want []Target
+				for i := range link {
+					if link[i] != prevLink[i] {
+						want = append(want, Target{TargetLink, i})
+					}
+				}
+				for i := range host {
+					if host[i] != prevHost[i] {
+						want = append(want, Target{TargetHost, i})
+					}
+				}
+				got := tl.Step()
+				if len(want) == 0 || len(got) != len(want) {
+					t.Fatalf("seed %d, t=%g: step changed %v, want %v", seed, at, got, want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d, t=%g: step changed %v, want %v", seed, at, got, want)
+					}
+				}
+				check(at, "step")
+				prevLink, prevHost = link, host
+			}
+		}
+	}
+}
+
+// TestCompileAllocationBounded: a timeline stores per step only the
+// targets that changed, so a schedule of 256 host slowdowns on hosts
+// below 1<<16 (the serving layer's limits on events and node ids),
+// each at its own change times, compiles in well under 4 MB. Dense
+// per-step snapshots needed 513 copies of a 65536-host table, over
+// 260 MB.
+func TestCompileAllocationBounded(t *testing.T) {
+	var sched Schedule
+	for i := 0; i < 256; i++ {
+		sched.Events = append(sched.Events, Event{
+			Kind: HostSlow, Target: 1<<16 - 1 - 97*i, Factor: 0.5,
+			At: float64(i + 1), Until: float64(i + 1000),
+		})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tl := Compile(sched)
+	runtime.ReadMemStats(&after)
+	if tl.Steps() != 512 {
+		t.Fatalf("steps = %d, want 512", tl.Steps())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("Compile allocated %d bytes, want under 4 MB", got)
 	}
 }
 

@@ -48,77 +48,89 @@ func (s *State) HostFactor(h int) float64 {
 	return s.host[h]
 }
 
-// snapshot is one precompiled factor assignment.
-type snapshot struct {
-	link []float64
-	host []float64
+// set writes the factor of target t.
+func (s *State) set(t Target, f float64) {
+	if t.Kind == TargetLink {
+		s.link[t.ID] = f
+	} else {
+		s.host[t.ID] = f
+	}
 }
 
-// step is one change point of the compiled timeline.
+// step is one change point of the compiled timeline: the targets whose
+// factor changed and their new factors.
 type step struct {
 	at      float64
-	snap    snapshot
 	changed []Target
+	factors []float64
 }
 
 // Timeline is a Schedule compiled against nothing but itself: a sorted
-// sequence of capacity snapshots, one per distinct change time after
-// t=0, plus the initial state (faults at or before t=0 folded in).
+// sequence of change points, one per distinct change time after t=0,
+// plus the initial factors (faults at or before t=0 folded in).
 //
 // Compilation resolves overlaps by multiplying the factors of every
 // event active at each instant, so a double failure of the same link
 // stays down until the *last* repair. Each step carries the exact set
 // of targets whose factor changed, which the incremental allocator uses
-// to dirty only the affected constraint components.
+// to dirty only the affected constraint components. Only targets the
+// schedule names are stored per step, so a timeline costs memory in
+// proportion to its events plus one dense State.
 //
 // Rewind and Step mutate the shared State in place and allocate
 // nothing, so a rewind/step/allocate cycle runs at 0 allocs/op.
 type Timeline struct {
 	state  State
-	init   snapshot
+	names  []Target  // every target the schedule names, links first, by id
+	init   []float64 // per name: its factor at t=0
 	steps  []step
 	cursor int
 }
 
 // Compile builds the timeline for a schedule. The schedule must already
-// be validated; Compile only sizes the factor tables off the largest
-// target index it sees. Compiling the empty schedule yields a timeline
-// with no steps and all-healthy state.
+// be validated; Compile sizes the State's dense factor tables off the
+// largest target index it sees. Compiling the empty schedule yields a
+// timeline with no steps and all-healthy state.
 func Compile(sched Schedule) *Timeline {
-	nLink, nHost := 0, 0
+	tl := &Timeline{}
+	index := make(map[Target]int)
 	for _, e := range sched.Events {
-		switch e.Kind {
-		case LinkDown, LinkDegrade:
-			if e.Target >= nLink {
-				nLink = e.Target + 1
-			}
-		case HostSlow:
-			if e.Target >= nHost {
-				nHost = e.Target + 1
-			}
+		t := e.target()
+		if _, ok := index[t]; !ok {
+			index[t] = len(tl.names)
+			tl.names = append(tl.names, t)
 		}
 	}
-	at := func(t float64) snapshot {
-		sn := snapshot{link: make([]float64, nLink), host: make([]float64, nHost)}
-		for i := range sn.link {
-			sn.link[i] = 1
+	sort.Slice(tl.names, func(i, j int) bool {
+		a, b := tl.names[i], tl.names[j]
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
 		}
-		for i := range sn.host {
-			sn.host[i] = 1
+		return a.ID < b.ID
+	})
+	nLink, nHost := 0, 0
+	for i, t := range tl.names {
+		index[t] = i
+		if t.Kind == TargetLink {
+			nLink = max(nLink, t.ID+1)
+		} else {
+			nHost = max(nHost, t.ID+1)
 		}
-		for _, e := range sched.Events {
-			if !e.activeAt(t) {
-				continue
+	}
+	slot := make([]int, len(sched.Events))
+	for k, e := range sched.Events {
+		slot[k] = index[e.target()]
+	}
+	// at writes into f the factor of every named target at time t.
+	at := func(t float64, f []float64) {
+		for i := range f {
+			f[i] = 1
+		}
+		for k, e := range sched.Events {
+			if e.activeAt(t) {
+				f[slot[k]] *= e.Factor // LinkDown validates to 0
 			}
-			f := e.Factor // LinkDown validates to 0
-			switch e.Kind {
-			case LinkDown, LinkDegrade:
-				sn.link[e.Target] *= f
-			case HostSlow:
-				sn.host[e.Target] *= f
-			}
 		}
-		return sn
 	}
 	times := make([]float64, 0, 2*len(sched.Events))
 	seen := make(map[float64]bool)
@@ -134,28 +146,31 @@ func Compile(sched Schedule) *Timeline {
 	}
 	sort.Float64s(times)
 
-	tl := &Timeline{init: at(0)}
-	prev := tl.init
+	tl.init = make([]float64, len(tl.names))
+	at(0, tl.init)
+	prev := append([]float64(nil), tl.init...)
+	cur := make([]float64, len(tl.names))
 	for _, t := range times {
-		sn := at(t)
-		var changed []Target
-		for i := range sn.link {
-			if sn.link[i] != prev.link[i] {
-				changed = append(changed, Target{TargetLink, i})
+		at(t, cur)
+		s := step{at: t}
+		for i, f := range cur {
+			if f != prev[i] {
+				s.changed = append(s.changed, tl.names[i])
+				s.factors = append(s.factors, f)
 			}
 		}
-		for i := range sn.host {
-			if sn.host[i] != prev.host[i] {
-				changed = append(changed, Target{TargetHost, i})
-			}
-		}
-		if len(changed) == 0 {
+		if len(s.changed) == 0 {
 			continue // e.g. a repair masked by an overlapping failure
 		}
-		tl.steps = append(tl.steps, step{at: t, snap: sn, changed: changed})
-		prev = sn
+		tl.steps = append(tl.steps, s)
+		copy(prev, cur)
 	}
 	tl.state = State{link: make([]float64, nLink), host: make([]float64, nHost)}
+	for _, fs := range [][]float64{tl.state.link, tl.state.host} {
+		for i := range fs {
+			fs[i] = 1
+		}
+	}
 	tl.Rewind()
 	return tl
 }
@@ -171,8 +186,9 @@ func (tl *Timeline) Steps() int { return len(tl.steps) }
 // Rewind resets the state to t=0 (faults at or before zero applied) and
 // the cursor to the first change point.
 func (tl *Timeline) Rewind() {
-	copy(tl.state.link, tl.init.link)
-	copy(tl.state.host, tl.init.host)
+	for i, t := range tl.names {
+		tl.state.set(t, tl.init[i])
+	}
 	tl.cursor = 0
 }
 
@@ -189,8 +205,9 @@ func (tl *Timeline) Next() (float64, bool) {
 // timeline; read it before the next Compile, don't retain it.
 func (tl *Timeline) Step() []Target {
 	s := &tl.steps[tl.cursor]
-	copy(tl.state.link, s.snap.link)
-	copy(tl.state.host, s.snap.host)
+	for i, t := range s.changed {
+		tl.state.set(t, s.factors[i])
+	}
 	tl.cursor++
 	return s.changed
 }

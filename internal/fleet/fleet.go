@@ -92,14 +92,6 @@ type Spec struct {
 	// Empty means healthy. Permanent zero-capacity faults are rejected
 	// (no job behind a dead link would ever finish).
 	Faults fault.Schedule
-	// Shards is the worker shard count of the cluster's simulator
-	// session: admission and placement what-ifs advance independent
-	// constraint components on up to Shards worker shards
-	// (predict.Spec.Shards). 0 or 1 keeps the sequential session.
-	// A sharded session's predictions are bit-identical across shard
-	// counts and agree with the sequential session to float rounding
-	// (exactly, on schemes forming a single constraint component).
-	Shards int
 }
 
 // Manager owns the named clusters. Create one with NewManager; it is
@@ -224,9 +216,6 @@ func (m *Manager) Create(spec Spec) (Info, error) {
 	if ref == 0 {
 		ref = sub.RefRate()
 	}
-	if spec.Shards < 0 {
-		return Info{}, fmt.Errorf("fleet: shard count must be >= 0, got %d", spec.Shards)
-	}
 	if !spec.Faults.Empty() {
 		// A crossbar fabric reports no host bound of its own, but the
 		// cluster has one: a fault on a host outside it would silently
@@ -237,7 +226,7 @@ func (m *Manager) Create(spec Spec) (Info, error) {
 			}
 		}
 	}
-	sess, err := predict.New(predict.Spec{Model: model, Ref: ref, Topo: spec.Topo, Faults: spec.Faults, Shards: spec.Shards})
+	sess, err := predict.New(predict.Spec{Model: model, Ref: ref, Topo: spec.Topo, Faults: spec.Faults})
 	if err != nil {
 		return Info{}, fmt.Errorf("fleet: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"bwshare/internal/fault"
 	"bwshare/internal/graph"
 	"bwshare/internal/topology"
 )
@@ -299,57 +298,5 @@ func TestDeleteClusterRacesJobOps(t *testing.T) {
 			}
 		}()
 		wg.Wait()
-	}
-}
-
-// TestShardedClusterMatchesSequential: a cluster created with a worker
-// shard count must admit, score and rank exactly like the sequential
-// one — the sharded predict session is bit-identical at every count.
-func TestShardedClusterMatchesSequential(t *testing.T) {
-	seq := NewManager()
-	par := NewManager()
-	sched := fault.Schedule{Events: []fault.Event{
-		{Kind: fault.HostSlow, Target: 2, Factor: 0.5, At: 0.001, Until: 0.5},
-	}}
-	for _, m := range []*Manager{seq, par} {
-		shards := 0
-		if m == par {
-			shards = 8
-		}
-		if _, err := m.Create(Spec{Name: "c", Topo: fatTree(), Shards: shards, Faults: sched}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ring := pairs(t, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0})
-	newcomer := pairs(t, [2]int{0, 1}, [2]int{1, 0})
-	js, err := seq.AddJob("c", "ring", ring, "block", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jp, err := par.AddJob("c", "ring", ring, "block", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if js.Time != jp.Time {
-		t.Fatalf("admission time: sequential %.17g != sharded %.17g", js.Time, jp.Time)
-	}
-	cs, err := seq.Placements("c", newcomer, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := par.Placements("c", newcomer, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cs) != len(cp) {
-		t.Fatalf("candidate counts differ: %d vs %d", len(cs), len(cp))
-	}
-	for i := range cs {
-		if cs[i].Strategy != cp[i].Strategy || cs[i].JobTime != cp[i].JobTime || cs[i].ClusterTime != cp[i].ClusterTime {
-			t.Fatalf("candidate %d: sequential %+v != sharded %+v", i, cs[i], cp[i])
-		}
-	}
-	if _, err := seq.Create(Spec{Name: "neg", Hosts: 2, Shards: -1}); err == nil {
-		t.Fatal("negative shard count accepted")
 	}
 }

@@ -1,8 +1,11 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
+	"bwshare/internal/core"
+	"bwshare/internal/fault"
 	"bwshare/internal/graph"
 	"bwshare/internal/measure"
 	"bwshare/internal/randgen"
@@ -295,9 +298,7 @@ func TestIncrementalDoesNotRetainFlowPointers(t *testing.T) {
 
 // TestIncrementalShedsOversizedState: a run that addressed a huge node
 // id (or a huge flow count) must not pin the inflated slot index past
-// the next engine reset, mirroring the fillScratch shedding cap. The
-// index is the one type both IncrementalAllocator and the sharded
-// engine core keep, so both must shed through it.
+// the next engine reset, mirroring the fillScratch shedding cap.
 func TestIncrementalShedsOversizedState(t *testing.T) {
 	huge := graph.NodeID(maxPooledScratchLen + 10)
 	a := &IncrementalAllocator{Cfg: churnSubstrates[0].cfg}
@@ -305,38 +306,129 @@ func TestIncrementalShedsOversizedState(t *testing.T) {
 	f := &Flow{ID: 0, Src: huge, Dst: 1, Remaining: 1e6}
 	a.FlowStarted(f)
 	a.Allocate([]*Flow{f})
-	e := NewShardedFluidEngine("sh", 1e6, 2, func() Allocator { return &IncrementalAllocator{Cfg: churnSubstrates[0].cfg} })
-	e.StartFlow(huge, 1, 1e6, 0)
-	for _, x := range []struct {
-		name string
-		idx  *slotIndex
-	}{{"incremental", &a.idx}, {"sharded core", &e.sh.idx}} {
-		if len(x.idx.snd.dense) <= maxPooledScratchLen {
-			t.Fatalf("%s: test setup: slot table not inflated (len %d)", x.name, len(x.idx.snd.dense))
-		}
+	if len(a.idx.snd.dense) <= maxPooledScratchLen {
+		t.Fatalf("test setup: slot table not inflated (len %d)", len(a.idx.snd.dense))
 	}
 	a.FlowFinished(f)
 	a.ActiveSetReset()
-	e.Reset()
-	for _, x := range []struct {
-		name string
-		idx  *slotIndex
-	}{{"incremental", &a.idx}, {"sharded core", &e.sh.idx}} {
-		if len(x.idx.snd.dense) != 0 || len(x.idx.rcv.dense) != 0 {
-			t.Fatalf("%s: reset kept inflated slot tables (snd %d, rcv %d)", x.name, len(x.idx.snd.dense), len(x.idx.rcv.dense))
-		}
+	if len(a.idx.snd.dense) != 0 || len(a.idx.rcv.dense) != 0 {
+		t.Fatalf("reset kept inflated slot tables (snd %d, rcv %d)", len(a.idx.snd.dense), len(a.idx.rcv.dense))
 	}
 	// A normally sized run keeps its capacity across resets (the
 	// zero-allocation steady state depends on it).
 	g := &Flow{ID: 1, Src: 3, Dst: 4, Remaining: 1e6}
 	a.FlowStarted(g)
 	a.Allocate([]*Flow{g})
-	e.StartFlow(3, 4, 1e6, 0)
-	snd, esnd := len(a.idx.snd.dense), len(e.sh.idx.snd.dense)
+	snd := len(a.idx.snd.dense)
 	a.FlowFinished(g)
 	a.ActiveSetReset()
-	e.Reset()
-	if cap(a.idx.snd.dense) < snd || cap(e.sh.idx.snd.dense) < esnd {
+	if cap(a.idx.snd.dense) < snd {
 		t.Fatal("reset shed a normally sized slot table")
 	}
+}
+
+// arrival is one staggered StartFlow in an engine-driven differential
+// test.
+type arrival struct {
+	at       float64
+	src, dst graph.NodeID
+	vol      float64
+}
+
+// runCollect drives an engine through the arrival schedule to drain and
+// returns every flow's completion time keyed by id.
+func runCollect(t *testing.T, e *FluidEngine, arrivals []arrival) map[int]float64 {
+	t.Helper()
+	out := make(map[int]float64, len(arrivals))
+	record := func(done []core.Completion) {
+		for _, c := range done {
+			out[c.Flow] = c.Time
+		}
+	}
+	for _, arr := range arrivals {
+		for e.Now() < arr.at {
+			done, _ := e.Advance(arr.at)
+			record(done)
+		}
+		e.StartFlow(arr.src, arr.dst, arr.vol, arr.at)
+	}
+	for len(out) < len(arrivals) {
+		done, now := e.Advance(core.Inf)
+		record(done)
+		if len(done) == 0 && math.IsInf(now, 1) {
+			break
+		}
+	}
+	return out
+}
+
+// TestHugeNodeIDsEngineMatchesOracle: node ids outside the dense table
+// range (negative or >= maxDenseNode) are interned through the overflow
+// maps and take the same component-scoped path as small ids. On the
+// crossbar and on a star fabric, with a NIC fault on a huge host id
+// mid-run, the engine on IncrementalAllocator keeps tracking and
+// matches the map-based oracle bitwise.
+func TestHugeNodeIDsEngineMatchesOracle(t *testing.T) {
+	h := graph.NodeID(maxDenseNode)
+	starts := []struct {
+		src, dst graph.NodeID
+		vol, at  float64
+	}{
+		{h, 1, 10e6, 0}, {h, 2, 8e6, 0}, {3, 2, 6e6, 0}, // a huge sender's NIC
+		{4, h + 7, 12e6, 0}, {5, h + 7, 9e6, 0}, // a huge receiver's NIC
+		{h + 9, h + 1, 7e6, 0}, // both ends huge
+		{-3, 6, 5e6, 0},        // negative sender
+		{8, 9, 11e6, 0.01}, {h, 10, 4e6, 0.03},
+	}
+	// One timeline serves every engine in turn (SetFaults rewinds it):
+	// its State keeps a dense factor per host up to the huge id.
+	tl := fault.Compile(fault.Schedule{Events: []fault.Event{
+		{Kind: fault.HostSlow, Target: int(h), Factor: 0.4, At: 0.02},
+	}})
+	run := func(e *FluidEngine) []core.Completion {
+		e.SetFaults(tl)
+		for _, s := range starts {
+			if s.at > e.Now() {
+				if done, _ := e.Advance(s.at); len(done) > 0 {
+					t.Fatalf("completion before the last start at %g", s.at)
+				}
+			}
+			e.StartFlow(s.src, s.dst, s.vol, s.at)
+		}
+		return core.Drain(e)
+	}
+	for _, fab := range churnFabrics[:2] {
+		cfg := churnSubstrates[0].cfg
+		cfg.Topo = fab.spec
+		cfg.Faults = tl.State()
+		inc := &IncrementalAllocator{Cfg: cfg}
+		got := run(NewFluidEngine("inc", cfg.FlowCap, inc))
+		if !inc.tracking || len(inc.idx.snd.big) == 0 || len(inc.idx.rcv.big) == 0 {
+			t.Fatalf("%s: incremental allocator not tracking huge ids (tracking %v, overflow %d/%d)",
+				fab.name, inc.tracking, len(inc.idx.snd.big), len(inc.idx.rcv.big))
+		}
+		want := run(NewFluidEngine("ref", cfg.FlowCap, &componentOracle{Cfg: cfg}))
+		if len(got) != len(want) || len(got) != len(starts) {
+			t.Fatalf("%s: %d vs %d completions, want %d", fab.name, len(got), len(want), len(starts))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: completion %d diverged: %+v vs %+v", fab.name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAllocatorOwnershipRefused: an observing allocator holds one
+// engine's active set, so attaching it to a second engine panics.
+func TestAllocatorOwnershipRefused(t *testing.T) {
+	cfg := churnSubstrates[0].cfg
+	shared := &IncrementalAllocator{Cfg: cfg}
+	NewFluidEngine("first", cfg.FlowCap, shared)
+	defer func() {
+		if recover() == nil {
+			t.Error("an allocator already attached to an engine was attached again")
+		}
+	}()
+	NewFluidEngine("second", cfg.FlowCap, shared)
 }

@@ -11,12 +11,10 @@ import (
 // Two flows interact only if they share a sender NIC, a receiver NIC,
 // or — on a multi-switch fabric, for flows crossing edge switches — the
 // source switch's uplink or the destination switch's downlink. The
-// connected components of that constraint graph are the unit every
-// component-scoped part of this package works on: IncrementalAllocator
-// refills only the components an event touched, the sharded engine core
-// (sharded.go) routes events and places flows by component, and the
-// parallel prediction sessions of internal/predict score their model
-// once per component. They share the two types of this file:
+// connected components of that constraint graph are the unit
+// IncrementalAllocator works on: it refills only the components an
+// event touched and keeps the rates of the others. It uses the two
+// types of this file:
 //
 //   - slotIndex, the persistent constraint-slot index: one interning
 //     table per namespace, a union-find over the slots and a per-slot
@@ -60,16 +58,6 @@ func (u *unionFind) reset() {
 func (u *unionFind) find(x int32) int32 {
 	for u.parent[x] != x {
 		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-// findRO returns the root of x without path compression — safe for
-// phase workers to call concurrently while the coordinator is parked at
-// the phase barrier (union by rank keeps chains logarithmic).
-func (u *unionFind) findRO(x int32) int32 {
-	for u.parent[x] != x {
 		x = u.parent[x]
 	}
 	return x
@@ -135,9 +123,7 @@ func (t *slotTable) clear() {
 // sight: senders and receivers by node id, uplinks and downlinks by
 // edge-switch id, and they keep their number until reset. touch is per
 // slot and authoritative at union-find roots: the epoch of the last
-// event that touched the component, merged by max on union. Owners keep
-// their per-component payloads in slices indexed by slot, grown to
-// numSlots after interning.
+// event that touched the component, merged by max on union.
 type slotIndex struct {
 	topo     topology.Spec
 	snd, rcv slotTable
@@ -146,9 +132,6 @@ type slotIndex struct {
 	touch    []uint64
 	removals int // departures since the last compaction, counted by the owner
 }
-
-// numSlots returns the number of interned slots.
-func (x *slotIndex) numSlots() int { return len(x.touch) }
 
 // intern returns the slot for id in the namespace table t, issuing a
 // fresh singleton slot on first sight.

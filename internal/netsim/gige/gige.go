@@ -58,8 +58,7 @@ func DefaultConfig() Config {
 
 // Coupled translates the GigE parameters into the generic coupled
 // allocation configuration of netsim.IncrementalAllocator. Exposed so
-// the bwbench harness and the replay tests can build the allocator
-// directly (e.g. on the sharded engine core).
+// the bwbench harness and the tests can build the allocator directly.
 func (cfg Config) Coupled() netsim.CoupledConfig {
 	coupling := 0.0
 	if cfg.PauseCoupling {

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"bwshare/internal/fault"
-	"bwshare/internal/topology"
-)
+import "bwshare/internal/fault"
 
 // Incremental component-scoped allocation.
 //
@@ -78,13 +75,6 @@ type IncrementalAllocator struct {
 var _ Allocator = (*IncrementalAllocator)(nil)
 var _ ActiveSetObserver = (*IncrementalAllocator)(nil)
 var _ FaultObserver = (*IncrementalAllocator)(nil)
-var _ ComponentAllocator = (*IncrementalAllocator)(nil)
-
-// ComponentTopology implements ComponentAllocator: the coupled fill
-// decomposes exactly over the constraint components induced by this
-// fabric (the decomposition argument in the package comment above), so
-// the allocator is safe to drive from the sharded engine core.
-func (a *IncrementalAllocator) ComponentTopology() topology.Spec { return a.Cfg.Topo }
 
 // claim marks the allocator as owned by an engine (see claimable).
 func (a *IncrementalAllocator) claim() bool {

@@ -54,8 +54,7 @@ func DefaultConfig() Config {
 
 // Coupled translates the InfiniBand parameters into the generic coupled
 // allocation configuration of netsim.IncrementalAllocator. Exposed so
-// the bwbench harness and the replay tests can build the allocator
-// directly (e.g. on the sharded engine core).
+// the bwbench harness and the tests can build the allocator directly.
 func (cfg Config) Coupled() netsim.CoupledConfig {
 	return netsim.CoupledConfig{
 		LineRate: cfg.LineRate,

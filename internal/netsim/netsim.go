@@ -35,16 +35,6 @@ type Flow struct {
 	Src, Dst  graph.NodeID
 	Remaining float64 // bytes left, as of the flow's last integration point
 	Rate      float64 // set by the Allocator, bytes/second
-
-	// Sharded-engine bookkeeping (see sharded.go); zero and unused on
-	// the sequential engine path. The sharded core integrates a flow's
-	// Remaining lazily — only when its constraint component is touched
-	// by an event — so Remaining is valid at `synced`, not necessarily
-	// at the engine frontier.
-	synced   float64 // simulation time Remaining was last integrated to
-	deadline float64 // cached completion time at the current rate
-	slot     int32   // engine routing slot of the sender constraint
-	touched  bool    // phase-local scratch: component touched this refresh
 }
 
 // Allocator assigns an instantaneous rate to every active flow. It is
@@ -78,27 +68,16 @@ type FaultObserver interface {
 	FaultTargetsChanged(targets []fault.Target)
 }
 
-// FluidEngine is a deterministic fluid-flow network simulator.
-//
-// Two execution cores share this type. NewFluidEngine builds the
-// sequential eager core below, byte-identical to its historical
-// behavior — this is the default everywhere. NewShardedFluidEngine
-// opts in to the sharded component-lazy core in sharded.go, which
-// requires an allocator advertising exact component decomposition
-// (ComponentAllocator) and fans independent constraint components out
-// to worker shards. Sharded results are bit-identical across shard
-// counts; versus the eager core they agree to float rounding, because
-// the eager core re-materializes every flow's remaining bytes at each
-// global event while the sharded core integrates each component
-// between its own events only (see the cross-core differential in
-// sharded_test.go).
+// FluidEngine is a deterministic fluid-flow network simulator. At each
+// event it integrates every active flow's remaining bytes up to the new
+// frontier and lets the allocator re-rate the active set; an
+// IncrementalAllocator keeps that refill scoped to the constraint
+// components the event touched (see component.go).
 type FluidEngine struct {
 	name    string
 	refRate float64
 	alloc   Allocator
 	obs     ActiveSetObserver // alloc, if it observes; else nil
-
-	sh *shardedCore // non-nil: the sharded core handles all simulation
 
 	now    float64
 	active []*Flow
@@ -118,15 +97,10 @@ const maxFreeFlows = 1 << 12
 
 var _ core.Engine = (*FluidEngine)(nil)
 var _ core.Resetter = (*FluidEngine)(nil)
-var _ core.ShardedEngine = (*FluidEngine)(nil)
 
 // NewFluidEngine builds a fluid engine with the given allocator. refRate
 // is the single-flow reference rate the allocator yields on an idle
 // network (callers compute it from the allocator's parameters).
-//
-// The engine runs on the sequential eager core: per-event cost and
-// float arithmetic are exactly the historical single-threaded path.
-// See NewShardedFluidEngine for the opt-in component-parallel core.
 func NewFluidEngine(name string, refRate float64, alloc Allocator) *FluidEngine {
 	if refRate <= 0 {
 		panic("netsim: refRate must be positive")
@@ -165,10 +139,6 @@ func claimAllocator(alloc Allocator) {
 // engine only owns the clock side. Must be called before any flow has
 // started; Reset rewinds the timeline along with the engine.
 func (e *FluidEngine) SetFaults(tl *fault.Timeline) {
-	if e.sh != nil {
-		e.sh.setFaults(tl)
-		return
-	}
 	if e.now != 0 || len(e.active) != 0 || e.nextID != 0 {
 		panic("netsim: SetFaults on an engine that has already run; Reset first")
 	}
@@ -220,21 +190,7 @@ func (e *FluidEngine) Name() string { return e.name }
 func (e *FluidEngine) RefRate() float64 { return e.refRate }
 
 // Now returns the engine frontier.
-func (e *FluidEngine) Now() float64 {
-	if e.sh != nil {
-		return e.sh.now
-	}
-	return e.now
-}
-
-// Shards implements core.ShardedEngine: the number of worker shards the
-// engine fans component work out to (1 on the sequential core).
-func (e *FluidEngine) Shards() int {
-	if e.sh != nil {
-		return len(e.sh.shards)
-	}
-	return 1
-}
+func (e *FluidEngine) Now() float64 { return e.now }
 
 // recycle returns a completed Flow struct to the free list, dropping it
 // once the list is at capacity (see maxFreeFlows).
@@ -246,10 +202,6 @@ func (e *FluidEngine) recycle(f *Flow) {
 
 // Reset implements core.Resetter.
 func (e *FluidEngine) Reset() {
-	if e.sh != nil {
-		e.sh.reset()
-		return
-	}
 	e.now = 0
 	for _, f := range e.active {
 		e.recycle(f)
@@ -269,9 +221,6 @@ func (e *FluidEngine) Reset() {
 // and must not skip over a pending completion (that would be a driver
 // bug, and is reported by panic).
 func (e *FluidEngine) StartFlow(src, dst graph.NodeID, bytes float64, now float64) int {
-	if e.sh != nil {
-		return e.sh.startFlow(src, dst, bytes, now)
-	}
 	if now < e.now {
 		panic(fmt.Sprintf("netsim: StartFlow at %g before frontier %g", now, e.now))
 	}
@@ -324,9 +273,6 @@ func (e *FluidEngine) StartFlow(src, dst graph.NodeID, bytes float64, now float6
 // callers must consume (or copy) it first, which every bwshare driver
 // already does.
 func (e *FluidEngine) Advance(limit float64) ([]core.Completion, float64) {
-	if e.sh != nil {
-		return e.sh.advance(limit)
-	}
 	for {
 		if len(e.active) == 0 {
 			if limit > e.now {

@@ -118,13 +118,6 @@ func (a *componentOracle) Allocate(flows []*Flow) {
 	referenceComponentAllocate(a.Cfg, flows)
 }
 
-var _ ComponentAllocator = (*componentOracle)(nil)
-
-// ComponentTopology implements ComponentAllocator: the oracle fills per
-// constraint component by construction, so it may serve as a shard
-// allocator (or the oracle side of sharded differential tests).
-func (a *componentOracle) ComponentTopology() topology.Spec { return a.Cfg.Topo }
-
 // coupledOracle is an Allocator running the whole-set map-based coupled
 // allocation, referenceCoupledTopoAllocate.
 type coupledOracle struct {

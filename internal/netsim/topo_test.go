@@ -19,62 +19,40 @@ var topoSpecs = []topology.Spec{
 	{Kind: topology.FatTree, Switches: 6, HostsPerSwitch: 2, Oversub: 1, Place: topology.Block},
 }
 
-// TestCrossbarTopoBitIdentical is the PR-4 acceptance differential: over
-// >= 50 seeded schemes and every substrate configuration, an allocator
-// given the explicit single-crossbar topology produces rates that are
-// bit-identical (==, no tolerance) to the topology-free allocator.
-func TestCrossbarTopoBitIdentical(t *testing.T) {
-	schemes, err := randgen.Schemes(4, 60, randgen.DefaultSchemeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range substrateConfigs {
-		plain := &denseCoupled{Cfg: sub.cfg}
-		cfgTopo := sub.cfg
-		cfgTopo.Topo = topology.Spec{} // explicit crossbar
-		withTopo := &denseCoupled{Cfg: cfgTopo}
-		for si, g := range schemes {
-			a := schemeFlows(t, g)
-			b := schemeFlows(t, g)
-			plain.Allocate(a)
-			withTopo.Allocate(b)
-			for i := range a {
-				if a[i].Rate != b[i].Rate {
-					t.Fatalf("%s scheme %d flow %d: crossbar topo changed the rate: %.17g vs %.17g",
-						sub.name, si, i, b[i].Rate, a[i].Rate)
-				}
-			}
-		}
-	}
-}
-
-// TestNonCrossingTopoBitIdentical: a fabric large enough that every
-// scheme lands on one edge switch exercises runTopo's full code path
-// with no crossing flow — the rates must still be bit-identical to the
-// crossbar routine (runTopo adds no floating-point operations for
-// intra-switch flows).
+// TestNonCrossingTopoBitIdentical: fabrics on which no flow crosses an
+// edge switch must yield rates bit-identical to the crossbar's. A
+// fabric large enough that every scheme lands on one edge switch
+// exercises runTopo's full code path with no crossing flow (runTopo
+// adds no floating-point operations for intra-switch flows); a
+// one-switch fabric is Trivial yet not the zero Spec, so it must take
+// the crossbar routine itself.
 func TestNonCrossingTopoBitIdentical(t *testing.T) {
 	schemes, err := randgen.Schemes(5, 60, randgen.DefaultSchemeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Block placement with 512 hosts per switch puts every node of a
-	// <= 12-node scheme on switch 0.
-	wide := topology.Spec{Kind: topology.FatTree, Switches: 2, HostsPerSwitch: 512, Oversub: 2, Place: topology.Block}
-	for _, sub := range substrateConfigs {
-		plain := &denseCoupled{Cfg: sub.cfg}
-		cfgTopo := sub.cfg
-		cfgTopo.Topo = wide
-		withTopo := &denseCoupled{Cfg: cfgTopo}
-		for si, g := range schemes {
-			a := schemeFlows(t, g)
-			b := schemeFlows(t, g)
-			plain.Allocate(a)
-			withTopo.Allocate(b)
-			for i := range a {
-				if a[i].Rate != b[i].Rate {
-					t.Fatalf("%s scheme %d flow %d: non-crossing fabric changed the rate: %.17g vs %.17g",
-						sub.name, si, i, b[i].Rate, a[i].Rate)
+	fabrics := []topology.Spec{
+		// Block placement with 512 hosts per switch puts every node of
+		// a <= 12-node scheme on switch 0.
+		{Kind: topology.FatTree, Switches: 2, HostsPerSwitch: 512, Oversub: 2, Place: topology.Block},
+		{Kind: topology.Star, Switches: 1, HostsPerSwitch: 16, Place: topology.Block},
+	}
+	for _, fab := range fabrics {
+		for _, sub := range substrateConfigs {
+			plain := &denseCoupled{Cfg: sub.cfg}
+			cfgTopo := sub.cfg
+			cfgTopo.Topo = fab
+			withTopo := &denseCoupled{Cfg: cfgTopo}
+			for si, g := range schemes {
+				a := schemeFlows(t, g)
+				b := schemeFlows(t, g)
+				plain.Allocate(a)
+				withTopo.Allocate(b)
+				for i := range a {
+					if a[i].Rate != b[i].Rate {
+						t.Fatalf("%s on %s, scheme %d flow %d: non-crossing fabric changed the rate: %.17g vs %.17g",
+							sub.name, fab, si, i, b[i].Rate, a[i].Rate)
+					}
 				}
 			}
 		}

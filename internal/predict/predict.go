@@ -13,8 +13,8 @@
 // NewEngine wraps any core.Model as a core.Engine, so predicted times and
 // substrate-measured times come from running the same drivers. A Spec
 // names everything that selects the engine — model, reference rate,
-// fabric, fault schedule and shard count — and NewEngine is the one
-// place that turns it into an engine.
+// fabric and fault schedule — and NewEngine is the one place that turns
+// it into an engine.
 //
 // Two calling conventions are offered: the one-shot package functions
 // (Times, StaticTimes, Penalties) allocate a fresh engine per call, and
@@ -37,8 +37,8 @@ import (
 	"bwshare/internal/topology"
 )
 
-// Spec selects a prediction engine. The fabric, the fault schedule and
-// the shard count are independent: any combination is valid.
+// Spec selects a prediction engine. The fabric and the fault schedule
+// are independent: any combination is valid.
 type Spec struct {
 	Model core.Model
 	// Ref is the idle-network single-flow rate in bytes/second (penalty
@@ -54,10 +54,6 @@ type Spec struct {
 	// rates of the affected endpoints, and link faults scale the
 	// fabric's uplinks. Empty means healthy.
 	Faults fault.Schedule
-	// Shards > 1 fans independent constraint components out over that
-	// many worker shards (see parallel.go); 0 and 1 keep the sequential
-	// engine.
-	Shards int
 }
 
 // NewEngine returns the fluid engine of s, whose instantaneous rates
@@ -76,27 +72,17 @@ func NewEngine(s Spec) (*netsim.FluidEngine, error) {
 		}
 		tl = fault.Compile(s.Faults)
 	}
-	var e *netsim.FluidEngine
-	if s.Shards > 1 {
-		e = netsim.NewShardedFluidEngine(s.engineName(), s.Ref, s.Shards, func() netsim.Allocator {
-			return &componentModelAllocator{modelAllocator: *newModelAllocator(s.Model, s.Ref, s.Topo, tl)}
-		})
-	} else {
-		e = netsim.NewFluidEngine(s.engineName(), s.Ref, newModelAllocator(s.Model, s.Ref, s.Topo, tl))
-	}
+	e := netsim.NewFluidEngine(s.engineName(), s.Ref, newModelAllocator(s.Model, s.Ref, s.Topo, tl))
 	if tl != nil {
 		e.SetFaults(tl)
 	}
 	return e, nil
 }
 
-// engineName is predict-<model>, then -x<shards> for a sharded engine,
-// else -<fabric kind> on a fabric and -faulted under a schedule.
+// engineName is predict-<model>, then -<fabric kind> on a fabric and
+// -faulted under a schedule.
 func (s Spec) engineName() string {
 	name := "predict-" + s.Model.Name()
-	if s.Shards > 1 {
-		return fmt.Sprintf("%s-x%d", name, s.Shards)
-	}
 	if !s.Topo.Trivial() {
 		name += "-" + s.Topo.Kind.String()
 	}

@@ -94,8 +94,8 @@ func (m *countingModel) Penalties(g *graph.Graph) []float64 {
 // TestSessionTimesAllocsPerEvent pins the steady-state allocations of a
 // progressive prediction to the degree models' two per model evaluation
 // — the penalty slice and the per-node aggregate — and none per flow:
-// sequential and parallel sessions rebuild the active conflict graph in
-// allocator-owned scratch.
+// the session rebuilds the active conflict graph in allocator-owned
+// scratch.
 func TestSessionTimesAllocsPerEvent(t *testing.T) {
 	g, err := randgen.SchemeFromSeed(14, randgen.SchemeConfig{
 		MinNodes: 16, MaxNodes: 16, MinComms: 48, MaxComms: 48,
@@ -110,24 +110,18 @@ func TestSessionTimesAllocsPerEvent(t *testing.T) {
 			t.Fatal(err)
 		}
 		cm := &countingModel{Model: m}
-		par, err := predict.New(predict.Spec{Model: cm, Ref: sub.RefRate(), Shards: 2})
-		if err != nil {
-			t.Fatal(err)
+		sess := predict.NewSession(cm, sub.RefRate())
+		sess.Times(g) // size the scratch
+		cm.calls = 0
+		const runs = 10
+		allocs := testing.AllocsPerRun(runs, func() { sess.Times(g) })
+		evals := float64(cm.calls) / (runs + 1) // AllocsPerRun adds a warm-up call
+		if evals < 2 {
+			t.Fatalf("%s: only %g model evaluations per prediction", name, evals)
 		}
-		for i, sess := range []*predict.Session{predict.NewSession(cm, sub.RefRate()), par} {
-			kind := []string{"sequential", "parallel"}[i]
-			sess.Times(g) // size the scratch
-			cm.calls = 0
-			const runs = 10
-			allocs := testing.AllocsPerRun(runs, func() { sess.Times(g) })
-			evals := float64(cm.calls) / (runs + 1) // AllocsPerRun adds a warm-up call
-			if evals < 2 {
-				t.Fatalf("%s %s: only %g model evaluations per prediction", name, kind, evals)
-			}
-			if allocs > 2*evals {
-				t.Errorf("%s %s: %g allocs per prediction over %g model evaluations of %d flows, want at most 2 per evaluation",
-					name, kind, allocs, evals, g.Len())
-			}
+		if allocs > 2*evals {
+			t.Errorf("%s: %g allocs per prediction over %g model evaluations of %d flows, want at most 2 per evaluation",
+				name, allocs, evals, g.Len())
 		}
 	}
 }

@@ -2,7 +2,6 @@ package predict_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -14,10 +13,22 @@ import (
 	"bwshare/internal/topology"
 )
 
+// specSchedule degrades the fabric mid-replay: two NIC slowdowns and,
+// on a fabric, a transient edge-link outage.
+func specSchedule(topo topology.Spec) fault.Schedule {
+	ev := []fault.Event{
+		{Kind: fault.HostSlow, Target: 0, Factor: 0.5, At: 0.003, Until: 0.06},
+		{Kind: fault.HostSlow, Target: 3, Factor: 0.25, At: 0.01},
+	}
+	if !topo.Trivial() {
+		ev = append(ev, fault.Event{Kind: fault.LinkDown, Target: 1, At: 0.005, Until: 0.04})
+	}
+	return fault.Schedule{Events: ev}
+}
+
 // TestNewSpecMatrix runs New over every fabric kind, healthy and
-// faulted, at Shards 0, 1 and 2. It pins the engine names, holds Shards
-// 0 and 1 bitwise to the sequential session of the fabric's legacy
-// constructor, and holds Shards 2 to it within float rounding.
+// faulted. It pins the engine names and holds each session bitwise to
+// the session of the fabric's legacy constructor.
 func TestNewSpecMatrix(t *testing.T) {
 	gs, err := randgen.Schemes(99, 6, randgen.DefaultSchemeConfig())
 	if err != nil {
@@ -32,54 +43,50 @@ func TestNewSpecMatrix(t *testing.T) {
 		name string
 		spec topology.Spec
 	}{
-		parallelTopos[0],
-		parallelTopos[1],
+		{"crossbar", topology.Spec{}},
+		// Block placement makes the random schemes (nodes 0..11) cross
+		// switches.
+		{"star", topology.Spec{Kind: topology.Star, Switches: 4, HostsPerSwitch: 4, Place: topology.Block}},
 		{"fattree", topology.Spec{Kind: topology.FatTree, Switches: 4, HostsPerSwitch: 4, Oversub: 2, Place: topology.Block}},
 	}
 	for _, tp := range topos {
 		for _, faulted := range []bool{false, true} {
 			var sched fault.Schedule
-			var seq *predict.Session
+			var legacy *predict.Session
 			if faulted {
-				sched = parallelSchedule(tp.spec)
-				if seq, err = predict.NewSessionWithFaults(m, ref, tp.spec, sched); err != nil {
+				sched = specSchedule(tp.spec)
+				if legacy, err = predict.NewSessionWithFaults(m, ref, tp.spec, sched); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				seq = predict.NewSessionWithTopology(m, ref, tp.spec)
+				legacy = predict.NewSessionWithTopology(m, ref, tp.spec)
 			}
-			name := "predict-myrinet"
+			want := "predict-myrinet"
 			if !tp.spec.Trivial() {
-				name += "-" + tp.name
+				want += "-" + tp.name
 			}
 			if faulted {
-				name += "-faulted"
+				want += "-faulted"
 			}
-			for _, shards := range []int{0, 1, 2} {
-				spec := predict.Spec{Model: m, Ref: ref, Topo: tp.spec, Faults: sched, Shards: shards}
-				want := name
-				if shards > 1 {
-					want = fmt.Sprintf("predict-myrinet-x%d", shards)
-				}
-				e, err := predict.NewEngine(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if e.Name() != want {
-					t.Errorf("%s faulted=%v shards %d: engine %q, want %q", tp.name, faulted, shards, e.Name(), want)
-				}
-				s, err := predict.New(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for si, g := range gs {
-					exp := append([]float64(nil), seq.Times(g)...)
-					got := s.Times(g)
-					for i := range exp {
-						if shards <= 1 && got[i] != exp[i] || math.Abs(got[i]-exp[i]) > 1e-9*exp[i] {
-							t.Fatalf("%s faulted=%v shards %d scheme %d comm %d: %.17g, sequential %.17g",
-								tp.name, faulted, shards, si, i, got[i], exp[i])
-						}
+			spec := predict.Spec{Model: m, Ref: ref, Topo: tp.spec, Faults: sched}
+			e, err := predict.NewEngine(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Name() != want {
+				t.Errorf("%s faulted=%v: engine %q, want %q", tp.name, faulted, e.Name(), want)
+			}
+			s, err := predict.New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for si, g := range gs {
+				exp := append([]float64(nil), legacy.Times(g)...)
+				got := s.Times(g)
+				for i := range exp {
+					if got[i] != exp[i] {
+						t.Fatalf("%s faulted=%v scheme %d comm %d: %.17g, legacy %.17g",
+							tp.name, faulted, si, i, got[i], exp[i])
 					}
 				}
 			}
@@ -87,64 +94,8 @@ func TestNewSpecMatrix(t *testing.T) {
 	}
 }
 
-// TestNewSpecHugeNodeIDs: a scheme addressing node ids past the dense
-// interning tables (>= 1<<22) routes them through netsim's overflow
-// maps, in the sharded core's routing index and in the component
-// grouping alike. 2 and 3 shards must still agree bitwise, and stay
-// within 1e-9 relative of the sequential session, for every model.
-func TestNewSpecHugeNodeIDs(t *testing.T) {
-	const h = graph.NodeID(1 << 22)
-	b := graph.NewBuilder()
-	for i, c := range []struct {
-		src, dst graph.NodeID
-		vol      float64
-	}{
-		{0, 1, 8e6}, {0, 2, 3e6}, // one component on dense ids
-		{h, 3, 5e6}, {h, 5, 11e6}, // sharing the huge sender's NIC
-		{6, h + 7, 7e6}, {2, h + 7, 2e6}, // sharing a huge receiver's NIC
-		{h + 9, h + 1, 4e6}, // alone, both ends huge
-		{8, 9, 6e6},
-	} {
-		b.Add(fmt.Sprintf("c%d", i), c.src, c.dst, c.vol)
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range predict.ModelNames() {
-		m, sub, err := predict.LookupModel(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := predict.Spec{Model: m, Ref: sub.RefRate()}
-		seq, err := predict.New(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := append([]float64(nil), seq.Times(g)...)
-		var par [2][]float64
-		for k, shards := range []int{2, 3} {
-			spec.Shards = shards
-			s, err := predict.New(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par[k] = append([]float64(nil), s.Times(g)...)
-		}
-		for i := range want {
-			if par[0][i] != par[1][i] {
-				t.Fatalf("%s comm %d: 2 shards %.17g, 3 shards %.17g", name, i, par[0][i], par[1][i])
-			}
-			if math.Abs(par[0][i]-want[i]) > 1e-9*want[i] {
-				t.Fatalf("%s comm %d: sharded %.17g, sequential %.17g", name, i, par[0][i], want[i])
-			}
-		}
-	}
-}
-
-// TestNewSpecRejections: every shard count rejects a schedule that does
-// not fit the fabric, or that no finite prediction survives, with the
-// same error text.
+// TestNewSpecRejections: New rejects a schedule that does not fit the
+// fabric, or that no finite prediction survives, naming the event.
 func TestNewSpecRejections(t *testing.T) {
 	m, sub, err := predict.LookupModel("gige")
 	if err != nil {
@@ -176,20 +127,19 @@ func TestNewSpecRejections(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		for _, shards := range []int{0, 1, 2} {
-			_, err := predict.New(predict.Spec{Model: m, Ref: sub.RefRate(), Topo: c.topo, Faults: c.sched, Shards: shards})
-			if err == nil || err.Error() != c.want {
-				t.Errorf("shards %d: error %v, want %q", shards, err, c.want)
-			}
+		_, err := predict.New(predict.Spec{Model: m, Ref: sub.RefRate(), Topo: c.topo, Faults: c.sched})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("error %v, want %q", err, c.want)
 		}
 	}
 }
 
-// FuzzSessionSpec holds the sharded sessions to the sequential one on
-// fuzzed fabrics and fault schedules: whenever New accepts the
-// sequential spec, Shards 2 and 3 accept it too, agree bitwise with
-// each other, and stay within 1e-9 relative of the sequential times.
-// The parsed topology and events must round-trip through String.
+// FuzzSessionSpec holds a reused session to fresh ones on fuzzed
+// fabrics and fault schedules: whenever New accepts the spec, a session
+// predicting scheme g, then a second scheme, then g again must answer
+// each bitwise as a freshly built session does, so Reset rewinds the
+// engine and its fault timeline completely. The parsed topology and
+// events must round-trip through String.
 func FuzzSessionSpec(f *testing.F) {
 	f.Add("crossbar", "", uint8(0), int64(1))
 	f.Add("crossbar", "host 1 slow 0.5 at 0.003 until 0.06; host 3 slow 0.25 at 0.01", uint8(1), int64(2))
@@ -229,39 +179,39 @@ func FuzzSessionSpec(f *testing.F) {
 			hosts = 64
 		}
 		rng := rand.New(rand.NewSource(seed))
-		b := graph.NewBuilder()
-		for i := 0; i < 6; i++ {
-			src := rng.Intn(hosts)
-			dst := (src + 1 + rng.Intn(hosts-1)) % hosts
-			b.Add(fmt.Sprintf("c%d", i), graph.NodeID(src), graph.NodeID(dst), 1e6+19e6*rng.Float64())
+		scheme := func() *graph.Graph {
+			b := graph.NewBuilder()
+			for i := 0; i < 6; i++ {
+				src := rng.Intn(hosts)
+				dst := (src + 1 + rng.Intn(hosts-1)) % hosts
+				b.Add(fmt.Sprintf("c%d", i), graph.NodeID(src), graph.NodeID(dst), 1e6+19e6*rng.Float64())
+			}
+			g, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
 		}
-		g, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
+		g, g2 := scheme(), scheme()
 		spec := predict.Spec{Model: m, Ref: sub.RefRate(), Topo: topo, Faults: sched}
-		seq, seqErr := predict.New(spec)
-		var par [2][]float64
-		for k, shards := range []int{2, 3} {
-			spec.Shards = shards
-			s, err := predict.New(spec)
-			if (err == nil) != (seqErr == nil) || err != nil && err.Error() != seqErr.Error() {
-				t.Fatalf("shards %d: error %v, sequential %v", shards, err, seqErr)
-			}
-			if err == nil {
-				par[k] = append([]float64(nil), s.Times(g)...)
-			}
-		}
-		if seqErr != nil {
+		reused, err := predict.New(spec)
+		if err != nil {
 			return
 		}
-		want := seq.Times(g)
-		for i := range want {
-			if par[0][i] != par[1][i] {
-				t.Fatalf("comm %d: 2 shards %.17g, 3 shards %.17g", i, par[0][i], par[1][i])
+		fresh := func(g *graph.Graph) []float64 {
+			s, err := predict.New(spec)
+			if err != nil {
+				t.Fatalf("second New of an accepted spec: %v", err)
 			}
-			if math.Abs(par[0][i]-want[i]) > 1e-9*want[i] {
-				t.Fatalf("comm %d: sharded %.17g, sequential %.17g", i, par[0][i], want[i])
+			return s.Times(g)
+		}
+		for step, x := range []*graph.Graph{g, g2, g} {
+			got := append([]float64(nil), reused.Times(x)...)
+			want := fresh(x)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("prediction %d, comm %d: reused session %.17g, fresh %.17g", step, i, got[i], want[i])
+				}
 			}
 		}
 	})

@@ -117,10 +117,7 @@ type sim struct {
 	clu   cluster.Cluster
 	place cluster.Placement
 	// q holds the task-side timers (compute ends, local copies, barrier
-	// releases). The replay loop is the queue's single owner — engine
-	// internals may shard work across goroutines (core.ShardedEngine),
-	// but every des.Queue stays pinned to one driver; this one to the
-	// replay loop, a sharded engine's to its owning shard.
+	// releases). The replay loop is the queue's single owner.
 	q      *des.Queue
 	tasks  []*task
 	sends  []*pendingSend

@@ -158,7 +158,6 @@ func (s *Server) handleClusterCreate(w http.ResponseWriter, r *http.Request) {
 		Model:   req.Model,
 		RefRate: req.RefRate,
 		Faults:  sched,
-		Shards:  s.cfg.Shards,
 	})
 	if err != nil {
 		s.writeError(w, statusFor(err), err.Error())

@@ -169,6 +169,8 @@ func TestClusterAPIErrors(t *testing.T) {
 		{"crossbar without hosts", http.MethodPost, base, ClusterRequest{Name: "x"}, http.StatusBadRequest},
 		{"duplicate cluster", http.MethodPost, base, ClusterRequest{Name: "small", Hosts: 2}, http.StatusConflict},
 		{"unknown topology kind", http.MethodPost, base, ClusterRequest{Name: "x", Topology: &TopologyRequest{Kind: "mesh"}}, http.StatusBadRequest},
+		{"fault host beyond node-id limit", http.MethodPost, base, ClusterRequest{Name: "x", Hosts: 2,
+			Faults: []FaultRequest{{Kind: "host_slow", Host: intp(1 << 22), Factor: 0.5, At: 1}}}, http.StatusBadRequest},
 		{"unknown cluster get", http.MethodGet, base + "/nope", nil, http.StatusNotFound},
 		{"unknown cluster delete", http.MethodDelete, base + "/nope", nil, http.StatusNotFound},
 		{"unknown cluster job", http.MethodPost, base + "/nope/jobs", JobRequest{Name: "j", Catalog: "s1"}, http.StatusNotFound},

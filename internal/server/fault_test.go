@@ -87,9 +87,12 @@ func TestPredictFaultErrors(t *testing.T) {
 	comms := []CommRequest{{Src: 0, Dst: 1}}
 	ftree := &TopologyRequest{Kind: "fattree", Switches: 2, HostsPerSwitch: 4, Oversub: 4}
 	tooMany := make([]FaultRequest, MaxFaultEvents+1)
+	var tooManyHeaders strings.Builder
 	for i := range tooMany {
 		tooMany[i] = FaultRequest{Kind: "host_slow", Host: intp(0), Factor: 0.5, At: float64(i)}
+		fmt.Fprintf(&tooManyHeaders, "fault: host 0 slow 0.5 at %d\n", i)
 	}
+	tooManyHeaders.WriteString("a: 0 -> 1\n")
 	cases := []struct {
 		name string
 		req  PredictRequest
@@ -125,6 +128,16 @@ func TestPredictFaultErrors(t *testing.T) {
 		{"oversized schedule",
 			PredictRequest{Comms: comms, Faults: tooMany},
 			fmt.Sprintf("limit %d", MaxFaultEvents)},
+		{"oversized header schedule",
+			PredictRequest{Scheme: tooManyHeaders.String()},
+			fmt.Sprintf("schedule of %d faults exceeds limit %d", MaxFaultEvents+1, MaxFaultEvents)},
+		// A crossbar bounds no host id; the node-id limit does.
+		{"host beyond node-id limit",
+			PredictRequest{Comms: comms, Faults: []FaultRequest{{Kind: "host_slow", Host: intp(1 << 22), Factor: 0.5, At: 1}}},
+			fmt.Sprintf("host %d exceeds limit %d", 1<<22, MaxNodeID-1)},
+		{"header host beyond node-id limit",
+			PredictRequest{Scheme: "fault: host 4194304 slow 0.5 at 1\na: 0 -> 1\n"},
+			fmt.Sprintf("host %d exceeds limit %d", 1<<22, MaxNodeID-1)},
 	}
 	for _, c := range cases {
 		code, body := postJSON(t, ts.URL+"/v1/predict", c.req)

@@ -138,13 +138,6 @@ type Config struct {
 	// answered 503. 0 picks DefaultRequestTimeout; negative disables
 	// the deadline.
 	RequestTimeout time.Duration
-	// Shards is the worker shard count of every simulator session the
-	// service builds — per-request predictions and cluster what-ifs
-	// alike (predict.Spec.Shards). 0 or 1 keeps the sequential
-	// sessions. Sharded results are bit-identical across shard counts
-	// and within float rounding of the sequential session, so a
-	// deployment must pin one setting for cache/replay stability.
-	Shards int
 }
 
 // Server is the HTTP prediction service. Create with New.
@@ -333,7 +326,7 @@ func (s *Server) compute(ctx context.Context, g *graph.Graph, name string, stati
 		// request-supplied ref_rate, fabric or fault schedule gets a
 		// throwaway session so clients cannot grow the per-worker session
 		// map without bound by sweeping rates, topologies or schedules.
-		spec := predict.Spec{Model: s.models[name], Ref: ref, Topo: topo, Faults: sched, Shards: s.cfg.Shards}
+		spec := predict.Spec{Model: s.models[name], Ref: ref, Topo: topo, Faults: sched}
 		var sess *predict.Session
 		var err error
 		if ref == s.refs[name] && topo.Trivial() && sched.Empty() {
