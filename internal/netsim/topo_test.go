@@ -19,40 +19,62 @@ var topoSpecs = []topology.Spec{
 	{Kind: topology.FatTree, Switches: 6, HostsPerSwitch: 2, Oversub: 1, Place: topology.Block},
 }
 
-// TestNonCrossingTopoBitIdentical: fabrics on which no flow crosses an
-// edge switch must yield rates bit-identical to the crossbar's. A
-// fabric large enough that every scheme lands on one edge switch
-// exercises runTopo's full code path with no crossing flow (runTopo
-// adds no floating-point operations for intra-switch flows); a
-// one-switch fabric is Trivial yet not the zero Spec, so it must take
-// the crossbar routine itself.
+// TestCrossbarTopoBitIdentical: over >= 50 seeded schemes and every
+// substrate configuration, an allocator given a one-switch fabric
+// produces rates bit-identical (==, no tolerance) to the topology-free
+// allocator. Such a fabric is Trivial yet not the zero Spec, so it must
+// take the crossbar routine itself.
+func TestCrossbarTopoBitIdentical(t *testing.T) {
+	schemes, err := randgen.Schemes(4, 60, randgen.DefaultSchemeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabrics := []topology.Spec{
+		{Kind: topology.Star, Switches: 1, HostsPerSwitch: 16, Place: topology.Block},
+		{Kind: topology.FatTree, Switches: 1, HostsPerSwitch: 16, Oversub: 2, Place: topology.RoundRobin},
+	}
+	for _, fab := range fabrics {
+		if !fab.Trivial() || fab == (topology.Spec{}) {
+			t.Fatalf("%s: want a Trivial fabric that is not the zero Spec", fab)
+		}
+		assertTopoBitIdentical(t, schemes, fab, "one-switch fabric")
+	}
+}
+
+// TestNonCrossingTopoBitIdentical: a fabric large enough that every
+// scheme lands on one edge switch exercises runTopo's full code path
+// with no crossing flow — the rates must still be bit-identical to the
+// crossbar routine (runTopo adds no floating-point operations for
+// intra-switch flows).
 func TestNonCrossingTopoBitIdentical(t *testing.T) {
 	schemes, err := randgen.Schemes(5, 60, randgen.DefaultSchemeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabrics := []topology.Spec{
-		// Block placement with 512 hosts per switch puts every node of
-		// a <= 12-node scheme on switch 0.
-		{Kind: topology.FatTree, Switches: 2, HostsPerSwitch: 512, Oversub: 2, Place: topology.Block},
-		{Kind: topology.Star, Switches: 1, HostsPerSwitch: 16, Place: topology.Block},
-	}
-	for _, fab := range fabrics {
-		for _, sub := range substrateConfigs {
-			plain := &denseCoupled{Cfg: sub.cfg}
-			cfgTopo := sub.cfg
-			cfgTopo.Topo = fab
-			withTopo := &denseCoupled{Cfg: cfgTopo}
-			for si, g := range schemes {
-				a := schemeFlows(t, g)
-				b := schemeFlows(t, g)
-				plain.Allocate(a)
-				withTopo.Allocate(b)
-				for i := range a {
-					if a[i].Rate != b[i].Rate {
-						t.Fatalf("%s on %s, scheme %d flow %d: non-crossing fabric changed the rate: %.17g vs %.17g",
-							sub.name, fab, si, i, b[i].Rate, a[i].Rate)
-					}
+	// Block placement with 512 hosts per switch puts every node of a
+	// <= 12-node scheme on switch 0.
+	wide := topology.Spec{Kind: topology.FatTree, Switches: 2, HostsPerSwitch: 512, Oversub: 2, Place: topology.Block}
+	assertTopoBitIdentical(t, schemes, wide, "non-crossing fabric")
+}
+
+// assertTopoBitIdentical allocates every scheme on every substrate with
+// and without fab and fails unless all rates are equal bitwise.
+func assertTopoBitIdentical(t *testing.T, schemes []*graph.Graph, fab topology.Spec, what string) {
+	t.Helper()
+	for _, sub := range substrateConfigs {
+		plain := &denseCoupled{Cfg: sub.cfg}
+		cfgTopo := sub.cfg
+		cfgTopo.Topo = fab
+		withTopo := &denseCoupled{Cfg: cfgTopo}
+		for si, g := range schemes {
+			a := schemeFlows(t, g)
+			b := schemeFlows(t, g)
+			plain.Allocate(a)
+			withTopo.Allocate(b)
+			for i := range a {
+				if a[i].Rate != b[i].Rate {
+					t.Fatalf("%s on %s, scheme %d flow %d: %s changed the rate: %.17g vs %.17g",
+						sub.name, fab, si, i, what, b[i].Rate, a[i].Rate)
 				}
 			}
 		}
