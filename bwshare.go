@@ -77,7 +77,10 @@ type (
 	CommID = graph.CommID
 	// Comm is one point-to-point communication.
 	Comm = graph.Comm
-	// Model predicts per-communication penalties.
+	// Model predicts per-communication penalties. A penalty may depend
+	// only on the comm's same-source/same-destination component, never
+	// on volumes: the predictor re-scores just the components an event
+	// touched.
 	Model = core.Model
 	// Engine is a network simulator (substrate or model-driven).
 	Engine = core.Engine

@@ -32,6 +32,15 @@ func ValidRefRate(ref float64) bool {
 }
 
 // Model is a predictive bandwidth-sharing penalty model (Section V).
+//
+// A model is component-local: the penalty of a communication may depend
+// only on its same-source/same-destination component — the
+// communications reachable from it through a shared sender or a shared
+// receiver — and not on any volume. Scoring a union of whole components
+// as one graph must give each of them the penalty it gets in the full
+// graph, bit for bit. The progressive predictor relies on this: at each
+// event it re-scores only the components the event touched and keeps
+// the other rates.
 type Model interface {
 	// Name identifies the model, e.g. "gige", "myrinet".
 	Name() string

@@ -334,6 +334,47 @@ func TestCompileAllocationBounded(t *testing.T) {
 	}
 }
 
+// TestCompileHugeHostBounded: a crossbar accepts any host id, so
+// "host 4194304 slow 0.5 at 0.01" is a valid schedule. Its timeline
+// must not size a dense host table by that id (33.6 MB at 8 bytes a
+// host): Compile stays under 1 MB, and the host reads 1 before the
+// fault and 0.5 after it, its neighbours healthy throughout.
+func TestCompileHugeHostBounded(t *testing.T) {
+	e, err := ParseEvent("host 4194304 slow 0.5 at 0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := Schedule{Events: []Event{e, {Kind: HostSlow, Target: 3, Factor: 0.25, At: 0.02}}}
+	if err := sched.Validate(topology.Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tl := Compile(sched)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("Compile allocated %d bytes, want under 1 MB", got)
+	}
+	st := tl.State()
+	if st.HostFactor(4194304) != 1 || st.HostFactor(3) != 1 {
+		t.Fatalf("factors before the faults: %g, %g; want 1, 1", st.HostFactor(4194304), st.HostFactor(3))
+	}
+	tl.Step()
+	tl.Step()
+	if st.HostFactor(4194304) != 0.5 || st.HostFactor(3) != 0.25 {
+		t.Fatalf("factors after the faults: %g, %g; want 0.5, 0.25", st.HostFactor(4194304), st.HostFactor(3))
+	}
+	for _, h := range []int{4, 65535, 65536, 4194303, 4194305} {
+		if f := st.HostFactor(h); f != 1 {
+			t.Errorf("host %d reads %g, want 1", h, f)
+		}
+	}
+	tl.Rewind()
+	if st.HostFactor(4194304) != 1 {
+		t.Fatalf("Rewind left host 4194304 at %g", st.HostFactor(4194304))
+	}
+}
+
 func TestHashEqualClone(t *testing.T) {
 	a := Schedule{Events: []Event{{Kind: LinkDown, Target: 1, At: 1, Until: 2}}}
 	b := a.Clone()

@@ -29,8 +29,15 @@ type Target struct {
 // holding the pointer observe every Step without re-wiring.
 type State struct {
 	link []float64
-	host []float64
+	host []float64 // named hosts below maxDenseHost, by id
+	// hostBig holds the named hosts at or past maxDenseHost: a crossbar
+	// accepts any host id, and one fault on a huge id must not size a
+	// dense table by it.
+	hostBig map[int]float64
 }
+
+// maxDenseHost bounds the host ids State keeps in its dense table.
+const maxDenseHost = 1 << 16
 
 // LinkFactor returns the capacity factor of switch sw's uplink.
 func (s *State) LinkFactor(sw int) float64 {
@@ -42,18 +49,27 @@ func (s *State) LinkFactor(sw int) float64 {
 
 // HostFactor returns the capacity factor of host h's NIC.
 func (s *State) HostFactor(h int) float64 {
-	if s == nil || h < 0 || h >= len(s.host) {
+	if s == nil || h < 0 {
 		return 1
 	}
-	return s.host[h]
+	if h < len(s.host) {
+		return s.host[h]
+	}
+	if f, ok := s.hostBig[h]; ok {
+		return f
+	}
+	return 1
 }
 
 // set writes the factor of target t.
 func (s *State) set(t Target, f float64) {
-	if t.Kind == TargetLink {
+	switch {
+	case t.Kind == TargetLink:
 		s.link[t.ID] = f
-	} else {
+	case t.ID < len(s.host):
 		s.host[t.ID] = f
+	default:
+		s.hostBig[t.ID] = f
 	}
 }
 
@@ -89,7 +105,8 @@ type Timeline struct {
 
 // Compile builds the timeline for a schedule. The schedule must already
 // be validated; Compile sizes the State's dense factor tables off the
-// largest target index it sees. Compiling the empty schedule yields a
+// largest target index it sees, host ids past maxDenseHost going to a
+// small map instead. Compiling the empty schedule yields a
 // timeline with no steps and all-healthy state.
 func Compile(sched Schedule) *Timeline {
 	tl := &Timeline{}
@@ -109,12 +126,19 @@ func Compile(sched Schedule) *Timeline {
 		return a.ID < b.ID
 	})
 	nLink, nHost := 0, 0
+	var hostBig map[int]float64
 	for i, t := range tl.names {
 		index[t] = i
-		if t.Kind == TargetLink {
+		switch {
+		case t.Kind == TargetLink:
 			nLink = max(nLink, t.ID+1)
-		} else {
+		case t.ID < maxDenseHost:
 			nHost = max(nHost, t.ID+1)
+		default:
+			if hostBig == nil {
+				hostBig = make(map[int]float64)
+			}
+			hostBig[t.ID] = 1
 		}
 	}
 	slot := make([]int, len(sched.Events))
@@ -165,7 +189,7 @@ func Compile(sched Schedule) *Timeline {
 		tl.steps = append(tl.steps, s)
 		copy(prev, cur)
 	}
-	tl.state = State{link: make([]float64, nLink), host: make([]float64, nHost)}
+	tl.state = State{link: make([]float64, nLink), host: make([]float64, nHost), hostBig: hostBig}
 	for _, fs := range [][]float64{tl.state.link, tl.state.host} {
 		for i := range fs {
 			fs[i] = 1

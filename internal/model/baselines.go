@@ -13,9 +13,16 @@ type KimLee struct{}
 // Name implements core.Model.
 func (KimLee) Name() string { return "kimlee" }
 
-// Penalties implements core.Model.
-func (KimLee) Penalties(g *graph.Graph) []float64 {
-	out := make([]float64, g.Len())
+// Penalties implements core.Model: PenaltiesInto on fresh scratch.
+func (k KimLee) Penalties(g *graph.Graph) []float64 {
+	var s Scratch
+	return k.PenaltiesInto(g, &s)
+}
+
+// PenaltiesInto is Penalties computed in s's buffers; the result
+// aliases s and is valid until the next call with s.
+func (KimLee) PenaltiesInto(g *graph.Graph, s *Scratch) []float64 {
+	out := s.penalties(g.Len())
 	for i := range out {
 		s, d := g.Ends(graph.CommID(i))
 		out[i] = clampPenalty(float64(max(g.OutDegreeAt(s), g.InDegreeAt(d))))
@@ -31,9 +38,16 @@ type Linear struct{}
 // Name implements core.Model.
 func (Linear) Name() string { return "linear" }
 
-// Penalties implements core.Model.
-func (Linear) Penalties(g *graph.Graph) []float64 {
-	out := make([]float64, g.Len())
+// Penalties implements core.Model: PenaltiesInto on fresh scratch.
+func (l Linear) Penalties(g *graph.Graph) []float64 {
+	var s Scratch
+	return l.PenaltiesInto(g, &s)
+}
+
+// PenaltiesInto is Penalties computed in s's buffers; the result
+// aliases s and is valid until the next call with s.
+func (Linear) PenaltiesInto(g *graph.Graph, s *Scratch) []float64 {
+	out := s.penalties(g.Len())
 	for i := range out {
 		out[i] = 1
 	}

@@ -55,18 +55,25 @@ func (m DegreeModel) Name() string {
 	return m.ModelName
 }
 
-// Penalties implements core.Model. It makes two linear passes: the
-// first gathers, per node, the maximum and multiplicity that define
-// Cm_o (over the comms leaving it) and Cm_i (over the comms entering
-// it); the second evaluates po and pi per communication.
+// Penalties implements core.Model: PenaltiesInto on fresh scratch, so
+// the result is a fresh slice the caller may keep.
 func (m DegreeModel) Penalties(g *graph.Graph) []float64 {
+	var sc Scratch
+	return m.PenaltiesInto(g, &sc)
+}
+
+// PenaltiesInto is Penalties computed in sc's buffers; the result
+// aliases sc and is valid until the next call with sc. After the first
+// calls of a given size it allocates nothing.
+//
+// It makes two linear passes: the first gathers, per node, the maximum
+// and multiplicity that define Cm_o (over the comms leaving it) and Cm_i
+// (over the comms entering it); the second evaluates po and pi per
+// communication.
+func (m DegreeModel) PenaltiesInto(g *graph.Graph, sc *Scratch) []float64 {
 	n := g.Len()
-	out := make([]float64, n)
-	// cm[k] describes node k's outgoing Cm_o (maxDi over the in-degrees
-	// of its comms' destinations, cardO of them reaching it) and its
-	// incoming Cm_i (maxDo, cardI).
-	type strongly struct{ maxDi, cardO, maxDo, cardI int }
-	cm := make([]strongly, g.NumNodes())
+	out := sc.penalties(n)
+	cm := sc.strongly(g.NumNodes())
 	for i := 0; i < n; i++ {
 		s, d := g.Ends(graph.CommID(i))
 		if di := g.InDegreeAt(d); di > cm[s].maxDi {

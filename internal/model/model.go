@@ -18,7 +18,18 @@
 //
 // All models return static penalties for a fixed conflict graph; the
 // progressive re-evaluation the paper's simulator performs lives in
-// package predict.
+// package predict. Every model here is component-local, as core.Model
+// requires of a model the predictor re-evaluates: a communication's
+// penalty depends only on the communications reachable from it through
+// shared senders or shared receivers, never on volumes. The degree
+// models read degrees and Cm sets at most two hops away through a
+// same-role endpoint, KimLee and Linear read local degrees only, and
+// Myrinet under the paper's same-role rule decomposes by component.
+// Myrinet under graph.AnyEndpoint (the EXP-A2 ablation) is not
+// component-local in that sense and is only ever scored statically.
+//
+// The degree models, KimLee and Linear also offer PenaltiesInto, which
+// scores into a caller-owned Scratch and, once warm, allocates nothing.
 package model
 
 import (
@@ -32,6 +43,37 @@ func clampPenalty(p float64) float64 {
 		return 1
 	}
 	return p
+}
+
+// Scratch holds the buffers PenaltiesInto reuses across calls. The zero
+// value is ready; a Scratch serves one caller at a time.
+type Scratch struct {
+	out []float64
+	cm  []strongly
+}
+
+// strongly describes one node's strongly slowed sets for DegreeModel:
+// its outgoing Cm_o (maxDi over the in-degrees of its comms'
+// destinations, cardO of them reaching it) and its incoming Cm_i
+// (maxDo, cardI).
+type strongly struct{ maxDi, cardO, maxDo, cardI int }
+
+// penalties returns s's result buffer resized to n, never nil.
+func (s *Scratch) penalties(n int) []float64 {
+	if s.out == nil || cap(s.out) < n {
+		s.out = make([]float64, n)
+	}
+	return s.out[:n]
+}
+
+// strongly returns s's per-node aggregate resized to n and zeroed.
+func (s *Scratch) strongly(n int) []strongly {
+	if cap(s.cm) < n {
+		s.cm = make([]strongly, n)
+	}
+	s.cm = s.cm[:n]
+	clear(s.cm)
+	return s.cm
 }
 
 // maxf returns the larger of two float64s (tiny local helper; the stdlib

@@ -12,17 +12,20 @@ import (
 // or — on a multi-switch fabric, for flows crossing edge switches — the
 // source switch's uplink or the destination switch's downlink. The
 // connected components of that constraint graph are the unit
-// IncrementalAllocator works on: it refills only the components an
-// event touched and keeps the rates of the others. It uses the two
-// types of this file:
+// DirtyTracker (incremental.go) works on: its owners refill only the
+// components an event touched and keep the rates of the others. It
+// uses the two types of this file:
 //
 //   - slotIndex, the persistent constraint-slot index: one interning
 //     table per namespace, a union-find over the slots and a per-slot
 //     touch stamp. It only ever accretes unions, so after departures it
 //     over-approximates connectivity; its owner compacts it once enough
 //     removals accumulate (compactDue).
-//   - ComponentGrouper, the exact transient grouping of one flow slice:
+//   - componentGrouper, the exact transient grouping of one flow slice:
 //     components in first-flow order, slice order inside each.
+//     IncrementalAllocator regroups the dirty flows with it before its
+//     per-component fill; the predictor scores them as one graph and
+//     needs no grouping.
 
 // unionFind is a slot-indexed union-find with union by rank and path
 // halving.
@@ -259,16 +262,14 @@ func (x *slotIndex) reset() {
 	x.removals = 0
 }
 
-// ComponentGrouper partitions a flow slice into the exact connected
+// componentGrouper partitions a flow slice into the exact connected
 // components of its constraint graph: flows sharing a sender NIC, a
 // receiver NIC, or on a multi-switch fabric the edge uplink of the
 // source switch or downlink of the destination switch of a crossing
 // flow. Components come in first-flow order with slice order kept
 // inside each. The zero value is ready to use; once warm, grouping
 // allocates nothing. The grouping is exact for any node id.
-type ComponentGrouper struct {
-	idx slotIndex // slot interning for Group
-
+type componentGrouper struct {
 	epoch  uint64
 	stamp  []uint64 // per slot: epoch of its last claim
 	owner  []int32  // per slot: member that claimed it this epoch
@@ -279,21 +280,14 @@ type ComponentGrouper struct {
 	comps  [][]*Flow
 }
 
-// Group partitions flows on topo and returns the number of components.
-// Component slices alias the grouper's scratch (or flows itself, for a
-// single component) and stay valid until the next Group or Reset.
-func (g *ComponentGrouper) Group(flows []*Flow, topo topology.Spec) int {
-	g.idx.topo = topo
-	return g.group(&g.idx, flows)
-}
+// component returns component c of the last grouping. Component slices
+// alias the grouper's scratch (or the grouped slice itself, for a
+// single component) and stay valid until the next group or reset.
+func (g *componentGrouper) component(c int) []*Flow { return g.comps[c] }
 
-// Component returns component c of the last Group call.
-func (g *ComponentGrouper) Component(c int) []*Flow { return g.comps[c] }
-
-// Reset empties the slot index, sheds scratch one huge grouping
-// inflated and drops the flow pointers of the last grouping.
-func (g *ComponentGrouper) Reset() {
-	g.idx.reset()
+// reset sheds scratch one huge grouping inflated and drops the flow
+// pointers of the last grouping.
+func (g *componentGrouper) reset() {
 	if len(g.stamp) > maxPooledScratchLen {
 		g.stamp, g.owner = nil, nil
 	}
@@ -304,7 +298,7 @@ func (g *ComponentGrouper) Reset() {
 }
 
 // drop clears the flow pointers the last grouping holds.
-func (g *ComponentGrouper) drop() {
+func (g *componentGrouper) drop() {
 	clear(g.sorted)
 	clear(g.comps)
 	g.comps = g.comps[:0]
@@ -314,7 +308,7 @@ func (g *ComponentGrouper) drop() {
 // comes from the flows alone: members claiming the same slot are
 // united, so the grouping is exact even when x's own union-find
 // over-approximates.
-func (g *ComponentGrouper) group(x *slotIndex, flows []*Flow) int {
+func (g *componentGrouper) group(x *slotIndex, flows []*Flow) int {
 	k := len(flows)
 	g.comps = g.comps[:0]
 	if k <= 1 {
@@ -373,7 +367,7 @@ func (g *ComponentGrouper) group(x *slotIndex, flows []*Flow) int {
 
 // claim records member d's use of slot s: the first member this epoch
 // owns the slot, later ones unite with the owner.
-func (g *ComponentGrouper) claim(d, s int32) {
+func (g *componentGrouper) claim(d, s int32) {
 	if int(s) >= len(g.stamp) {
 		g.fit(int(s) + 1)
 	}
@@ -386,7 +380,7 @@ func (g *ComponentGrouper) claim(d, s int32) {
 }
 
 // fit extends the per-slot claim tables to n slots.
-func (g *ComponentGrouper) fit(n int) {
+func (g *componentGrouper) fit(n int) {
 	g.stamp = append(g.stamp, make([]uint64, n-len(g.stamp))...)
 	g.owner = append(g.owner, make([]int32, n-len(g.owner))...)
 }

@@ -38,14 +38,14 @@ func randomGroupFlows(rng *rand.Rand, nodes, maxFlows int, base int, pHuge float
 // sameGrouping fails unless g's last grouping (n components) is the
 // reference partition of flows: same components, same order, same
 // flows in the same order.
-func sameGrouping(t *testing.T, what string, g *ComponentGrouper, n int, topo topology.Spec, flows []*Flow) {
+func sameGrouping(t *testing.T, what string, g *componentGrouper, n int, topo topology.Spec, flows []*Flow) {
 	t.Helper()
 	want := referenceComponents(topo, flows)
 	if n != len(want) {
 		t.Fatalf("%s: %d components, want %d", what, n, len(want))
 	}
 	for c, comp := range want {
-		got := g.Component(c)
+		got := g.component(c)
 		if len(got) != len(comp) {
 			t.Fatalf("%s: component %d has %d flows, want %d", what, c, len(got), len(comp))
 		}
@@ -68,21 +68,22 @@ func sameGrouping(t *testing.T, what string, g *ComponentGrouper, n int, topo to
 func TestComponentGrouperMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, topo := range groupTopos {
-		var g ComponentGrouper
+		var g componentGrouper
+		gx := slotIndex{topo: topo} // the grouper's slot interning across rounds
 		for round := 0; round < 300; round++ {
 			pHuge := 0.0
 			if round%5 == 4 {
 				pHuge = 0.2
 			}
 			flows := randomGroupFlows(rng, 2+rng.Intn(16), 24, maxDenseNode, pHuge)
-			sameGrouping(t, topo.Kind.String(), &g, g.Group(flows, topo), topo, flows)
+			sameGrouping(t, topo.Kind.String(), &g, g.group(&gx, flows), topo, flows)
 		}
 
 		// Dirty subsets: a persistent index links every active flow,
 		// then loses some (its unions stay), and the grouper partitions
 		// a subset of the survivors through that index.
 		x := slotIndex{topo: topo}
-		var sub ComponentGrouper
+		var sub componentGrouper
 		for round := 0; round < 200; round++ {
 			active := randomGroupFlows(rng, 2+rng.Intn(24), 40, 0, 0)
 			for _, f := range active {
@@ -106,8 +107,8 @@ func TestComponentGrouperMatchesReference(t *testing.T) {
 		for i := range flows {
 			flows[i] = &Flow{Src: graph.NodeID(i % 16), Dst: graph.NodeID((i*5 + 3) % 16), Remaining: 1}
 		}
-		if allocs := testing.AllocsPerRun(50, func() { g.Group(flows, topo) }); allocs != 0 {
-			t.Errorf("%v: Group allocates %v per call, want 0", topo.Kind, allocs)
+		if allocs := testing.AllocsPerRun(50, func() { g.group(&gx, flows) }); allocs != 0 {
+			t.Errorf("%v: grouping allocates %v per call, want 0", topo.Kind, allocs)
 		}
 	}
 }

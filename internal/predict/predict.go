@@ -10,6 +10,16 @@
 // (0.132 s) while the printed prediction is 0.113 s, which is exactly
 // what progressive re-evaluation yields. See EXP-A1 for the ablation.
 //
+// Re-evaluating only what changed is exact. A penalty is fixed by the
+// comm's same-source/same-destination component (the core.Model
+// contract), so on the crossbar the engine's allocator re-scores just
+// the flows whose component a start, a completion or a NIC fault
+// touched — netsim.DirtyTracker names them, the same component index
+// the substrates' IncrementalAllocator uses — as one conflict graph,
+// and every other flow keeps its rate. On a multi-switch fabric the
+// uplink water-fill runs level by level over the whole flow set, so
+// there every event re-scores every active flow.
+//
 // NewEngine wraps any core.Model as a core.Engine, so predicted times and
 // substrate-measured times come from running the same drivers. A Spec
 // names everything that selects the engine — model, reference rate,
@@ -17,10 +27,10 @@
 // it into an engine.
 //
 // Two calling conventions are offered: the one-shot package functions
-// (Times, StaticTimes, Penalties) allocate a fresh engine per call, and
-// the handle-based Session (New) reuses one pooled engine plus scratch
-// buffers across predictions — the serving path of cmd/bwserved holds
-// one Session per worker per model.
+// (Times, Penalties) allocate a fresh engine per call (StaticTimes needs
+// none), and the handle-based Session (New) reuses one pooled engine
+// plus scratch buffers across predictions — the serving path of
+// cmd/bwserved holds one Session per worker per model.
 package predict
 
 import (
@@ -57,11 +67,17 @@ type Spec struct {
 }
 
 // NewEngine returns the fluid engine of s, whose instantaneous rates
-// are Ref/penalty(Model, active conflict graph). The schedule must
-// validate against Topo and must not contain a permanent zero-capacity
-// fault (a flow behind one would never complete, so no finite
-// prediction exists); a spec without faults cannot fail.
+// are Ref/penalty(Model, active conflict graph). The model must be
+// component-local (see core.Model): Myrinet under any conflict rule
+// but graph.SameRole is refused, as its penalties cross the sender and
+// receiver components the engine re-scores. The schedule must validate
+// against Topo and must not contain a permanent zero-capacity fault (a
+// flow behind one would never complete, so no finite prediction
+// exists). A healthy spec with a registry model cannot fail.
 func NewEngine(s Spec) (*netsim.FluidEngine, error) {
+	if my, ok := s.Model.(model.Myrinet); ok && my.Rule != graph.SameRole {
+		return nil, fmt.Errorf("predict: myrinet under the %s conflict rule is not component-local and has no progressive prediction; use its static penalties", my.Rule)
+	}
 	var tl *fault.Timeline
 	if !s.Faults.Empty() {
 		if err := s.Faults.Validate(s.Topo); err != nil {
@@ -93,11 +109,23 @@ func (s Spec) engineName() string {
 }
 
 // modelAllocator adapts a penalty Model to the fluid Allocator
-// interface. Each fill rebuilds the active conflict graph in an
-// allocator-owned scratch graph, so the only allocations per event are
-// the model's own.
+// interface. On the crossbar its embedded DirtyTracker (the component
+// index IncrementalAllocator uses too) names the flows whose sender or
+// receiver component an arrival, a departure or a host fault touched
+// since the last fill, and only they are re-scored; every other flow
+// keeps the rate already in Flow.Rate. Scoring the dirty flows as one
+// graph equals scoring every active flow bit for bit, because a
+// penalty is fixed by the comm's same-source/same-destination component
+// (the core.Model contract), the dirty set is a union of whole
+// components, and the host cap is per flow. Each fill rebuilds that
+// graph in an allocator-owned scratch graph; with a model offering
+// PenaltiesInto a fill allocates nothing.
 type modelAllocator struct {
+	netsim.DirtyTracker
+
 	m    core.Model
+	into scratchModel // m's scratch-taking form, or nil
+	scr  model.Scratch
 	ref  float64
 	topo topology.Spec // on a non-trivial fabric, uplinks cap the rates
 	// faults, when non-nil, is the shared overlay of a fault.Timeline the
@@ -111,10 +139,19 @@ type modelAllocator struct {
 	g     graph.Graph  // scratch: their conflict graph
 }
 
+// scratchModel is the allocation-free form a penalty model may offer
+// (model.DegreeModel, KimLee and Linear do). A wrapper that embeds
+// core.Model and overrides only Penalties does not have it, so the
+// allocator calls the wrapper's Penalties and it sees every evaluation.
+type scratchModel interface {
+	PenaltiesInto(g *graph.Graph, s *model.Scratch) []float64
+}
+
 // newModelAllocator returns the allocator for m on topo, stepping the
 // timeline tl's fault state when tl is non-nil.
 func newModelAllocator(m core.Model, refRate float64, topo topology.Spec, tl *fault.Timeline) *modelAllocator {
 	a := &modelAllocator{m: m, ref: refRate, topo: topo}
+	a.into, _ = m.(scratchModel)
 	if tl != nil {
 		a.faults = tl.State()
 		a.tf.Faults = tl.State()
@@ -122,27 +159,33 @@ func newModelAllocator(m core.Model, refRate float64, topo topology.Spec, tl *fa
 	return a
 }
 
+// ActiveSetReset implements netsim.ActiveSetObserver. On the crossbar it
+// arms the dirty tracker. On a fabric tracking stays off and every
+// Allocate scores every active flow: TopoFiller's uplink water-fill is
+// level-based over the whole flow set, so filling one component at a
+// time would move the last bits of the rates.
+func (a *modelAllocator) ActiveSetReset() {
+	if a.topo.Trivial() {
+		a.DirtyTracker.ActiveSetReset()
+	}
+}
+
 // Allocate implements netsim.Allocator.
 func (a *modelAllocator) Allocate(flows []*netsim.Flow) {
 	if len(flows) == 0 {
 		return
 	}
-	a.fill(flows)
-}
-
-// rebuild makes a.g the conflict graph of flows, comm i being flows[i].
-func (a *modelAllocator) rebuild(flows []*netsim.Flow) {
+	dirty := a.Dirty(flows)
+	if len(dirty) == 0 {
+		return
+	}
 	a.comms = a.comms[:0]
-	for _, f := range flows {
+	for _, f := range dirty {
 		a.comms = append(a.comms, graph.Comm{Src: f.Src, Dst: f.Dst, Volume: f.Remaining})
 	}
 	graph.RebuildScratch(&a.g, a.comms)
-}
-
-// fill scores flows as one conflict graph.
-func (a *modelAllocator) fill(flows []*netsim.Flow) {
-	a.rebuild(flows)
-	a.score(flows)
+	a.score(dirty)
+	a.Clean()
 }
 
 // score sets the rates of flows, whose conflict graph a.g must already
@@ -150,7 +193,12 @@ func (a *modelAllocator) fill(flows []*netsim.Flow) {
 // endpoints cap them, and on a fabric the shared uplinks water-fill the
 // result.
 func (a *modelAllocator) score(flows []*netsim.Flow) {
-	p := a.m.Penalties(&a.g)
+	var p []float64
+	if a.into != nil {
+		p = a.into.PenaltiesInto(&a.g, &a.scr)
+	} else {
+		p = a.m.Penalties(&a.g)
+	}
 	for i, f := range flows {
 		r := a.ref / p[i]
 		if a.faults != nil {
@@ -201,9 +249,13 @@ func NewSession(m core.Model, refRate float64) *Session {
 	return NewSessionWithTopology(m, refRate, topology.Spec{})
 }
 
-// NewSessionWithTopology is New on a healthy fabric, which cannot fail.
+// NewSessionWithTopology is New on a healthy fabric. It panics on a
+// model NewEngine refuses; only code inside the module can build one.
 func NewSessionWithTopology(m core.Model, refRate float64, topo topology.Spec) *Session {
-	s, _ := New(Spec{Model: m, Ref: refRate, Topo: topo})
+	s, err := New(Spec{Model: m, Ref: refRate, Topo: topo})
+	if err != nil {
+		panic(err)
+	}
 	return s
 }
 
@@ -295,9 +347,10 @@ func Times(g *graph.Graph, m core.Model, refRate float64) []float64 {
 
 // StaticTimes predicts durations with the static formulas only: each
 // communication takes penalty * volume / refRate regardless of when the
-// others finish. Used by the EXP-A1 ablation.
+// others finish. Used by the EXP-A1 ablation. No engine is built, so
+// any model is accepted.
 func StaticTimes(g *graph.Graph, m core.Model, refRate float64) []float64 {
-	return NewSession(m, refRate).StaticTimes(g)
+	return (&Session{m: m, ref: refRate}).StaticTimes(g)
 }
 
 // Penalties runs Times and normalizes by the idle-network time of each

@@ -8,8 +8,10 @@ import (
 
 	"bwshare/internal/fault"
 	"bwshare/internal/graph"
+	"bwshare/internal/model"
 	"bwshare/internal/predict"
 	"bwshare/internal/randgen"
+	"bwshare/internal/schemes"
 	"bwshare/internal/topology"
 )
 
@@ -131,6 +133,33 @@ func TestNewSpecRejections(t *testing.T) {
 		if err == nil || err.Error() != c.want {
 			t.Errorf("error %v, want %q", err, c.want)
 		}
+	}
+}
+
+// TestNewEngineRefusesAnyEndpointMyrinet: Myrinet under the
+// any-endpoint rule (the EXP-A2 ablation) conflicts comms that share no
+// sender and no receiver, so its penalties are not component-local and
+// the progressive engine refuses it. Its static penalties stay
+// available, as EXP-A2 scores it.
+func TestNewEngineRefusesAnyEndpointMyrinet(t *testing.T) {
+	m := model.Myrinet{Rule: graph.AnyEndpoint, PerSourceMin: true}
+	_, err := predict.NewEngine(predict.Spec{Model: m, Ref: 1e8})
+	want := "predict: myrinet under the any-endpoint conflict rule is not component-local and has no progressive prediction; use its static penalties"
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if _, err := predict.New(predict.Spec{Model: m, Ref: 1e8}); err == nil {
+		t.Fatal("New accepted the any-endpoint Myrinet model")
+	}
+	g := schemes.Fig5()
+	static := predict.StaticTimes(g, m, 1e8)
+	for i, p := range m.Penalties(g) {
+		if want := p * g.Comm(graph.CommID(i)).Volume / 1e8; static[i] != want {
+			t.Errorf("comm %d: static time %g, want %g", i, static[i], want)
+		}
+	}
+	if _, err := predict.NewEngine(predict.Spec{Model: model.Myrinet{Rule: graph.SameRole}, Ref: 1e8}); err != nil {
+		t.Fatalf("same-role Myrinet without the per-source minimum refused: %v", err)
 	}
 }
 
