@@ -1,12 +1,12 @@
 # Tier-1 verification and development targets. `make verify` is the
 # canonical local gate and mirrors the CI pipeline: format + vet gates,
-# build, tests, targeted race tests, the bwserved/bwpredict smoke diff
+# the arm64 fused-multiply-add gate, build, tests, targeted race tests, the bwserved/bwpredict smoke diff
 # and the perfbench module's vet + self-test. `make ci` additionally runs the bench-regression check and the
 # service-level load + replay gates (separate CI jobs, kept out of
 # verify because benchmarks take ~20s).
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-check fmt vet serve smoke load-smoke replay-check gateway-smoke verify ci
+.PHONY: build test race bench bench-json bench-check fmt vet fma-check serve smoke load-smoke replay-check gateway-smoke verify ci
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# fma-check cross-compiles every command for arm64 and fails if any
+# bwshare function holds a fused multiply-add, which would round
+# differently than amd64 (see scripts/fma_check.sh).
+fma-check:
+	sh scripts/fma_check.sh
+
 # serve runs the HTTP prediction service; SERVE_FLAGS passes extra flags
 # (e.g. make serve SERVE_FLAGS="-addr 127.0.0.1:9000 -workers 8").
 serve:
@@ -83,7 +89,7 @@ gateway-smoke:
 
 # The repository benchmark (perfbench/) is a module of its own, so the
 # root `go test ./...` never compiles it; vet and self-test it here.
-verify: fmt vet build test race smoke
+verify: fmt vet fma-check build test race smoke
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 ci: verify bench-check load-smoke replay-check gateway-smoke

@@ -220,7 +220,7 @@ func ringChurnBench(jobs int) func(b *testing.B) {
 			for k := 0; k < 8; k++ {
 				// Stagger volumes so one job's completions interleave
 				// with its neighbours' instead of batching.
-				vol := 20e6 * (1 + float64(k)/16)
+				vol := 20e6 * (1 + float64(float64(k)/16))
 				e.StartFlow(base+graph.NodeID(k), base+graph.NodeID((k+1)%8), vol, e.Now())
 			}
 		}
@@ -328,12 +328,14 @@ func faultChurnBench(cfg netsim.CoupledConfig) func(b *testing.B) {
 }
 
 // multiJobReplayBench measures one trace replay of `jobs` co-scheduled
-// applications on the GigE-model predictor: a fixed cycle of wide
+// applications on the engine newEngine builds: a fixed cycle of wide
 // all-to-alls, narrow pairwise exchanges and halo rings on dual-core
 // nodes, rank r on node r mod nodes, so every node's NIC carries two
-// jobs. The model re-scores the active conflict graph at every engine
-// event, so this row tracks the predictor's per-event cost.
-func multiJobReplayBench(jobs int) func(b *testing.B) {
+// jobs. On the GigE-model predictor the model re-scores the touched
+// conflict components at every engine event, so that row tracks the
+// predictor's per-event cost; on the GigE substrate the coupled
+// allocator refills them instead.
+func multiJobReplayBench(jobs int, newEngine func() (core.Engine, error)) func(b *testing.B) {
 	return func(b *testing.B) {
 		var parts []*trace.Trace
 		for j := 0; j < jobs; j++ {
@@ -366,7 +368,7 @@ func multiJobReplayBench(jobs int) func(b *testing.B) {
 			place[r] = graph.NodeID(r % nodes)
 		}
 		clu := cluster.Default(nodes)
-		e, err := predict.NewEngine(predict.Spec{Model: model.NewGigE(), Ref: gige.New(gige.DefaultConfig()).RefRate()})
+		e, err := newEngine()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -499,9 +501,15 @@ func Suite() []Benchmark {
 				}
 			}
 		}},
-		// Multi-job trace replay on the model-driven predictor (the
-		// in-process replay workload of the repository benchmark).
-		{"Replay/predict/gige/20jobs", multiJobReplayBench(20)},
+		// Multi-job trace replay on the model-driven predictor and on
+		// the substrate it predicts (the in-process replay workload of
+		// the repository benchmark times both).
+		{"Replay/predict/gige/20jobs", multiJobReplayBench(20, func() (core.Engine, error) {
+			return predict.NewEngine(predict.Spec{Model: model.NewGigE(), Ref: gige.New(gige.DefaultConfig()).RefRate()})
+		})},
+		{"Replay/substrate/gige/20jobs", multiJobReplayBench(20, func() (core.Engine, error) {
+			return gige.New(gige.DefaultConfig()), nil
+		})},
 		{"Session/times/rand32", func(b *testing.B) {
 			m, sub, err := predict.LookupModel("gige")
 			if err != nil {

@@ -68,10 +68,16 @@ func (p Placement) Validate(c Cluster) error {
 		}
 		perNode[n]++
 	}
+	// Report the lowest overfull node, so the error does not depend on
+	// map iteration order.
+	over := graph.NodeID(-1)
 	for n, k := range perNode {
-		if k > c.CoresPerNode {
-			return fmt.Errorf("cluster: node %d hosts %d tasks, capacity %d", n, k, c.CoresPerNode)
+		if k > c.CoresPerNode && (over < 0 || n < over) {
+			over = n
 		}
+	}
+	if over >= 0 {
+		return fmt.Errorf("cluster: node %d hosts %d tasks, capacity %d", over, perNode[over], c.CoresPerNode)
 	}
 	return nil
 }

@@ -54,6 +54,15 @@ func TestPlacementValidate(t *testing.T) {
 	if err := (Placement{graph.NodeID(-1)}).Validate(c); err == nil {
 		t.Error("negative node accepted")
 	}
+	// With several nodes overfull the error names the lowest, every
+	// time: it must not depend on map iteration order.
+	many := Placement{3, 3, 3, 1, 1, 1, 2, 2, 2}
+	for i := 0; i < 20; i++ {
+		err := many.Validate(Default(4))
+		if err == nil || err.Error() != "cluster: node 1 hosts 3 tasks, capacity 2" {
+			t.Fatalf("overfull placement: got %v, want node 1 named", err)
+		}
+	}
 }
 
 func TestSameNode(t *testing.T) {

@@ -99,7 +99,7 @@ func churnScenario(spec topology.Spec, jobs int) ChurnRow {
 				record(c)
 			}
 		}
-		vol := churnBaseVolume * (0.75 + 0.5*rng.Float64())
+		vol := churnBaseVolume * (0.75 + float64(0.5*rng.Float64()))
 		state[j] = jobState{arrive: t, volume: vol, remaining: churnNodesPerJob}
 		base := graph.NodeID(j * churnNodesPerJob)
 		for k := 0; k < churnNodesPerJob; k++ {

@@ -89,8 +89,8 @@ func faultRing() *graph.Graph {
 // stalls a prediction forever.
 func faultTrial(rng *rand.Rand, horizon float64) fault.Schedule {
 	return fault.Schedule{Events: []fault.Event{
-		{Kind: fault.LinkDegrade, Target: rng.IntN(faultSwitches), Factor: 0.2 + 0.5*rng.Float64(), At: 0},
-		{Kind: fault.LinkDown, Target: rng.IntN(faultSwitches), At: 0.2 * horizon, Until: (0.4 + 0.4*rng.Float64()) * horizon},
+		{Kind: fault.LinkDegrade, Target: rng.IntN(faultSwitches), Factor: 0.2 + float64(0.5*rng.Float64()), At: 0},
+		{Kind: fault.LinkDown, Target: rng.IntN(faultSwitches), At: 0.2 * horizon, Until: (0.4 + float64(0.4*rng.Float64())) * horizon},
 	}}
 }
 

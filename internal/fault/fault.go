@@ -368,10 +368,10 @@ func RandomLinks(rng *rand.Rand, switches, n int, horizon float64) Schedule {
 			e.Kind = LinkDown
 		} else {
 			e.Kind = LinkDegrade
-			e.Factor = 0.1 + 0.8*rng.Float64()
+			e.Factor = 0.1 + float64(0.8*rng.Float64())
 		}
 		if rng.IntN(4) != 0 {
-			e.Until = e.At + (0.05+0.45*rng.Float64())*horizon
+			e.Until = e.At + float64((0.05+float64(0.45*rng.Float64()))*horizon)
 		}
 		events = append(events, e)
 	}

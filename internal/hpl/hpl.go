@@ -108,7 +108,7 @@ func (c Config) updateTime(k, rank int) float64 {
 	}
 	nb := float64(c.NB)
 	flops := 2 * m * m * nb / float64(c.P)
-	return flops / c.FlopsPerSec * (1 + c.Jitter*noise(rank, k))
+	return flops / c.FlopsPerSec * (1 + float64(c.Jitter*noise(rank, k)))
 }
 
 // noise returns a deterministic pseudo-random value in [-1, 1] from
@@ -121,7 +121,9 @@ func noise(rank, k int) float64 {
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
-	return float64(x>>11)/float64(1<<53)*2 - 1
+	// x>>11 has 53 bits, so the scaling is exact; the conversion keeps
+	// the subtraction from fusing with it.
+	return float64(float64(x>>11)/float64(1<<52)) - 1
 }
 
 // Generate builds the trace.

@@ -211,7 +211,7 @@ var catalogPairs = [...][2]string{
 // pair produces, so cache-miss schemes hash uniquely fleet-wide. The
 // magnitudes stay exactly representable in float64.
 func (g *gen) uniqueVolume(k int) float64 {
-	return 1e6 + float64(g.worker)*1e9 + float64(g.op)*1e3 + float64(k)*7
+	return 1e6 + float64(float64(g.worker)*1e9) + float64(float64(g.op)*1e3) + float64(float64(k)*7)
 }
 
 // next emits the requests of one op and advances the stream.

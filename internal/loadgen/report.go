@@ -45,7 +45,7 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(float64(len(sorted))*q+0.5) - 1
+	idx := int(float64(float64(len(sorted))*q)+0.5) - 1
 	if idx < 0 {
 		idx = 0
 	}

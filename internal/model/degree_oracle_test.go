@@ -38,7 +38,7 @@ func oracleOutPenalty(m DegreeModel, g *graph.Graph, c graph.Comm) float64 {
 	}
 	base := float64(do) * m.Beta
 	if g.InDegree(c.Dst) == maxDi {
-		return base * (1 + m.GammaOut*float64(do-card))
+		return base * (1 + float64(m.GammaOut*float64(do-card)))
 	}
 	return base * (1 - m.GammaOut/float64(card))
 }
@@ -60,7 +60,7 @@ func oracleInPenalty(m DegreeModel, g *graph.Graph, c graph.Comm) float64 {
 	}
 	base := float64(di) * m.Beta
 	if g.OutDegree(c.Src) == maxDo {
-		return base * (1 + m.GammaIn*float64(di-card))
+		return base * (1 + float64(m.GammaIn*float64(di-card)))
 	}
 	return base * (1 - m.GammaIn/float64(card))
 }

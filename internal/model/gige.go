@@ -94,7 +94,7 @@ func (m DegreeModel) PenaltiesInto(g *graph.Graph, sc *Scratch) []float64 {
 		if do != 1 {
 			base := float64(do) * m.Beta
 			if c := cm[s]; di == c.maxDi {
-				po = base * (1 + m.GammaOut*float64(do-c.cardO))
+				po = base * (1 + float64(m.GammaOut*float64(do-c.cardO)))
 			} else {
 				po = base * (1 - m.GammaOut/float64(c.cardO))
 			}
@@ -102,7 +102,7 @@ func (m DegreeModel) PenaltiesInto(g *graph.Graph, sc *Scratch) []float64 {
 		if di != 1 {
 			base := float64(di) * m.Beta
 			if c := cm[d]; do == c.maxDo {
-				pi = base * (1 + m.GammaIn*float64(di-c.cardI))
+				pi = base * (1 + float64(m.GammaIn*float64(di-c.cardI)))
 			} else {
 				pi = base * (1 - m.GammaIn/float64(c.cardI))
 			}

@@ -17,10 +17,11 @@ import (
 // uses the two types of this file:
 //
 //   - slotIndex, the persistent constraint-slot index: one interning
-//     table per namespace, a union-find over the slots and a per-slot
-//     touch stamp. It only ever accretes unions, so after departures it
-//     over-approximates connectivity; its owner compacts it once enough
-//     removals accumulate (compactDue).
+//     table per namespace, a union-find over the slots, a per-slot
+//     touch stamp and a per-component member list of the linked flows.
+//     It only ever accretes unions, so after departures it
+//     over-approximates connectivity; its owner compacts it once
+//     enough removals accumulate (compactDue).
 //   - componentGrouper, the exact transient grouping of one flow slice:
 //     components in first-flow order, slice order inside each.
 //     IncrementalAllocator regroups the dirty flows with it before its
@@ -124,15 +125,20 @@ func (t *slotTable) clear() {
 // slotIndex is the persistent constraint-slot index over the active
 // flows of one engine run. Slots are interned per namespace on first
 // sight: senders and receivers by node id, uplinks and downlinks by
-// edge-switch id, and they keep their number until reset. touch is per
-// slot and authoritative at union-find roots: the epoch of the last
-// event that touched the component, merged by max on union.
+// edge-switch id, and they keep their number until reset. touch and
+// members are per slot and authoritative at union-find roots: the epoch
+// of the last event that touched the component (merged by max on
+// union) and the circular list of its linked flows (through Flow.next
+// and Flow.prev, spliced on union).
+// gathered is the owner's per-slot scratch stamp.
 type slotIndex struct {
 	topo     topology.Spec
 	snd, rcv slotTable
 	up, dn   slotTable
 	uf       unionFind
 	touch    []uint64
+	members  []*Flow
+	gathered []uint64
 	removals int // departures since the last compaction, counted by the owner
 }
 
@@ -145,6 +151,8 @@ func (x *slotIndex) intern(t *slotTable, id int) int32 {
 	s := int32(len(x.touch))
 	x.uf.grow(int(s) + 1)
 	x.touch = append(x.touch, 0)
+	x.members = append(x.members, nil)
+	x.gathered = append(x.gathered, 0)
 	if id < 0 || id >= maxDenseNode {
 		if t.big == nil {
 			t.big = make(map[int]int32)
@@ -175,13 +183,55 @@ func (x *slotIndex) slots(src, dst graph.NodeID, sl *[4]int32) int {
 }
 
 // union merges the components of slots a and b, carrying the newer
-// touch stamp to the surviving root, and returns that root.
+// touch stamp and the absorbed member list to the surviving root, and
+// returns that root.
 func (x *slotIndex) union(a, b int32) int32 {
 	r, lost := x.uf.union(a, b)
+	if r == lost {
+		return r
+	}
 	if x.touch[lost] > x.touch[r] {
 		x.touch[r] = x.touch[lost]
 	}
+	if m := x.members[lost]; m != nil {
+		x.members[r] = spliceMembers(x.members[r], m)
+		x.members[lost] = nil
+	}
 	return r
+}
+
+// Member lists are circular and doubly linked through Flow.next and
+// Flow.prev, in no particular order: a union splices two lists and a
+// new flow goes to the tail, both in O(1). DirtyTracker sorts what it
+// gathers and may relist a component in that order.
+
+// spliceMembers joins the member lists headed by a and b (b non-nil)
+// and returns the head of the result.
+func spliceMembers(a, b *Flow) *Flow {
+	if a == nil {
+		return b
+	}
+	at, bt := a.prev, b.prev
+	at.next, b.prev = b, at
+	bt.next, a.prev = a, bt
+	return a
+}
+
+// insert adds f to the tail of the member list of root r.
+func (x *slotIndex) insert(f *Flow, r int32) {
+	f.next, f.prev = f, f
+	x.members[r] = spliceMembers(x.members[r], f)
+}
+
+// relist relinks the member list of root r in the order of fs, which
+// must hold exactly its members.
+func (x *slotIndex) relist(r int32, fs []*Flow) {
+	p := fs[len(fs)-1]
+	for _, f := range fs {
+		p.next, f.prev = f, p
+		p = f
+	}
+	x.members[r] = fs[0]
 }
 
 // join unions the slots sl (as set by slots) and returns the component
@@ -194,10 +244,41 @@ func (x *slotIndex) join(sl []int32) int32 {
 	return r
 }
 
-// link interns and unions f's constraint slots and returns the root.
-func (x *slotIndex) link(f *Flow) int32 {
+// connect interns and unions f's constraint slots and returns the
+// root.
+func (x *slotIndex) connect(f *Flow) int32 {
 	var sl [4]int32
 	return x.join(sl[:x.slots(f.Src, f.Dst, &sl)])
+}
+
+// link connects f and adds it to its component's member list, returning
+// the root.
+func (x *slotIndex) link(f *Flow) int32 {
+	r := x.connect(f)
+	x.insert(f, r)
+	return r
+}
+
+// relink re-derives the partition and member lists from the live flows
+// after unlink.
+func (x *slotIndex) relink(flows []*Flow) {
+	for _, f := range flows {
+		x.link(f)
+	}
+}
+
+// remove takes f out of the member list of its component, whose root is
+// r.
+func (x *slotIndex) remove(f *Flow, r int32) {
+	if f.next == f {
+		x.members[r] = nil
+	} else {
+		f.prev.next, f.next.prev = f.next, f.prev
+		if x.members[r] == f {
+			x.members[r] = f.next
+		}
+	}
+	f.next, f.prev = nil, nil
 }
 
 // root returns the component root of f, whose slots must be interned.
@@ -230,12 +311,13 @@ func (x *slotIndex) compactDue(nlive int) bool {
 	return x.removals >= compactionFloor && x.removals >= nlive
 }
 
-// unlink starts a compaction: every slot reverts to an unstamped
-// singleton, keeping its number. The owner then links its live flows
-// again.
+// unlink starts a compaction: every slot reverts to an unstamped,
+// memberless singleton, keeping its number. The owner then links its
+// live flows again.
 func (x *slotIndex) unlink() {
 	x.uf.reset()
 	clear(x.touch)
+	clear(x.members)
 	x.removals = 0
 }
 
@@ -254,11 +336,14 @@ func (x *slotIndex) reset() {
 	for _, t := range [...]*slotTable{&x.snd, &x.rcv, &x.up, &x.dn} {
 		t.clear()
 	}
+	clear(x.members) // drop the flow pointers before truncating
 	if cap(x.touch) > maxPooledScratchLen {
-		x.uf, x.touch = unionFind{}, nil
+		x.uf, x.touch, x.members, x.gathered = unionFind{}, nil, nil, nil
 	}
 	x.uf.resize(0)
 	x.touch = x.touch[:0]
+	x.members = x.members[:0]
+	x.gathered = x.gathered[:0]
 	x.removals = 0
 }
 

@@ -1,6 +1,11 @@
 package netsim
 
-import "bwshare/internal/fault"
+import (
+	"cmp"
+	"slices"
+
+	"bwshare/internal/fault"
+)
 
 // Incremental component-scoped allocation.
 //
@@ -47,8 +52,8 @@ import "bwshare/internal/fault"
 // oracle fills — and (b) the per-component dense fill
 // (coupledDenseAllocate) is bit-identical to the per-component
 // reference fill by the PR-2/PR-4 differential guarantees. The engine's
-// active slice keeps flows in start order (reap compacts in place), so
-// the sub-slice order never drifts between the two.
+// active slice keeps flows in start order (completion compacts it in
+// place), so the sub-slice order never drifts between the two.
 
 // DirtyTracker is the component-tracking half of an incremental
 // allocator. Embedded in an Allocator it implements ActiveSetObserver
@@ -60,6 +65,15 @@ import "bwshare/internal/fault"
 // flow. Components are over sender and receiver NICs; IncrementalAllocator
 // also sets its fabric before arming, so that edge uplinks and downlinks
 // join them. Steady-state use allocates nothing.
+//
+// Dirty costs what the event touched, not the active population. Each
+// mark also records the marked slot, and Dirty walks the member lists
+// of the marked components — kept by the slot index: spliced on union,
+// unlinked on departure, rebuilt on compaction — and sorts what it
+// gathered by Flow.ID; a component gathered alone gets its list
+// written back in that order, so gathering it again needs no sort. A
+// FluidEngine's active slice is in ID order (it appends flows as it
+// numbers them and compacts in place), so that is slice order.
 type DirtyTracker struct {
 	attached bool
 	tracking bool
@@ -70,6 +84,8 @@ type DirtyTracker struct {
 	// and Clean advances seen past all of them.
 	idx   slotIndex
 	seen  uint64
+	marks []int32 // slots stamped since the last Clean (duplicates allowed)
+	pass  uint64  // Dirty calls so far: the idx.gathered stamp of this one
 	dirty []*Flow // flows of dirty components, in slice order
 }
 
@@ -92,19 +108,24 @@ func (t *DirtyTracker) FlowStarted(f *Flow) {
 	if !t.tracking {
 		return
 	}
-	t.idx.touch[t.idx.link(f)] = t.seen + 1
+	r := t.idx.link(f)
+	t.idx.touch[r] = t.seen + 1
+	t.marks = append(t.marks, r)
 	t.nlive++
 }
 
-// FlowFinished implements ActiveSetObserver: the departing flow's
-// component becomes dirty. The partition itself is left alone — it now
-// over-approximates connectivity, which dirty marking tolerates — and is
-// compacted amortized in Dirty.
+// FlowFinished implements ActiveSetObserver: the departing flow leaves
+// its component's member list and the component becomes dirty. The
+// partition itself is left alone — it now over-approximates
+// connectivity, which dirty marking tolerates — and is compacted
+// amortized in Dirty.
 func (t *DirtyTracker) FlowFinished(f *Flow) {
 	if !t.tracking {
 		return
 	}
-	t.idx.stamp(t.idx.snd.get(int(f.Src)), t.seen+1)
+	r := t.idx.stamp(t.idx.snd.get(int(f.Src)), t.seen+1)
+	t.idx.remove(f, r)
+	t.marks = append(t.marks, r)
 	t.idx.removals++
 	t.nlive--
 }
@@ -125,7 +146,7 @@ func (t *DirtyTracker) FaultTargetsChanged(targets []fault.Target) {
 	for _, tg := range targets {
 		for _, s := range t.idx.faultSlots(tg) {
 			if s >= 0 {
-				t.idx.stamp(s, t.seen+1)
+				t.marks = append(t.marks, t.idx.stamp(s, t.seen+1))
 			}
 		}
 	}
@@ -139,15 +160,21 @@ func (t *DirtyTracker) ActiveSetReset() {
 	t.nlive = 0
 	t.seen = 0
 	t.idx.reset()
+	t.marks = t.marks[:0]
+	t.pass = 0
 	if cap(t.dirty) > maxPooledScratchLen {
 		t.dirty = nil
+	}
+	if cap(t.marks) > maxPooledScratchLen {
+		t.marks = nil
 	}
 }
 
 // Dirty returns the flows of the components an event touched since the
 // last Clean, in slice order: a union of whole constraint components of
-// flows, empty when every component is clean. An untracked tracker
-// returns flows itself. The result is valid until Clean.
+// flows, empty when every component is clean. flows must be the tracked
+// set in Flow.ID order, as an engine's active slice is. An untracked
+// tracker returns flows itself. The result is valid until Clean.
 func (t *DirtyTracker) Dirty(flows []*Flow) []*Flow {
 	if !t.tracking {
 		return flows
@@ -155,36 +182,71 @@ func (t *DirtyTracker) Dirty(flows []*Flow) []*Flow {
 	if t.nlive != len(flows) {
 		panic("netsim: tracked flow count disagrees with the flow set; an engine-attached allocator must only be invoked by its engine")
 	}
-	// Stamps live at roots and unions merge them, so one find per flow
-	// suffices.
-	x, dirty := &t.idx, t.dirty[:0]
-	for _, f := range flows {
-		if x.touch[x.root(f)] > t.seen {
-			dirty = append(dirty, f)
+	// Stamps live at roots and unions merge them, so every dirty
+	// component is the component of a mark. Gather the members of each
+	// dirty component once, keeping one mark per component that still
+	// has members (a stale mark on an emptied component can go: a flow
+	// joining it marks it again).
+	x := &t.idx
+	t.pass++
+	roots, dirty := t.marks[:0], t.dirty[:0]
+	for _, m := range t.marks {
+		r := x.uf.find(m)
+		if h := x.members[r]; x.touch[r] > t.seen && h != nil && x.gathered[r] != t.pass {
+			x.gathered[r] = t.pass
+			roots = append(roots, r)
+			for f := h; ; {
+				dirty = append(dirty, f)
+				if f = f.next; f == h {
+					break
+				}
+			}
 		}
 	}
-	t.dirty = dirty
+	if !idOrdered(dirty) {
+		slices.SortFunc(dirty, func(a, b *Flow) int { return cmp.Compare(a.ID, b.ID) })
+		if len(roots) == 1 {
+			// The sorted flows are exactly the component's members:
+			// keep the list in that order, so a component dirty event
+			// after event (one scheme's flows in a session) is sorted
+			// when gathered again.
+			x.relist(roots[0], dirty)
+		}
+	}
+	t.marks, t.dirty = roots, dirty
 	if x.compactDue(len(flows)) {
 		// Re-derive the partition from the live flows, shedding the
 		// over-merges departures left, and re-mark the dirty flows.
 		x.unlink()
-		for _, f := range flows {
-			x.link(f)
-		}
-		for _, f := range dirty {
-			x.touch[x.root(f)] = t.seen + 1
+		x.relink(flows)
+		t.marks = t.marks[:0]
+		for _, f := range t.dirty {
+			r := x.root(f)
+			x.touch[r] = t.seen + 1
+			t.marks = append(t.marks, r)
 		}
 	}
-	return dirty
+	return t.dirty
+}
+
+// idOrdered reports whether fs is in ascending Flow.ID order.
+func idOrdered(fs []*Flow) bool {
+	for i := 1; i < len(fs); i++ {
+		if fs[i].ID < fs[i-1].ID {
+			return false
+		}
+	}
+	return true
 }
 
 // Clean marks every component clean once the owner has refilled the
-// flows Dirty returned. It drops the tracker's flow pointers: the
-// Allocator contract forbids retaining them past the call (the engine
-// recycles completed Flow structs, and a kept pointer would also pin
-// structs the free-list cap meant to release to the GC).
+// flows Dirty returned. It drops the gathered flow pointers: only the
+// member lists may hold flows past the call, and only live ones (the
+// engine recycles completed Flow structs, and a kept pointer would also
+// pin structs the free-list cap meant to release to the GC).
 func (t *DirtyTracker) Clean() {
 	t.seen++
+	t.marks = t.marks[:0]
 	clear(t.dirty)
 }
 

@@ -120,7 +120,7 @@ func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch) {
 		rho := sc.inflow[d.ridx[i]] / sc.rxCap[d.ridx[i]]
 		if rho > threshold && cfg.Coupling > 0 {
 			sline := cfg.LineRate * cfg.Faults.HostFactor(int(flows[i].Src))
-			reduced := sline * (1 - cfg.Coupling*(1-1/rho))
+			reduced := sline * (1 - float64(cfg.Coupling*(1-1/rho)))
 			if si := d.sidx[i]; reduced < sc.effSend[si] {
 				sc.effSend[si] = reduced
 			}

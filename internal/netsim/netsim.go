@@ -35,12 +35,17 @@ type Flow struct {
 	Src, Dst  graph.NodeID
 	Remaining float64 // bytes left, as of the flow's last integration point
 	Rate      float64 // set by the Allocator, bytes/second
+
+	// next and prev link the flow into its constraint component's
+	// member list while a DirtyTracker tracks it (see slotIndex).
+	next, prev *Flow
 }
 
 // Allocator assigns an instantaneous rate to every active flow. It is
 // invoked whenever the active set changes. Implementations write
 // Flow.Rate and must keep every rate >= 0; they must not retain the
-// slice or the Flow pointers (the engine recycles completed flows).
+// slice or the Flow pointers (the engine recycles completed flows),
+// except as an ActiveSetObserver below.
 type Allocator interface {
 	Allocate(flows []*Flow)
 }
@@ -51,6 +56,8 @@ type Allocator interface {
 // allocator of every change: FlowStarted when a flow joins, FlowFinished
 // for each completed flow, and ActiveSetReset when the engine (re)starts
 // from an empty set. An observing allocator must serve a single engine.
+// It may hold a started flow's pointer until that flow finishes or the
+// set resets, and no longer.
 type ActiveSetObserver interface {
 	FlowStarted(f *Flow)
 	FlowFinished(f *Flow)
@@ -84,7 +91,7 @@ type FluidEngine struct {
 	free   []*Flow // recycled Flow structs, reused by StartFlow
 	nextID int
 	dirty  bool
-	done   []core.Completion // reap scratch, reused across events
+	done   []core.Completion // complete's scratch, reused across events
 
 	faults *fault.Timeline // nil = static healthy fabric
 	fobs   FaultObserver   // alloc, if it observes faults; else nil
@@ -193,8 +200,10 @@ func (e *FluidEngine) RefRate() float64 { return e.refRate }
 func (e *FluidEngine) Now() float64 { return e.now }
 
 // recycle returns a completed Flow struct to the free list, dropping it
-// once the list is at capacity (see maxFreeFlows).
+// once the list is at capacity (see maxFreeFlows). Its member-list
+// links go, so a pooled struct pins no other.
 func (e *FluidEngine) recycle(f *Flow) {
+	f.next, f.prev = nil, nil
 	if len(e.free) < maxFreeFlows {
 		e.free = append(e.free, f)
 	}
@@ -283,7 +292,6 @@ func (e *FluidEngine) Advance(limit float64) ([]core.Completion, float64) {
 			e.syncFaults()
 			return nil, e.now
 		}
-		e.reallocate()
 		te, ok := e.nextCompletionTime()
 		if tf, fok := e.nextFaultTime(); fok && tf <= limit && (!ok || tf < te) {
 			// The fabric changes before the next completion: integrate the
@@ -299,8 +307,7 @@ func (e *FluidEngine) Advance(limit float64) ([]core.Completion, float64) {
 			e.integrateTo(limit)
 			return nil, e.now
 		}
-		e.integrateTo(te)
-		done := e.reap(te)
+		done := e.complete(te)
 		if len(done) == 0 {
 			// Numerical stall: te was computed as the earliest finish
 			// time, but at a large clock value the remaining time of the
@@ -320,7 +327,7 @@ func (e *FluidEngine) Advance(limit float64) ([]core.Completion, float64) {
 // float tolerance (the argmin set of nextCompletionTime). It guarantees
 // progress when byte-space reaping stalls on rounding. Flows already
 // inside the completionEps byte threshold are due regardless of rate, so
-// this path and reap's byte test agree on what counts as finished.
+// this path and complete's byte test agree on what counts as finished.
 func (e *FluidEngine) forceReapDue(t float64) []core.Completion {
 	slack := 1e-12 * (1 + math.Abs(t))
 	for _, f := range e.active {
@@ -328,33 +335,30 @@ func (e *FluidEngine) forceReapDue(t float64) []core.Completion {
 			f.Remaining = 0
 		}
 	}
-	return e.reap(t)
+	return e.complete(t)
 }
 
-func (e *FluidEngine) reallocate() {
-	if !e.dirty {
-		return
+// nextCompletionTime re-rates the active set if it changed, then returns
+// the earliest finish time among active flows at current rates. Flows
+// with zero rate never finish — except flows already within
+// completionEps of done, which are due immediately: a sub-epsilon volume
+// (or an integration residue) paired with a zero rate would otherwise
+// never be reported and hang replay. New rates are validated in the
+// same pass.
+func (e *FluidEngine) nextCompletionTime() (float64, bool) {
+	fresh := e.dirty
+	if fresh {
+		e.alloc.Allocate(e.active)
+		e.dirty = false
 	}
-	e.alloc.Allocate(e.active)
+	best, due := math.Inf(1), false
 	for _, f := range e.active {
-		if f.Rate < 0 || math.IsNaN(f.Rate) {
+		if fresh && (f.Rate < 0 || math.IsNaN(f.Rate)) {
 			panic(fmt.Sprintf("netsim: allocator produced invalid rate %g", f.Rate))
 		}
-	}
-	e.dirty = false
-}
-
-// nextCompletionTime returns the earliest finish time among active flows
-// at current rates. Flows with zero rate never finish — except flows
-// already within completionEps of done, which are due immediately: a
-// sub-epsilon volume (or an integration residue) paired with a zero rate
-// would otherwise never be reported and hang replay.
-func (e *FluidEngine) nextCompletionTime() (float64, bool) {
-	e.reallocate()
-	best := math.Inf(1)
-	for _, f := range e.active {
 		if f.Remaining <= completionEps {
-			return e.now, true // nothing can be earlier than the frontier
+			due = true // nothing can be earlier than the frontier
+			continue
 		}
 		if f.Rate <= 0 {
 			continue
@@ -364,35 +368,53 @@ func (e *FluidEngine) nextCompletionTime() (float64, bool) {
 			best = t
 		}
 	}
+	if due {
+		return e.now, true
+	}
 	if math.IsInf(best, 1) {
 		return 0, false
 	}
 	return best, true
 }
 
+// integrateTo moves every active flow to time t at its current rate.
+// The rates must be current: every caller asks nextCompletionTime
+// first, which re-rates a changed set.
 func (e *FluidEngine) integrateTo(t float64) {
 	if t <= e.now {
 		return
 	}
-	e.reallocate()
 	dt := t - e.now
 	for _, f := range e.active {
-		f.Remaining -= f.Rate * dt
-		if f.Remaining < 0 {
-			f.Remaining = 0
-		}
+		f.integrate(dt)
 	}
 	e.now = t
 }
 
-// reap removes finished flows and returns their completions at time t.
-// Completed Flow structs go back to the free list for reuse. The
-// returned slice is engine-owned scratch (see Advance), reused across
-// calls so the steady-state event loop allocates nothing.
-func (e *FluidEngine) reap(t float64) []core.Completion {
+// integrate moves f forward dt seconds at its current rate. The
+// product is rounded on its own (no fused multiply-add), so every
+// architecture takes the same bits.
+func (f *Flow) integrate(dt float64) {
+	f.Remaining -= float64(f.Rate * dt)
+	if f.Remaining < 0 {
+		f.Remaining = 0
+	}
+}
+
+// complete is integrateTo(t) and the reaping of finished flows in one
+// pass, with the same per-flow arithmetic: it returns their completions
+// at time t. Completed Flow structs go back to the free list for reuse.
+// The returned slice is engine-owned scratch (see Advance), reused
+// across calls so the steady-state event loop allocates nothing.
+func (e *FluidEngine) complete(t float64) []core.Completion {
+	dt := t - e.now
+	move := dt > 0
 	done := e.done[:0]
 	keep := e.active[:0]
 	for _, f := range e.active {
+		if move {
+			f.integrate(dt)
+		}
 		if f.Remaining <= completionEps {
 			done = append(done, core.Completion{Flow: f.ID, Time: t})
 			if e.obs != nil {
@@ -405,6 +427,9 @@ func (e *FluidEngine) reap(t float64) []core.Completion {
 	}
 	e.active = keep
 	e.done = done
+	if move {
+		e.now = t
+	}
 	if len(done) > 0 {
 		e.dirty = true
 	}

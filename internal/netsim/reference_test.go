@@ -142,7 +142,7 @@ func referenceCoupledAllocate(cfg CoupledConfig, flows []*Flow) {
 			effSend[f.Src] = cur
 		}
 		if rho > threshold && cfg.Coupling > 0 {
-			reduced := sline * (1 - cfg.Coupling*(1-1/rho))
+			reduced := sline * (1 - float64(cfg.Coupling*(1-1/rho)))
 			if reduced < cur {
 				effSend[f.Src] = reduced
 			}

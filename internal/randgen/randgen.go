@@ -88,7 +88,7 @@ func intIn(rng *rand.Rand, lo, hi int) int {
 
 // volIn draws a volume uniformly from [lo, hi].
 func volIn(rng *rand.Rand, lo, hi float64) float64 {
-	return lo + rng.Float64()*(hi-lo)
+	return lo + float64(rng.Float64()*(hi-lo))
 }
 
 // Scheme draws one random communication scheme from rng under cfg.

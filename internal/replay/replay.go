@@ -16,11 +16,20 @@
 //   - Barriers release every task at the instant the last one arrives.
 //   - Transfers between two tasks on the same cluster node bypass the
 //     network and cost cluster.LocalCopyTime(bytes).
+//
+// Cost: one replay event costs what it touches, not the task or message
+// population. After every post no pending send/receive pair matches,
+// and a blocked task has exactly one pending operation, so a new send
+// can only match its receiver's pending receive and a new receive only
+// a send queued to its rank; each is found by index (see postSend and
+// postRecv). Tasks and transfers are the queue's callbacks themselves
+// (des.Runner), transfer records are pooled per run, and engine flow
+// ids map to transfers through a dense table, so a replay allocates per
+// run, not per message.
 package replay
 
 import (
 	"fmt"
-	"math"
 
 	"bwshare/internal/cluster"
 	"bwshare/internal/core"
@@ -71,45 +80,77 @@ type taskPhase int
 const (
 	phaseReady taskPhase = iota
 	phaseComputing
-	phaseSendWait // reached a send, waiting for matching recv or transfer end
-	phaseRecvWait // reached a recv, waiting for matching send or transfer end
+	phaseSendPosted // reached a send, no matching receive yet
+	phaseRecvPosted // reached a receive, no matching send yet
+	phaseTransfer   // matched; waiting for the transfer to end
 	phaseBarrier
 	phaseDone
 )
 
-// pendingSend is a send that has reached its call and awaits matching.
-type pendingSend struct {
-	from, to int
-	tag      int
-	bytes    float64
-	atTime   float64 // when the sender reached the call
-	seq      int     // global arrival order for deterministic ANY_SOURCE
-}
-
-// pendingRecv is a posted receive awaiting a matching send.
-type pendingRecv struct {
-	by   int
-	from int // trace.AnySource allowed
-	tag  int
-	seq  int
-}
-
 type task struct {
+	s       *sim
 	rank    int
 	prog    trace.Task
 	pc      int
 	phase   taskPhase
 	opStart float64 // when the current blocking op began
+	// inHead and inTail delimit this rank's inbox: the ranks whose
+	// posted send targets it and is still unmatched, in posting order,
+	// linked through next (-1 ends the list).
+	inHead, inTail, next int
 }
 
-// transfer is an in-flight matched communication.
+// Run implements des.Runner: a task timer (compute end, barrier
+// release) resumes the task at the queue's clock.
+func (t *task) Run() { t.s.step(t, t.s.q.Now()) }
+
+// transfer is an in-flight matched communication. Records are pooled
+// per run (sim.free).
 type transfer struct {
+	s         *sim
 	from, to  int
 	sendStart float64 // sender call time
 	recvStart float64
 	matched   float64 // when both sides were present
 	bytes     float64
 	local     bool
+}
+
+// Run implements des.Runner: a local copy ends at the queue's clock.
+func (tr *transfer) Run() { tr.s.finishTransfer(tr, tr.s.q.Now()) }
+
+// flowTable maps engine flow ids to in-flight network transfers. A
+// reset FluidEngine numbers flows 0, 1, ... and a trace starts at most
+// one flow per send, so ids below the send count index a slice;
+// core.Engine promises only unique ids, and any other id goes to a map.
+type flowTable struct {
+	dense []*transfer
+	big   map[int]*transfer
+}
+
+func (ft *flowTable) put(id int, tr *transfer) {
+	if uint(id) < uint(len(ft.dense)) {
+		ft.dense[id] = tr
+		return
+	}
+	if ft.big == nil {
+		ft.big = make(map[int]*transfer)
+	}
+	ft.big[id] = tr
+}
+
+// take removes and returns the transfer of flow id.
+func (ft *flowTable) take(id int) *transfer {
+	var tr *transfer
+	if uint(id) < uint(len(ft.dense)) {
+		tr, ft.dense[id] = ft.dense[id], nil
+	} else if tr = ft.big[id]; tr != nil {
+		delete(ft.big, id)
+	}
+	if tr == nil {
+		panic(fmt.Sprintf("replay: engine reported unknown flow %d", id))
+	}
+	return tr
 }
 
 type sim struct {
@@ -119,14 +160,13 @@ type sim struct {
 	// q holds the task-side timers (compute ends, local copies, barrier
 	// releases). The replay loop is the queue's single owner.
 	q      *des.Queue
-	tasks  []*task
-	sends  []*pendingSend
-	recvs  []*pendingRecv
-	seq    int
-	flows  map[int]*transfer // engine flow id -> transfer
+	tasks  []task
+	free   []*transfer // finished transfer records, reused
+	flows  flowTable
+	done   []core.Completion // copy of the engine's last completions
 	inBar  int
 	res    Result
-	remain int
+	remain int // tasks that have not finished their program
 }
 
 // Run replays tr over eng with the given cluster and placement. The
@@ -147,24 +187,33 @@ func Run(eng core.Engine, clu cluster.Cluster, place cluster.Placement, tr *trac
 	if r, ok := eng.(core.Resetter); ok {
 		r.Reset()
 	}
+	n := tr.NumTasks()
 	s := &sim{
 		eng:    eng,
 		clu:    clu,
 		place:  place,
 		q:      des.NewQueue(),
-		flows:  make(map[int]*transfer),
-		remain: tr.NumTasks(),
+		tasks:  make([]task, n),
+		remain: n,
 	}
+	sends := 0
+	for _, prog := range tr.Tasks {
+		for _, ev := range prog {
+			if ev.Kind == trace.Send {
+				sends++
+			}
+		}
+	}
+	s.flows.dense = make([]*transfer, sends)
 	s.res.Engine = eng.Name()
-	s.res.Tasks = make([]TaskResult, tr.NumTasks())
-	for rank := range tr.Tasks {
-		t := &task{rank: rank, prog: tr.Tasks[rank]}
-		s.tasks = append(s.tasks, t)
+	s.res.Tasks = make([]TaskResult, n)
+	for rank := range s.tasks {
+		s.tasks[rank] = task{s: s, rank: rank, prog: tr.Tasks[rank], inHead: -1, inTail: -1, next: -1}
 		s.res.Tasks[rank].Rank = rank
 	}
 	// Kick every task off at time zero.
-	for _, t := range s.tasks {
-		s.step(t, 0)
+	for rank := range s.tasks {
+		s.step(&s.tasks[rank], 0)
 	}
 	if err := s.loop(); err != nil {
 		return nil, err
@@ -185,16 +234,16 @@ func (s *sim) loop() error {
 		}
 		done, now := s.eng.Advance(tq)
 		if len(done) > 0 {
-			for _, c := range done {
-				s.finishNetTransfer(c.Flow, c.Time)
+			// Finishing a transfer may start flows, and the engine's
+			// slice is valid only until the next StartFlow.
+			s.done = append(s.done[:0], done...)
+			for _, c := range s.done {
+				s.finishTransfer(s.flows.take(c.Flow), c.Time)
 			}
 			continue
 		}
 		if !ok {
-			if s.remain > 0 {
-				return fmt.Errorf("replay: deadlock at t=%.6f: %d tasks blocked with no pending events", now, s.remain)
-			}
-			return nil
+			return fmt.Errorf("replay: deadlock at t=%.6f: %d tasks blocked with no pending events", now, s.remain)
 		}
 		s.q.Step()
 	}
@@ -203,149 +252,135 @@ func (s *sim) loop() error {
 
 // step advances task t from time now until it blocks or finishes.
 func (s *sim) step(t *task, now float64) {
-	for {
-		if t.pc >= len(t.prog) {
-			t.phase = phaseDone
-			s.res.Tasks[t.rank].Finish = now
-			if now > s.res.Makespan {
-				s.res.Makespan = now
-			}
-			s.remain--
-			return
+	if t.pc >= len(t.prog) {
+		t.phase = phaseDone
+		s.res.Tasks[t.rank].Finish = now
+		if now > s.res.Makespan {
+			s.res.Makespan = now
 		}
-		ev := t.prog[t.pc]
-		switch ev.Kind {
-		case trace.Compute:
-			t.phase = phaseComputing
-			t.pc++
-			tt := t
-			s.q.Schedule(now+ev.Duration, func() { s.step(tt, s.q.Now()) })
-			return
-		case trace.Send:
-			t.phase = phaseSendWait
-			t.opStart = now
-			s.seq++
-			s.sends = append(s.sends, &pendingSend{
-				from: t.rank, to: ev.Peer, tag: ev.Tag, bytes: ev.Bytes,
-				atTime: now, seq: s.seq,
-			})
-			s.match(now)
-			return
-		case trace.Recv:
-			t.phase = phaseRecvWait
-			t.opStart = now
-			s.seq++
-			s.recvs = append(s.recvs, &pendingRecv{
-				by: t.rank, from: ev.Peer, tag: ev.Tag, seq: s.seq,
-			})
-			s.match(now)
-			return
-		case trace.Barrier:
-			t.phase = phaseBarrier
-			s.inBar++
-			if s.inBar == s.liveTasks() {
-				s.releaseBarrier(now)
-			}
-			return
-		default:
-			panic(fmt.Sprintf("replay: unknown event kind %q", ev.Kind))
-		}
+		s.remain--
+		return
 	}
-}
-
-// liveTasks counts tasks that have not finished their program; barriers
-// only synchronize those (a finished task cannot reach the barrier).
-func (s *sim) liveTasks() int {
-	n := 0
-	for _, t := range s.tasks {
-		if t.phase != phaseDone {
-			n++
+	ev := t.prog[t.pc]
+	switch ev.Kind {
+	case trace.Compute:
+		t.phase = phaseComputing
+		t.pc++
+		s.q.ScheduleRunner(now+ev.Duration, t)
+	case trace.Send:
+		t.opStart = now
+		s.postSend(t, ev, now)
+	case trace.Recv:
+		t.opStart = now
+		s.postRecv(t, ev, now)
+	case trace.Barrier:
+		t.phase = phaseBarrier
+		s.inBar++
+		// Barriers synchronize only the tasks still running: a
+		// finished task cannot reach one.
+		if s.inBar == s.remain {
+			s.releaseBarrier(now)
 		}
+	default:
+		panic(fmt.Sprintf("replay: unknown event kind %q", ev.Kind))
 	}
-	return n
 }
 
 func (s *sim) releaseBarrier(now float64) {
 	s.inBar = 0
-	for _, t := range s.tasks {
-		if t.phase == phaseBarrier {
+	for i := range s.tasks {
+		if t := &s.tasks[i]; t.phase == phaseBarrier {
 			t.phase = phaseReady
 			t.pc++
-			tt := t
-			s.q.Schedule(now, func() { s.step(tt, s.q.Now()) })
+			s.q.ScheduleRunner(now, t)
 		}
 	}
 }
 
-// match pairs pending sends with pending receives and starts transfers.
-func (s *sim) match(now float64) {
-	for {
-		si, ri := s.findMatch()
-		if si < 0 {
-			return
+// accepts reports whether receive ev takes a send from rank from with
+// tag tag: equal tags and a compatible source.
+func accepts(ev trace.Event, from, tag int) bool {
+	return ev.Tag == tag && (ev.Peer == trace.AnySource || ev.Peer == from)
+}
+
+// Matching. Messages match per (source, tag) in FIFO order, and a
+// receive takes the earliest-posted compatible send. Since no pending
+// pair matches after any post, and a rank has at most one pending
+// operation, a post makes at most one match, and only with the peers
+// below.
+
+// postSend posts t's send ev: it matches the receiver's pending receive
+// if that accepts it, or else joins the tail of the receiver's inbox.
+func (s *sim) postSend(t *task, ev trace.Event, now float64) {
+	r := &s.tasks[ev.Peer]
+	if r.phase == phaseRecvPosted && accepts(r.prog[r.pc], t.rank, ev.Tag) {
+		s.start(t, r, now)
+		return
+	}
+	t.phase = phaseSendPosted
+	t.next = -1
+	if r.inTail < 0 {
+		r.inHead = t.rank
+	} else {
+		s.tasks[r.inTail].next = t.rank
+	}
+	r.inTail = t.rank
+}
+
+// postRecv posts t's receive ev: it matches the first send of t's inbox,
+// in posting order, that it accepts, or else waits.
+func (s *sim) postRecv(t *task, ev trace.Event, now float64) {
+	prev := -1
+	for i := t.inHead; i >= 0; prev, i = i, s.tasks[i].next {
+		snd := &s.tasks[i]
+		if !accepts(ev, i, snd.prog[snd.pc].Tag) {
+			continue
 		}
-		snd := s.sends[si]
-		s.sends = append(s.sends[:si], s.sends[si+1:]...)
-		rcv := s.recvs[ri]
-		s.recvs = append(s.recvs[:ri], s.recvs[ri+1:]...)
-		tr := &transfer{
-			from:      snd.from,
-			to:        rcv.by,
-			sendStart: snd.atTime,
-			recvStart: s.tasks[rcv.by].opStart,
-			matched:   now,
-			bytes:     snd.bytes,
-			local:     s.place.SameNode(snd.from, rcv.by),
-		}
-		if tr.local {
-			s.res.LocalTransfers++
-			dur := s.clu.LocalCopyTime(tr.bytes)
-			trCopy := tr
-			s.q.Schedule(now+dur, func() { s.finishTransfer(trCopy, s.q.Now()) })
+		if prev < 0 {
+			t.inHead = snd.next
 		} else {
-			s.res.NetTransfers++
-			id := s.eng.StartFlow(s.place[snd.from], s.place[rcv.by], tr.bytes, now)
-			s.flows[id] = tr
+			s.tasks[prev].next = snd.next
 		}
+		if t.inTail == i {
+			t.inTail = prev
+		}
+		s.start(snd, t, now)
+		return
 	}
+	t.phase = phaseRecvPosted
 }
 
-// findMatch returns the indices of the first matching (send, recv) pair
-// in posting order, or (-1, -1). Receives match sends with equal tag and
-// compatible source; among candidates the earliest-posted send wins.
-func (s *sim) findMatch() (int, int) {
-	for ri, r := range s.recvs {
-		best, bestSeq := -1, math.MaxInt64
-		for si, snd := range s.sends {
-			if snd.to != r.by || snd.tag != r.tag {
-				continue
-			}
-			if r.from != trace.AnySource && snd.from != r.from {
-				continue
-			}
-			if snd.seq < bestSeq {
-				best, bestSeq = si, snd.seq
-			}
-		}
-		if best >= 0 {
-			return best, ri
-		}
+// start begins the transfer of snd's posted send to rcv, matched at now:
+// a local copy on the task queue or a flow on the engine.
+func (s *sim) start(snd, rcv *task, now float64) {
+	snd.phase, rcv.phase = phaseTransfer, phaseTransfer
+	var tr *transfer
+	if n := len(s.free); n > 0 {
+		tr, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		tr = new(transfer)
 	}
-	return -1, -1
-}
-
-func (s *sim) finishNetTransfer(flowID int, now float64) {
-	tr, ok := s.flows[flowID]
-	if !ok {
-		panic(fmt.Sprintf("replay: engine reported unknown flow %d", flowID))
+	*tr = transfer{
+		s:         s,
+		from:      snd.rank,
+		to:        rcv.rank,
+		sendStart: snd.opStart,
+		recvStart: rcv.opStart,
+		matched:   now,
+		bytes:     snd.prog[snd.pc].Bytes,
+		local:     s.place.SameNode(snd.rank, rcv.rank),
 	}
-	delete(s.flows, flowID)
-	s.finishTransfer(tr, now)
+	if tr.local {
+		s.res.LocalTransfers++
+		s.q.ScheduleRunner(now+s.clu.LocalCopyTime(tr.bytes), tr)
+	} else {
+		s.res.NetTransfers++
+		s.flows.put(s.eng.StartFlow(s.place[tr.from], s.place[tr.to], tr.bytes, now), tr)
+	}
 }
 
 func (s *sim) finishTransfer(tr *transfer, now float64) {
-	sender := s.tasks[tr.from]
-	receiver := s.tasks[tr.to]
+	sender, receiver := &s.tasks[tr.from], &s.tasks[tr.to]
 	sres := &s.res.Tasks[tr.from]
 	sres.SendTime += now - tr.sendStart
 	sres.BlockedSend += tr.matched - tr.sendStart
@@ -354,6 +389,7 @@ func (s *sim) finishTransfer(tr *transfer, now float64) {
 		sres.NetBytes += tr.bytes
 	}
 	s.res.Tasks[tr.to].RecvTime += now - tr.recvStart
+	s.free = append(s.free, tr)
 	sender.phase = phaseReady
 	sender.pc++
 	receiver.phase = phaseReady
