@@ -201,3 +201,103 @@ func referenceCoupledTopoAllocate(cfg CoupledConfig, flows []*Flow) {
 	}
 	referenceWaterFillTopo(flows, cfg.FlowCap, effSend, recvCap, cfg.LineRate, cfg.RxCap, cfg.Topo, cfg.FlowCap, cfg.Faults)
 }
+
+// referenceCapsFill is the map-based oracle of TopoFiller.Apply:
+// progressive filling under the per-flow ceilings caps and the fabric's
+// uplinks and downlinks only, keyed by switch id, with no NIC
+// constraint. linkCap is the capacity of one healthy uplink; fs (nil =
+// healthy) scales each switch's links by its fault factor, in both
+// directions. Constraint evaluation order per flow (cap, uplink,
+// downlink) is the dense fill's. A trivial topology, or no flow, leaves
+// the rates untouched.
+func referenceCapsFill(flows []*Flow, caps []float64, topo topology.Spec, linkCap float64, fs *fault.State) {
+	if topo.Trivial() || len(flows) == 0 {
+		return
+	}
+	const relEps = 1e-9
+	up := make(map[int]*linkSide)
+	dn := make(map[int]*linkSide)
+	crosses := make([]bool, len(flows))
+	for i, f := range flows {
+		f.Rate = 0
+		ss, ds := topo.SwitchOf(f.Src), topo.SwitchOf(f.Dst)
+		if ss == ds {
+			continue
+		}
+		crosses[i] = true
+		if up[ss] == nil {
+			c := linkCap * fs.LinkFactor(ss)
+			up[ss] = &linkSide{left: c, orig: c}
+		}
+		if dn[ds] == nil {
+			c := linkCap * fs.LinkFactor(ds)
+			dn[ds] = &linkSide{left: c, orig: c}
+		}
+		up[ss].count++
+		dn[ds].count++
+	}
+	frozen := make([]bool, len(flows))
+	remaining := len(flows)
+	for remaining > 0 {
+		inc := math.Inf(1)
+		for i, f := range flows {
+			if frozen[i] {
+				continue
+			}
+			if h := caps[i] - f.Rate; h < inc {
+				inc = h
+			}
+			if crosses[i] {
+				if u := up[topo.SwitchOf(f.Src)]; u.count > 0 {
+					if h := u.left / float64(u.count); h < inc {
+						inc = h
+					}
+				}
+				if d := dn[topo.SwitchOf(f.Dst)]; d.count > 0 {
+					if h := d.left / float64(d.count); h < inc {
+						inc = h
+					}
+				}
+			}
+		}
+		if math.IsInf(inc, 1) {
+			break
+		}
+		if inc < 0 {
+			inc = 0
+		}
+		for i, f := range flows {
+			if frozen[i] {
+				continue
+			}
+			f.Rate += inc
+			if crosses[i] {
+				up[topo.SwitchOf(f.Src)].left -= inc
+				dn[topo.SwitchOf(f.Dst)].left -= inc
+			}
+		}
+		progressed := false
+		for i, f := range flows {
+			if frozen[i] {
+				continue
+			}
+			sat := caps[i]-f.Rate <= relEps*caps[i]
+			if !sat && crosses[i] {
+				u, d := up[topo.SwitchOf(f.Src)], dn[topo.SwitchOf(f.Dst)]
+				sat = u.left <= relEps*u.orig || d.left <= relEps*d.orig
+			}
+			if sat {
+				frozen[i] = true
+				if crosses[i] {
+					up[topo.SwitchOf(f.Src)].count--
+					dn[topo.SwitchOf(f.Dst)].count--
+				}
+				remaining--
+				progressed = true
+			}
+		}
+		if !progressed {
+			break
+		}
+	}
+}

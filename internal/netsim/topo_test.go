@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"math/rand/v2"
 	"testing"
 
+	"bwshare/internal/fault"
 	"bwshare/internal/graph"
 	"bwshare/internal/measure"
 	"bwshare/internal/randgen"
@@ -285,6 +287,79 @@ func TestTopoDenseFallbackHugeNodeIDs(t *testing.T) {
 	for i := range a {
 		if a[i].Rate != b[i].Rate {
 			t.Fatalf("flow %d: opt %g ref %g", i, a[i].Rate, b[i].Rate)
+		}
+	}
+}
+
+// linkFaultStates returns the healthy state (nil) and, per fabric, a
+// link-degraded one: some uplinks slowed, one cut, at t = 0.
+func linkFaultStates(t testing.TB, spec topology.Spec) []*fault.State {
+	t.Helper()
+	sched := fault.Schedule{Events: []fault.Event{
+		{Kind: fault.LinkDegrade, Target: 0, Factor: 0.25},
+		{Kind: fault.LinkDown, Target: spec.Switches - 1},
+	}}
+	if spec.Switches > 2 {
+		sched.Events = append(sched.Events, fault.Event{Kind: fault.LinkDegrade, Target: 1, Factor: 0.6})
+	}
+	if err := sched.Validate(spec); err != nil {
+		t.Fatal(err)
+	}
+	return []*fault.State{nil, fault.Compile(sched).State()}
+}
+
+// randomCaps draws per-flow ceilings around the uplink capacity
+// linkCap: shared equal values, fractions of a link and caps above a
+// link's capacity, with the occasional zero.
+func randomCaps(rng *rand.Rand, n int, linkCap float64) []float64 {
+	eq := linkCap * (0.1 + rng.Float64())
+	caps := make([]float64, n)
+	for i := range caps {
+		switch rng.IntN(6) {
+		case 0, 1:
+			caps[i] = eq
+		case 2:
+			caps[i] = linkCap * (1 + 2*rng.Float64())
+		case 3:
+			caps[i] = 0
+		default:
+			caps[i] = linkCap * rng.Float64()
+		}
+	}
+	return caps
+}
+
+// TestTopoFillerMatchesReference: TopoFiller.Apply equals the map-based
+// referenceCapsFill bitwise over random schemes, every fabric, random
+// per-flow caps, and healthy and link-degraded states. One filler is
+// reused throughout, so scratch recycling is exercised too.
+func TestTopoFillerMatchesReference(t *testing.T) {
+	schemes, err := randgen.Schemes(9, 60, randgen.DefaultSchemeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := randgen.NewRand(23)
+	var tf TopoFiller
+	for _, spec := range topoSpecs {
+		for _, fs := range linkFaultStates(t, spec) {
+			tf.Faults = fs
+			for si, g := range schemes {
+				host := 1e8 * (0.5 + rng.Float64())
+				caps := randomCaps(rng, g.Len(), spec.UplinkCap(host))
+				a := schemeFlows(t, g)
+				b := schemeFlows(t, g)
+				for i := range a {
+					a[i].Rate, b[i].Rate = caps[i], caps[i]
+				}
+				tf.Apply(a, spec, host)
+				referenceCapsFill(b, caps, spec, spec.UplinkCap(host), fs)
+				for i := range a {
+					if a[i].Rate != b[i].Rate {
+						t.Fatalf("%s faults %v scheme %d flow %d: dense %.17g ref %.17g",
+							spec, fs != nil, si, i, a[i].Rate, b[i].Rate)
+					}
+				}
+			}
 		}
 	}
 }
