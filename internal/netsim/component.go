@@ -89,39 +89,6 @@ func (u *unionFind) union(x, y int32) (int32, int32) {
 // re-derivation to constant work per event.
 const compactionFloor = 64
 
-// slotTable maps the ids of one namespace to slots (-1 = none yet): an
-// id in [0, maxDenseNode) indexes a flat slice, any other id a small
-// overflow map.
-type slotTable struct {
-	dense []int32
-	big   map[int]int32
-}
-
-// get returns the slot of id, or -1 if it has none.
-func (t *slotTable) get(id int) int32 {
-	if uint(id) < uint(len(t.dense)) {
-		return t.dense[id]
-	}
-	if s, ok := t.big[id]; ok {
-		return s
-	}
-	return -1
-}
-
-// oversized reports whether one huge run inflated the table past the
-// retention cap.
-func (t *slotTable) oversized() bool {
-	return len(t.dense) > maxPooledScratchLen || len(t.big) > maxPooledScratchLen
-}
-
-// clear unassigns every id, keeping capacity.
-func (t *slotTable) clear() {
-	for i := range t.dense {
-		t.dense[i] = -1
-	}
-	clear(t.big)
-}
-
 // slotIndex is the persistent constraint-slot index over the active
 // flows of one engine run. Slots are interned per namespace on first
 // sight: senders and receivers by node id, uplinks and downlinks by
@@ -145,25 +112,13 @@ type slotIndex struct {
 // intern returns the slot for id in the namespace table t, issuing a
 // fresh singleton slot on first sight.
 func (x *slotIndex) intern(t *slotTable, id int) int32 {
-	if s := t.get(id); s >= 0 {
-		return s
+	s, fresh := t.intern(id, int32(len(x.touch)))
+	if fresh {
+		x.uf.grow(int(s) + 1)
+		x.touch = append(x.touch, 0)
+		x.members = append(x.members, nil)
+		x.gathered = append(x.gathered, 0)
 	}
-	s := int32(len(x.touch))
-	x.uf.grow(int(s) + 1)
-	x.touch = append(x.touch, 0)
-	x.members = append(x.members, nil)
-	x.gathered = append(x.gathered, 0)
-	if id < 0 || id >= maxDenseNode {
-		if t.big == nil {
-			t.big = make(map[int]int32)
-		}
-		t.big[id] = s
-		return s
-	}
-	for len(t.dense) <= id {
-		t.dense = append(t.dense, -1)
-	}
-	t.dense[id] = s
 	return s
 }
 
@@ -334,7 +289,7 @@ func (x *slotIndex) reset() {
 		x.up, x.dn = slotTable{}, slotTable{}
 	}
 	for _, t := range [...]*slotTable{&x.snd, &x.rcv, &x.up, &x.dn} {
-		t.clear()
+		t.reset()
 	}
 	clear(x.members) // drop the flow pointers before truncating
 	if cap(x.touch) > maxPooledScratchLen {

@@ -1,157 +1,210 @@
 package netsim
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Dense scratch state for the allocation core. graph.NodeID values are
 // small cluster indices, so per-node state lives in flat slices indexed by
 // an interned slot instead of maps. All buffers are reused across epochs
-// (one epoch per fill): the interner invalidates old slots with an epoch
+// (one epoch per fill): a slotTable invalidates old slots with an epoch
 // stamp instead of clearing, so a steady-state allocation does zero heap
 // allocation.
 
-// maxDenseNode bounds the ids the interning tables index directly.
-// Schemes use cluster node indices (tens to thousands); an id outside
+// maxDenseNode bounds the ids the slot tables index directly. Schemes
+// use cluster node indices (tens to thousands); an id outside
 // [0, maxDenseNode) is interned through a small overflow map instead of
-// a huge stamp table, on the same slow path that grows the tables.
+// a huge table, on the same slow path that grows the table.
 const maxDenseNode = 1 << 22
 
-// interner assigns dense slots 0,1,2,... to the distinct ids seen during
-// one epoch. Slots are issued in first-seen order, which matches the
-// first-visit order of the reference implementation's maps.
-type interner struct {
-	slot  []int32
-	stamp []uint64
+// slotTable maps the ids of one namespace (node ids for NICs, switch
+// ids for fabric links) to slots. An entry counts only when stamped
+// with the current epoch, so reset unassigns every id in O(1). The
+// fills use one epoch per fill, the persistent slotIndex one per run.
+type slotTable struct {
+	dense []slotEntry
 	epoch uint64
-	n     int32         // slots issued this epoch
 	big   map[int]int32 // this epoch's ids outside [0, maxDenseNode)
 }
 
-func (it *interner) begin() {
-	it.epoch++
-	it.n = 0
-	if len(it.big) > 0 {
-		clear(it.big)
+type slotEntry struct {
+	stamp uint64
+	slot  int32
+}
+
+// reset unassigns every id, keeping capacity.
+func (t *slotTable) reset() {
+	t.epoch++
+	if len(t.big) > 0 {
+		clear(t.big)
 	}
 }
 
-// intern returns the slot for id v, issuing a fresh one on first sight
-// this epoch.
-func (it *interner) intern(v int) (slot int32, fresh bool) {
-	if uint(v) >= uint(len(it.slot)) {
-		return it.internSlow(v)
-	}
-	if it.stamp[v] != it.epoch {
-		it.stamp[v] = it.epoch
-		it.slot[v] = it.n
-		it.n++
-		return it.slot[v], true
-	}
-	return it.slot[v], false
-}
-
-// internSlow is intern for an id past the tables: an id in the dense
-// range grows them, any other goes to the overflow map.
-func (it *interner) internSlow(v int) (int32, bool) {
-	if v < 0 || v >= maxDenseNode {
-		if s, ok := it.big[v]; ok {
-			return s, false
+// get returns the slot of id, or -1 if it has none this epoch.
+func (t *slotTable) get(id int) int32 {
+	if uint(id) < uint(len(t.dense)) {
+		if e := t.dense[id]; e.stamp == t.epoch {
+			return e.slot
 		}
-		if it.big == nil {
-			it.big = make(map[int]int32)
-		}
-		it.big[v] = it.n
-		it.n++
-		return it.n - 1, true
+		return -1
 	}
-	n := max(v+1, 2*len(it.slot))
-	ns := make([]int32, n)
-	copy(ns, it.slot)
-	it.slot = ns
-	nst := make([]uint64, n)
-	copy(nst, it.stamp)
-	it.stamp = nst
-	return it.intern(v)
+	if s, ok := t.big[id]; ok {
+		return s
+	}
+	return -1
 }
 
-// denseFill is the slice-backed progressive-filling state: per-flow
-// interned endpoint slots plus per-slot capacities and unfrozen counts.
-// The topology extension (topo.go) adds per-flow uplink/downlink slots
-// (-1 when a flow stays inside one edge switch) with per-slot link
-// capacities; they stay empty on the single-crossbar path.
+// intern returns the slot of id, assigning it next on first sight this
+// epoch.
+func (t *slotTable) intern(id int, next int32) (slot int32, fresh bool) {
+	if uint(id) < uint(len(t.dense)) && t.dense[id].stamp == t.epoch {
+		return t.dense[id].slot, false
+	}
+	return t.assign(id, next), true
+}
+
+// assign gives id, which has no slot this epoch, the slot next: an id
+// past the table but in the dense range grows it, an id outside that
+// range goes to the overflow map.
+func (t *slotTable) assign(id int, next int32) int32 {
+	if id < 0 || id >= maxDenseNode {
+		if s, ok := t.big[id]; ok {
+			return s
+		}
+		if t.big == nil {
+			t.big = make(map[int]int32)
+		}
+		t.big[id] = next
+		return next
+	}
+	if id >= len(t.dense) {
+		if t.epoch == 0 {
+			t.epoch = 1 // a zero (never written) entry must not read as current
+		}
+		t.dense = slices.Grow(t.dense, id+1-len(t.dense))[:id+1]
+	}
+	t.dense[id] = slotEntry{stamp: t.epoch, slot: next}
+	return next
+}
+
+// oversized reports whether one huge run inflated the table past the
+// retention cap.
+func (t *slotTable) oversized() bool {
+	return len(t.dense) > maxPooledScratchLen || len(t.big) > maxPooledScratchLen
+}
+
+// denseFill is the state of one progressive fill. Each flow has its own
+// rate ceiling and up to four constraint slots: sender and receiver NIC,
+// and for a flow crossing edge switches the source uplink and
+// destination downlink. A slot is -1 where the flow loads no such
+// constraint: a crossbar flow has no link slots, and TopoFiller's flows
+// have no NIC slots. Slots of every kind index the one links table.
 type denseFill struct {
-	sidx, ridx []int32 // per flow: sender / receiver slot
+	flows []fillFlow // per flow, in flow order
+	links links      // per slot
+}
 
-	sndLeft, sndOrig []float64
-	sndCount         []int32
-	rcvLeft, rcvOrig []float64
-	rcvCount         []int32
+// fillFlow is one flow's entry in the fill.
+type fillFlow struct {
+	f                *Flow
+	cap              float64 // rate ceiling
+	snd, rcv, up, dn int32   // constraint slots, -1 for none
+}
 
-	uidx, didx     []int32 // per flow: uplink / downlink slot, -1 if intra-switch
-	upLeft, upOrig []float64
-	upCount        []int32
-	dnLeft, dnOrig []float64
-	dnCount        []int32
+// links is the per-slot state of the fill. A slot is tested against the
+// length before use, and -1 fails that test, so a missing constraint
+// costs no more than the bounds check indexing needs anyway.
+type links []link
 
-	frozen []bool
+type link struct {
+	left, orig float64 // remaining capacity, capacity at the start of the fill
+	count      int32   // unfrozen flows on the slot
+}
+
+// slot interns id in t as a slot of the fill, opening it with no
+// capacity on first sight (fresh), and counts one more flow on it. The
+// caller sets a fresh slot's capacity in left; fill takes orig from it.
+func (d *denseFill) slot(t *slotTable, id int) (s int32, fresh bool) {
+	if s, fresh = t.intern(id, int32(len(d.links))); fresh {
+		d.links = append(d.links, link{})
+	}
+	d.links[s].count++
+	return s, fresh
+}
+
+// headroom lowers inc to slot s's equal share of what is left.
+func (l links) headroom(s int32, inc float64) float64 {
+	if i := int(s); uint(i) < uint(len(l)) && l[i].count > 0 {
+		if h := l[i].left / float64(l[i].count); h < inc {
+			return h
+		}
+	}
+	return inc
+}
+
+// take charges inc to slot s.
+func (l links) take(s int32, inc float64) {
+	if i := int(s); uint(i) < uint(len(l)) {
+		l[i].left -= inc
+	}
+}
+
+// saturated reports whether slot s is used up (relative tolerance:
+// capacities are O(1e8) bytes/second, so absolute epsilons misclassify
+// rounding residue as headroom).
+func (l links) saturated(s int32) bool {
+	i := int(s)
+	return uint(i) < uint(len(l)) && l[i].left <= relEps*l[i].orig
+}
+
+// release takes a frozen flow off slot s.
+func (l links) release(s int32) {
+	if i := int(s); uint(i) < uint(len(l)) {
+		l[i].count--
+	}
 }
 
 // reset empties the per-epoch state, keeping capacity.
 func (d *denseFill) reset() {
-	d.sidx = d.sidx[:0]
-	d.ridx = d.ridx[:0]
-	d.sndLeft = d.sndLeft[:0]
-	d.sndOrig = d.sndOrig[:0]
-	d.sndCount = d.sndCount[:0]
-	d.rcvLeft = d.rcvLeft[:0]
-	d.rcvOrig = d.rcvOrig[:0]
-	d.rcvCount = d.rcvCount[:0]
-	d.uidx = d.uidx[:0]
-	d.didx = d.didx[:0]
-	d.upLeft = d.upLeft[:0]
-	d.upOrig = d.upOrig[:0]
-	d.upCount = d.upCount[:0]
-	d.dnLeft = d.dnLeft[:0]
-	d.dnOrig = d.dnOrig[:0]
-	d.dnCount = d.dnCount[:0]
-	d.frozen = d.frozen[:0]
+	d.flows, d.links = d.flows[:0], d.links[:0]
 }
 
-// run executes progressive filling over the prepared dense state: grow
-// all unfrozen flows at the same speed until a constraint saturates,
-// freeze the flows bound by it, repeat — at most len(flows) rounds. It
-// is a line-for-line transliteration of referenceWaterFill's rounds — same
-// loop order, same floating-point operations — so rates are bit-identical
-// to the reference. sndCount/rcvCount must hold the number of flows per
-// slot on entry; they are consumed (decremented as flows freeze).
-func (d *denseFill) run(flows []*Flow, flowCap float64) {
-	const relEps = 1e-9
-	for _, f := range flows {
-		f.Rate = 0
+// relEps is the fill's relative saturation tolerance.
+const relEps = 1e-9
+
+// fill is the one progressive-filling loop of the package: grow every
+// unfrozen flow at the same speed until a ceiling or constraint
+// saturates, freeze the flows bound by it, repeat — at most len(flows)
+// rounds. Each constraint's remaining capacity is charged once per
+// unfrozen flow per round, in flow order, and a -1 slot adds no term,
+// charge or freeze test, so the rates are bit-identical to the map-based
+// references (referenceWaterFill, referenceWaterFillTopo,
+// referenceCapsFill). The slot counts must hold the number of flows on
+// each slot on entry; they are consumed as flows freeze. Frozen flows
+// leave the working prefix of d.flows, which keeps the unfrozen ones in
+// order; d.flows drops its flow pointers when the fill is done.
+func (d *denseFill) fill() {
+	defer clear(d.flows)
+	l, act := d.links, d.flows
+	for i := range l {
+		l[i].orig = l[i].left
 	}
-	for range flows {
-		d.frozen = append(d.frozen, false)
+	for _, e := range act {
+		e.f.Rate = 0
 	}
-	remaining := len(flows)
-	for remaining > 0 {
+	for len(act) > 0 {
 		// Smallest headroom over all constraints touching unfrozen flows.
 		inc := math.Inf(1)
-		for i, f := range flows {
-			if d.frozen[i] {
-				continue
-			}
-			if h := flowCap - f.Rate; h < inc {
+		for i := range act {
+			e := &act[i]
+			if h := e.cap - e.f.Rate; h < inc {
 				inc = h
 			}
-			if si := d.sidx[i]; d.sndCount[si] > 0 {
-				if h := d.sndLeft[si] / float64(d.sndCount[si]); h < inc {
-					inc = h
-				}
-			}
-			if ri := d.ridx[i]; d.rcvCount[ri] > 0 {
-				if h := d.rcvLeft[ri] / float64(d.rcvCount[ri]); h < inc {
-					inc = h
-				}
-			}
+			inc = l.headroom(e.snd, inc)
+			inc = l.headroom(e.rcv, inc)
+			inc = l.headroom(e.up, inc)
+			inc = l.headroom(e.dn, inc)
 		}
 		if math.IsInf(inc, 1) {
 			break
@@ -159,68 +212,59 @@ func (d *denseFill) run(flows []*Flow, flowCap float64) {
 		if inc < 0 {
 			inc = 0
 		}
-		// Apply the increment.
-		for i, f := range flows {
-			if d.frozen[i] {
-				continue
-			}
-			f.Rate += inc
-			d.sndLeft[d.sidx[i]] -= inc
-			d.rcvLeft[d.ridx[i]] -= inc
+		for i := range act {
+			e := &act[i]
+			e.f.Rate += inc
+			l.take(e.snd, inc)
+			l.take(e.rcv, inc)
+			l.take(e.up, inc)
+			l.take(e.dn, inc)
 		}
-		// Freeze flows at saturated constraints (relative tolerance:
-		// capacities are O(1e8) bytes/second, so absolute epsilons
-		// misclassify rounding residue as headroom).
-		progressed := false
-		for i, f := range flows {
-			if d.frozen[i] {
-				continue
-			}
-			si, ri := d.sidx[i], d.ridx[i]
-			if flowCap-f.Rate <= relEps*flowCap ||
-				d.sndLeft[si] <= relEps*d.sndOrig[si] ||
-				d.rcvLeft[ri] <= relEps*d.rcvOrig[ri] {
-				d.frozen[i] = true
-				d.sndCount[si]--
-				d.rcvCount[ri]--
-				remaining--
-				progressed = true
+		// Freeze the flows at a saturated ceiling or constraint.
+		n := 0
+		for _, e := range act {
+			if e.cap-e.f.Rate <= relEps*e.cap ||
+				l.saturated(e.snd) || l.saturated(e.rcv) ||
+				l.saturated(e.up) || l.saturated(e.dn) {
+				l.release(e.snd)
+				l.release(e.rcv)
+				l.release(e.up)
+				l.release(e.dn)
+			} else {
+				act[n] = e
+				n++
 			}
 		}
-		if !progressed {
+		if n == len(act) {
 			// inc was positive but nothing saturated exactly; numeric
 			// safety valve to guarantee termination.
 			break
 		}
+		act = act[:n]
 	}
 }
 
-// fillScratch bundles everything one allocation epoch needs: interners,
-// the dense fill state and the coupled fill's intermediate arrays.
+// fillScratch bundles everything one allocation epoch needs: the slot
+// tables, the fill state and the coupled fill's per-receiver inflow.
 // IncrementalAllocator and TopoFiller each own one.
 type fillScratch struct {
-	snd, rcv interner
-	up, dn   interner // edge-switch slots for the topology extension
+	snd, rcv slotTable // NIC slots by node id
+	up, dn   slotTable // link slots by edge-switch id
 	d        denseFill
-
-	effSend []float64 // per sender slot: coupling-adjusted capacity
-	inflow  []float64 // per receiver slot: base inflow
-	rxCap   []float64 // per receiver slot: fault-scaled receive capacity
+	inflow   []float64 // per receiver slot: base inflow
 }
 
 func (s *fillScratch) begin() {
-	s.snd.begin()
-	s.rcv.begin()
-	s.up.begin()
-	s.dn.begin()
+	s.snd.reset()
+	s.rcv.reset()
+	s.up.reset()
+	s.dn.reset()
 	s.d.reset()
-	s.effSend = s.effSend[:0]
 	s.inflow = s.inflow[:0]
-	s.rxCap = s.rxCap[:0]
 }
 
 // maxPooledScratchLen bounds the scratch a long-lived owner retains
-// between runs: a scratch whose per-flow arrays or interner tables grew
+// between runs: a scratch whose per-flow arrays or slot tables grew
 // beyond this (one huge transient scheme, or a scheme addressing many
 // distinct node ids) is dropped at the next reset instead of pinning its
 // capacity forever. Steady workloads stay far below the cap, so they
@@ -229,13 +273,9 @@ const maxPooledScratchLen = 1 << 14
 
 // oversized reports whether the scratch has outgrown the pooling cap.
 func (s *fillScratch) oversized() bool {
-	return cap(s.d.sidx) > maxPooledScratchLen ||
-		cap(s.effSend) > maxPooledScratchLen ||
+	return cap(s.d.flows) > maxPooledScratchLen ||
+		cap(s.d.links) > maxPooledScratchLen ||
 		cap(s.inflow) > maxPooledScratchLen ||
-		cap(s.rxCap) > maxPooledScratchLen ||
-		len(s.snd.slot) > maxPooledScratchLen ||
-		len(s.rcv.slot) > maxPooledScratchLen ||
-		len(s.up.slot) > maxPooledScratchLen ||
-		len(s.dn.slot) > maxPooledScratchLen ||
-		len(s.snd.big)+len(s.rcv.big) > maxPooledScratchLen
+		s.snd.oversized() || s.rcv.oversized() ||
+		s.up.oversized() || s.dn.oversized()
 }

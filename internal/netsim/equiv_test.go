@@ -35,7 +35,7 @@ func schemeFlows(t testing.TB, g *graph.Graph) []*Flow {
 	return flows
 }
 
-// waterFill runs the dense progressive fill (denseFill.run) over flows
+// waterFill runs the dense progressive fill (denseFill.fill) over flows
 // under a per-flow cap and per-node NIC capacities from senderCap and
 // recvCap, defSend/defRecv for missing entries: the signature of
 // referenceWaterFill, so the property and safety tests can run the two
@@ -44,39 +44,27 @@ func waterFill(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.Node
 	waterFillTopo(flows, flowCap, senderCap, recvCap, defSend, defRecv, topology.Spec{}, 0)
 }
 
-// waterFillTopo is waterFill with the fabric's uplink constraints
-// (denseFill.runTopo), the dense counterpart of referenceWaterFillTopo
-// on a healthy fabric. A trivial topology is exactly waterFill.
+// waterFillTopo is waterFill with the fabric's uplink constraints (the
+// link slots of denseFill.fill), the dense counterpart of
+// referenceWaterFillTopo on a healthy fabric. A trivial topology is
+// exactly waterFill.
 func waterFillTopo(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.NodeID]float64, defSend, defRecv float64, topo topology.Spec, hostRate float64) {
 	var sc fillScratch
 	sc.begin()
 	d := &sc.d
 	for _, f := range flows {
-		si, fresh := sc.snd.intern(int(f.Src))
+		si, fresh := d.slot(&sc.snd, int(f.Src))
 		if fresh {
-			c := capOf(senderCap, f.Src, defSend)
-			d.sndLeft = append(d.sndLeft, c)
-			d.sndOrig = append(d.sndOrig, c)
-			d.sndCount = append(d.sndCount, 0)
+			d.links[si].left = capOf(senderCap, f.Src, defSend)
 		}
-		d.sndCount[si]++
-		d.sidx = append(d.sidx, si)
-		ri, fresh := sc.rcv.intern(int(f.Dst))
+		ri, fresh := d.slot(&sc.rcv, int(f.Dst))
 		if fresh {
-			c := capOf(recvCap, f.Dst, defRecv)
-			d.rcvLeft = append(d.rcvLeft, c)
-			d.rcvOrig = append(d.rcvOrig, c)
-			d.rcvCount = append(d.rcvCount, 0)
+			d.links[ri].left = capOf(recvCap, f.Dst, defRecv)
 		}
-		d.rcvCount[ri]++
-		d.ridx = append(d.ridx, ri)
+		d.flows = append(d.flows, fillFlow{f: f, cap: flowCap, snd: si, rcv: ri, up: -1, dn: -1})
 	}
-	if topo.Trivial() {
-		d.run(flows, flowCap)
-		return
-	}
-	prepTopoLinks(&sc, flows, topo, topo.UplinkCap(hostRate), nil)
-	d.runTopo(flows, flowCap)
+	sc.linkSlots(topo, topo.UplinkCap(hostRate), nil)
+	d.fill()
 }
 
 // waterFillChecked runs waterFill over flows and referenceWaterFill over

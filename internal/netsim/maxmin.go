@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 
 	"bwshare/internal/fault"
 	"bwshare/internal/topology"
@@ -35,10 +36,10 @@ type CoupledConfig struct {
 	// frames. Values <= 1 make coupling engage on any overload.
 	CouplingThreshold float64
 	// Topo describes the switch fabric connecting the hosts. The zero
-	// value (single crossbar) imposes no constraints beyond the NICs
-	// and takes exactly the topology-free code path; a non-trivial
-	// fabric adds shared per-edge-switch uplink/downlink capacities to
-	// the final water-fill. Capacities derive from the single-flow
+	// value (single crossbar) imposes no constraints beyond the NICs,
+	// and its rates are bit-identical to the topology-free ones; a
+	// non-trivial fabric adds shared per-edge-switch uplink/downlink
+	// capacities to the final water-fill. Capacities derive from the single-flow
 	// reference rate (FlowCap) via Topo.UplinkCap — the same
 	// normalization the paper uses for penalties — so substrate
 	// measurements and model predictions place the fabric on one scale.
@@ -66,8 +67,9 @@ type CoupledConfig struct {
 //     rho = base inflow / RxCap. Each sender's effective capacity is
 //     reduced by Coupling*(1-1/rho_max) for the worst receiver it feeds
 //     (pause frames / credit stalls throttle the whole NIC).
-//  3. Final rates: max-min water-filling under FlowCap, the reduced
-//     sender capacities and RxCap.
+//  3. Final rates: max-min water-filling (denseFill.fill) under
+//     FlowCap, the reduced sender capacities, RxCap and the fabric's
+//     links.
 //
 // It is the fill of every component IncrementalAllocator refills, and
 // bit-identical to the map-based reference allocation on the same flow
@@ -80,29 +82,25 @@ func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch) {
 	// flows. NIC capacities carry the fault overlay's per-host factor (1
 	// on a healthy fabric, which multiplies exactly).
 	for _, f := range flows {
-		si, fresh := sc.snd.intern(int(f.Src))
+		si, fresh := d.slot(&sc.snd, int(f.Src))
 		if fresh {
-			d.sndCount = append(d.sndCount, 0)
-			sc.effSend = append(sc.effSend, cfg.LineRate*cfg.Faults.HostFactor(int(f.Src)))
+			d.links[si].left = cfg.LineRate * cfg.Faults.HostFactor(int(f.Src))
 		}
-		d.sndCount[si]++
-		d.sidx = append(d.sidx, si)
-		ri, fresh := sc.rcv.intern(int(f.Dst))
+		ri, fresh := d.slot(&sc.rcv, int(f.Dst))
 		if fresh {
-			d.rcvCount = append(d.rcvCount, 0)
-			sc.inflow = append(sc.inflow, 0)
-			sc.rxCap = append(sc.rxCap, cfg.RxCap*cfg.Faults.HostFactor(int(f.Dst)))
+			d.links[ri].left = cfg.RxCap * cfg.Faults.HostFactor(int(f.Dst))
 		}
-		d.rcvCount[ri]++
-		d.ridx = append(d.ridx, ri)
+		d.flows = append(d.flows, fillFlow{f: f, cap: cfg.FlowCap, snd: si, rcv: ri, up: -1, dn: -1})
 	}
 
-	// Phase 1b: base demand per sender, accumulated per receiver. The
-	// sender line rate is the fault-scaled one captured in effSend (phase
-	// 2 has not reduced it yet).
-	for i := range flows {
-		b := math.Min(cfg.FlowCap, sc.effSend[d.sidx[i]]/float64(d.sndCount[d.sidx[i]]))
-		sc.inflow[d.ridx[i]] += b
+	// Phase 1b: base demand per sender, accumulated per receiver slot.
+	// The sender line rate is the fault-scaled one (phase 2 has not
+	// reduced it yet).
+	sc.inflow = slices.Grow(sc.inflow[:0], len(d.links))[:len(d.links)]
+	clear(sc.inflow)
+	for _, s := range d.flows {
+		snd := &d.links[s.snd]
+		sc.inflow[s.rcv] += math.Min(cfg.FlowCap, snd.left/float64(snd.count))
 	}
 
 	// Phase 2: receiver oversubscription and sender coupling. rho is
@@ -110,39 +108,26 @@ func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch) {
 	// receiver with zero inflow yields rho = NaN, and NaN > threshold is
 	// false, so degraded-to-zero NICs never engage coupling spuriously.
 	// The coupling reduction scales off the sender's own degraded line
-	// rate, recomputed here because effSend may already hold an earlier
-	// flow's reduction.
+	// rate, recomputed here because the sender's capacity may already
+	// hold an earlier flow's reduction.
 	threshold := cfg.CouplingThreshold
 	if threshold < 1 {
 		threshold = 1
 	}
-	for i := range flows {
-		rho := sc.inflow[d.ridx[i]] / sc.rxCap[d.ridx[i]]
+	for _, s := range d.flows {
+		rho := sc.inflow[s.rcv] / d.links[s.rcv].left
 		if rho > threshold && cfg.Coupling > 0 {
-			sline := cfg.LineRate * cfg.Faults.HostFactor(int(flows[i].Src))
+			sline := cfg.LineRate * cfg.Faults.HostFactor(int(s.f.Src))
 			reduced := sline * (1 - float64(cfg.Coupling*(1-1/rho)))
-			if si := d.sidx[i]; reduced < sc.effSend[si] {
-				sc.effSend[si] = reduced
+			if snd := &d.links[s.snd]; reduced < snd.left {
+				snd.left = reduced
 			}
 		}
 	}
 
-	// Phase 3: max-min under the adjusted capacities. The per-slot counts
-	// from phase 1a are exactly the initial unfrozen counts. A trivial
-	// topology runs the untouched crossbar routine, keeping its rates
-	// bit-identical to the topology-free path.
-	for _, v := range sc.effSend {
-		d.sndLeft = append(d.sndLeft, v)
-		d.sndOrig = append(d.sndOrig, v)
-	}
-	for _, v := range sc.rxCap {
-		d.rcvLeft = append(d.rcvLeft, v)
-		d.rcvOrig = append(d.rcvOrig, v)
-	}
-	if cfg.Topo.Trivial() {
-		d.run(flows, cfg.FlowCap)
-	} else {
-		prepTopoLinks(sc, flows, cfg.Topo, cfg.Topo.UplinkCap(cfg.FlowCap), cfg.Faults)
-		d.runTopo(flows, cfg.FlowCap)
-	}
+	// Phase 3: max-min under FlowCap, the reduced sender capacities,
+	// RxCap and the fabric links. The slot counts from phase 1a are
+	// exactly the initial unfrozen counts.
+	sc.linkSlots(cfg.Topo, cfg.Topo.UplinkCap(cfg.FlowCap), cfg.Faults)
+	d.fill()
 }

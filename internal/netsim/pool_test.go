@@ -7,13 +7,13 @@ import "testing"
 // scheme instead of pinning it for the life of the process.
 
 // inflateScratch grows the scratch the way a big allocation epoch
-// would: many flows and a large node id in the interner stamp tables.
+// would: many flows and a large node id in the slot tables.
 func inflateScratch(sc *fillScratch, flows int, maxNode int) {
 	sc.begin()
-	sc.snd.intern(maxNode)
-	sc.rcv.intern(maxNode)
+	sc.snd.intern(maxNode, 0)
+	sc.rcv.intern(maxNode, 0)
 	for i := 0; i < flows; i++ {
-		sc.d.sidx = append(sc.d.sidx, 0)
+		sc.d.flows = append(sc.d.flows, fillFlow{})
 	}
 }
 

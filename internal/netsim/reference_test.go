@@ -20,7 +20,7 @@ func capOf(m map[graph.NodeID]float64, n graph.NodeID, def float64) float64 {
 }
 
 // referenceWaterFill is the retained map-based progressive-filling
-// implementation. It is the semantic oracle: the dense fill (denseFill.run,
+// implementation. It is the semantic oracle: the dense fill (denseFill.fill,
 // driven by waterFill in the tests) must produce bit-identical rates.
 func referenceWaterFill(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.NodeID]float64, defSend, defRecv float64) {
 	const relEps = 1e-9

@@ -9,9 +9,9 @@ import (
 )
 
 // Map-based reference implementations of the topology-aware allocation
-// path, in the style of reference.go: the dense-indexed code in topo.go
-// is differential-tested against these (topo_test.go) and must produce
-// bit-identical rates. Do not "optimize" this file.
+// path, in the style of reference_test.go: the dense fill (dense.go,
+// topo.go) is differential-tested against these (topo_test.go) and must
+// produce bit-identical rates. Do not "optimize" this file.
 
 // linkSide is the reference per-link state (one direction of one edge
 // switch's uplink).
@@ -23,9 +23,9 @@ type linkSide struct {
 
 // referenceWaterFillTopo is referenceWaterFill extended with uplink and
 // downlink constraints; constraint evaluation order per flow (flow cap,
-// sender, receiver, uplink, downlink) matches denseFill.runTopo exactly.
+// sender, receiver, uplink, downlink) matches denseFill.fill exactly.
 // fs (nil = healthy) scales per-switch uplink capacities by the fault
-// overlay's link factors, mirroring prepTopoLinks.
+// overlay's link factors, mirroring fillScratch.linkSlots.
 func referenceWaterFillTopo(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.NodeID]float64, defSend, defRecv float64, topo topology.Spec, hostRate float64, fs *fault.State) {
 	if topo.Trivial() {
 		referenceWaterFill(flows, flowCap, senderCap, recvCap, defSend, defRecv)

@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"math"
-
 	"bwshare/internal/fault"
 	"bwshare/internal/topology"
 )
@@ -10,238 +8,53 @@ import (
 // Topology-aware allocation: on a multi-switch fabric, every flow whose
 // endpoints live on different edge switches additionally consumes shared
 // capacity on its source switch's uplink (up direction) and its
-// destination switch's downlink (down direction). The constraints join
-// progressive filling symmetrically with the per-NIC ones, so the
-// resulting rates are the max-min fair allocation under NICs, per-flow
-// caps and fabric links together.
+// destination switch's downlink (down direction). These link slots join
+// the NIC slots in the one progressive fill (denseFill.fill), so the
+// rates are max-min fair under ceilings, NICs and fabric links together.
+// On a crossbar, or for a flow that stays inside one edge switch, the
+// link slots are -1 and add nothing to the fill, which keeps those rates
+// bit-identical to the topology-free ones (topo_test.go checks it).
 //
-// The dense path mirrors dense.go: edge-switch ids are interned to
-// slots, per-slot state lives in the reusable fillScratch arrays, and a
-// steady-state allocation does zero heap allocation. Under a trivial
-// (single-crossbar) topology none of this code runs — coupledDenseAllocate
-// branches to the crossbar routine, so crossbar results are bit-identical
-// to the topology-free ones by construction (and proven by topo_test.go).
+// Edge-switch ids are interned to slots as node ids are, the per-slot
+// state lives in the reusable fillScratch, and a steady-state allocation
+// does zero heap allocation.
 
-// prepTopoLinks interns the edge switches touched by inter-switch flows
-// and fills the per-flow uplink/downlink slot arrays. linkCap is the
-// per-direction capacity of one healthy uplink; fs (nil for a healthy
-// fabric) scales each switch's uplink by its fault factor, in both
-// directions. Counts are the initial unfrozen flow counts per link,
-// consumed by runTopo.
-func prepTopoLinks(sc *fillScratch, flows []*Flow, topo topology.Spec, linkCap float64, fs *fault.State) {
+// linkSlots interns the edge switches of the inter-switch flows and sets
+// their uplink and downlink slots; the flows' fill entries must be in
+// place, with link slots -1. A crossbar, or a flow that stays inside
+// one switch, keeps them so. linkCap is the per-direction capacity of
+// one healthy uplink; fs (nil for a healthy fabric) scales each switch's
+// uplink by its fault factor, in both directions.
+func (sc *fillScratch) linkSlots(topo topology.Spec, linkCap float64, fs *fault.State) {
+	if topo.Trivial() {
+		return
+	}
 	d := &sc.d
-	for _, f := range flows {
-		ss, ds := topo.SwitchOf(f.Src), topo.SwitchOf(f.Dst)
-		if ss == ds {
-			d.uidx = append(d.uidx, -1)
-			d.didx = append(d.didx, -1)
-			continue
-		}
-		ui, fresh := sc.up.intern(ss)
-		if fresh {
-			c := linkCap * fs.LinkFactor(ss)
-			d.upLeft = append(d.upLeft, c)
-			d.upOrig = append(d.upOrig, c)
-			d.upCount = append(d.upCount, 0)
-		}
-		d.upCount[ui]++
-		d.uidx = append(d.uidx, ui)
-		di, fresh := sc.dn.intern(ds)
-		if fresh {
-			c := linkCap * fs.LinkFactor(ds)
-			d.dnLeft = append(d.dnLeft, c)
-			d.dnOrig = append(d.dnOrig, c)
-			d.dnCount = append(d.dnCount, 0)
-		}
-		d.dnCount[di]++
-		d.didx = append(d.didx, di)
-	}
-}
-
-// runTopo is run (dense.go) extended with the uplink/downlink
-// constraints prepared by prepTopoLinks. The shared structure — loop
-// order, floating-point operations, relative saturation tolerance — is
-// identical, so with no inter-switch flows (every uidx/didx -1) the
-// rates are bit-identical to run's.
-func (d *denseFill) runTopo(flows []*Flow, flowCap float64) {
-	const relEps = 1e-9
-	for _, f := range flows {
-		f.Rate = 0
-	}
-	for range flows {
-		d.frozen = append(d.frozen, false)
-	}
-	remaining := len(flows)
-	for remaining > 0 {
-		// Smallest headroom over all constraints touching unfrozen flows.
-		inc := math.Inf(1)
-		for i, f := range flows {
-			if d.frozen[i] {
-				continue
-			}
-			if h := flowCap - f.Rate; h < inc {
-				inc = h
-			}
-			if si := d.sidx[i]; d.sndCount[si] > 0 {
-				if h := d.sndLeft[si] / float64(d.sndCount[si]); h < inc {
-					inc = h
-				}
-			}
-			if ri := d.ridx[i]; d.rcvCount[ri] > 0 {
-				if h := d.rcvLeft[ri] / float64(d.rcvCount[ri]); h < inc {
-					inc = h
-				}
-			}
-			if ui := d.uidx[i]; ui >= 0 && d.upCount[ui] > 0 {
-				if h := d.upLeft[ui] / float64(d.upCount[ui]); h < inc {
-					inc = h
-				}
-			}
-			if di := d.didx[i]; di >= 0 && d.dnCount[di] > 0 {
-				if h := d.dnLeft[di] / float64(d.dnCount[di]); h < inc {
-					inc = h
-				}
-			}
-		}
-		if math.IsInf(inc, 1) {
-			break
-		}
-		if inc < 0 {
-			inc = 0
-		}
-		// Apply the increment.
-		for i, f := range flows {
-			if d.frozen[i] {
-				continue
-			}
-			f.Rate += inc
-			d.sndLeft[d.sidx[i]] -= inc
-			d.rcvLeft[d.ridx[i]] -= inc
-			if ui := d.uidx[i]; ui >= 0 {
-				d.upLeft[ui] -= inc
-			}
-			if di := d.didx[i]; di >= 0 {
-				d.dnLeft[di] -= inc
-			}
-		}
-		// Freeze flows at saturated constraints.
-		progressed := false
-		for i, f := range flows {
-			if d.frozen[i] {
-				continue
-			}
-			si, ri := d.sidx[i], d.ridx[i]
-			sat := flowCap-f.Rate <= relEps*flowCap ||
-				d.sndLeft[si] <= relEps*d.sndOrig[si] ||
-				d.rcvLeft[ri] <= relEps*d.rcvOrig[ri]
-			ui, di := d.uidx[i], d.didx[i]
-			if !sat && ui >= 0 {
-				sat = d.upLeft[ui] <= relEps*d.upOrig[ui] ||
-					d.dnLeft[di] <= relEps*d.dnOrig[di]
-			}
-			if sat {
-				d.frozen[i] = true
-				d.sndCount[si]--
-				d.rcvCount[ri]--
-				if ui >= 0 {
-					d.upCount[ui]--
-					d.dnCount[di]--
-				}
-				remaining--
-				progressed = true
-			}
-		}
-		if !progressed {
-			// Numeric safety valve, as in run.
-			break
+	for i := range d.flows {
+		e := &d.flows[i]
+		if ss, ds := topo.SwitchOf(e.f.Src), topo.SwitchOf(e.f.Dst); ss != ds {
+			e.up = d.linkSlot(&sc.up, ss, linkCap, fs)
+			e.dn = d.linkSlot(&sc.dn, ds, linkCap, fs)
 		}
 	}
 }
 
-// runCaps is progressive filling under per-flow caps and the fabric
-// links only — no per-NIC constraints. It is the second phase of
-// TopoFiller: caps[i] is the rate flow i would get on a crossbar (from
-// a penalty model), and the fabric can only lower it. Flows that do not
-// cross switches reach their cap exactly.
-func (d *denseFill) runCaps(flows []*Flow, caps []float64) {
-	const relEps = 1e-9
-	for _, f := range flows {
-		f.Rate = 0
+// linkSlot is slot for switch sw's link in table t, opening it at
+// linkCap scaled by the switch's fault factor.
+func (d *denseFill) linkSlot(t *slotTable, sw int, linkCap float64, fs *fault.State) int32 {
+	s, fresh := d.slot(t, sw)
+	if fresh {
+		d.links[s].left = linkCap * fs.LinkFactor(sw)
 	}
-	for range flows {
-		d.frozen = append(d.frozen, false)
-	}
-	remaining := len(flows)
-	for remaining > 0 {
-		inc := math.Inf(1)
-		for i := range flows {
-			if d.frozen[i] {
-				continue
-			}
-			if h := caps[i] - flows[i].Rate; h < inc {
-				inc = h
-			}
-			if ui := d.uidx[i]; ui >= 0 && d.upCount[ui] > 0 {
-				if h := d.upLeft[ui] / float64(d.upCount[ui]); h < inc {
-					inc = h
-				}
-			}
-			if di := d.didx[i]; di >= 0 && d.dnCount[di] > 0 {
-				if h := d.dnLeft[di] / float64(d.dnCount[di]); h < inc {
-					inc = h
-				}
-			}
-		}
-		if math.IsInf(inc, 1) {
-			break
-		}
-		if inc < 0 {
-			inc = 0
-		}
-		for i, f := range flows {
-			if d.frozen[i] {
-				continue
-			}
-			f.Rate += inc
-			if ui := d.uidx[i]; ui >= 0 {
-				d.upLeft[ui] -= inc
-			}
-			if di := d.didx[i]; di >= 0 {
-				d.dnLeft[di] -= inc
-			}
-		}
-		progressed := false
-		for i, f := range flows {
-			if d.frozen[i] {
-				continue
-			}
-			sat := caps[i]-f.Rate <= relEps*caps[i]
-			ui, di := d.uidx[i], d.didx[i]
-			if !sat && ui >= 0 {
-				sat = d.upLeft[ui] <= relEps*d.upOrig[ui] ||
-					d.dnLeft[di] <= relEps*d.dnOrig[di]
-			}
-			if sat {
-				d.frozen[i] = true
-				if ui >= 0 {
-					d.upCount[ui]--
-					d.dnCount[di]--
-				}
-				remaining--
-				progressed = true
-			}
-		}
-		if !progressed {
-			break
-		}
-	}
+	return s
 }
 
 // TopoFiller imposes a fabric's uplink capacities on flow rates computed
 // by a crossbar-level allocator (a penalty model): the incoming
 // Flow.Rate values become per-flow caps and the rates are re-derived by
-// max-min progressive filling under those caps plus the shared uplinks.
-// Intra-switch flows keep their rate exactly. The zero value is ready to
+// the one progressive fill (denseFill.fill) under those caps plus the
+// shared uplinks, with no NIC slot. Intra-switch flows keep their rate
+// exactly. The zero value is ready to
 // use; scratch is reused, so steady-state Apply calls allocate nothing.
 // A TopoFiller is not safe for concurrent use.
 type TopoFiller struct {
@@ -250,8 +63,7 @@ type TopoFiller struct {
 	// crossbar-level allocator's concern; the filler only owns links.
 	Faults *fault.State
 
-	scr  fillScratch
-	caps []float64
+	scr fillScratch
 }
 
 // Apply rewrites the rates of flows in place. hostRate is the access
@@ -263,10 +75,10 @@ func (tf *TopoFiller) Apply(flows []*Flow, topo topology.Spec, hostRate float64)
 	}
 	sc := &tf.scr
 	sc.begin()
-	tf.caps = tf.caps[:0]
+	d := &sc.d
 	for _, f := range flows {
-		tf.caps = append(tf.caps, f.Rate)
+		d.flows = append(d.flows, fillFlow{f: f, cap: f.Rate, snd: -1, rcv: -1, up: -1, dn: -1})
 	}
-	prepTopoLinks(sc, flows, topo, topo.UplinkCap(hostRate), tf.Faults)
-	sc.d.runCaps(flows, tf.caps)
+	sc.linkSlots(topo, topo.UplinkCap(hostRate), tf.Faults)
+	d.fill()
 }

@@ -25,7 +25,7 @@ var topoSpecs = []topology.Spec{
 // substrate configuration, an allocator given a one-switch fabric
 // produces rates bit-identical (==, no tolerance) to the topology-free
 // allocator. Such a fabric is Trivial yet not the zero Spec, so it must
-// take the crossbar routine itself.
+// load no link slot in the fill.
 func TestCrossbarTopoBitIdentical(t *testing.T) {
 	schemes, err := randgen.Schemes(4, 60, randgen.DefaultSchemeConfig())
 	if err != nil {
@@ -44,10 +44,10 @@ func TestCrossbarTopoBitIdentical(t *testing.T) {
 }
 
 // TestNonCrossingTopoBitIdentical: a fabric large enough that every
-// scheme lands on one edge switch exercises runTopo's full code path
+// scheme lands on one edge switch exercises the fabric's link interning
 // with no crossing flow — the rates must still be bit-identical to the
-// crossbar routine (runTopo adds no floating-point operations for
-// intra-switch flows).
+// crossbar's (the fill adds no floating-point operations for a flow's -1
+// link slots).
 func TestNonCrossingTopoBitIdentical(t *testing.T) {
 	schemes, err := randgen.Schemes(5, 60, randgen.DefaultSchemeConfig())
 	if err != nil {
