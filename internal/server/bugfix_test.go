@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"testing"
 
+	"bwshare/internal/api"
 	"bwshare/internal/graph"
 	"bwshare/internal/report"
 )
@@ -39,11 +40,11 @@ func TestEnginePanicReturns500(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: 8})
 	registerPanicModel(s)
 
-	code, body := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Model: "boom", Name: "s1"})
+	code, body := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Model: "boom", Name: "s1"})
 	if code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500: %s", code, body)
 	}
-	var e errorBody
+	var e api.ErrorBody
 	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 		t.Fatalf("not an error envelope: %s", body)
 	}
@@ -54,14 +55,14 @@ func TestEnginePanicReturns500(t *testing.T) {
 
 	// The worker was returned to the pool despite the panic: with
 	// Workers=1 a lost worker would deadlock this follow-up request.
-	code, _ = postJSON(t, ts.URL+"/v1/predict", PredictRequest{Model: "gige", Name: "s1"})
+	code, _ = postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Model: "gige", Name: "s1"})
 	if code != http.StatusOK {
 		t.Fatalf("request after panic: status %d, want 200", code)
 	}
 
 	// In a batch, the panicking item carries its own 500 in the envelope
 	// while client mistakes stay 400 and good items still predict.
-	code, body = postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{Requests: []PredictRequest{
+	code, body = postJSON(t, ts.URL+"/v1/predict/batch", api.BatchRequest{Requests: []api.PredictRequest{
 		{Model: "boom", Name: "s1"},
 		{Model: "nope", Name: "s1"},
 		{Model: "gige", Name: "s1"},
@@ -75,7 +76,7 @@ func TestEnginePanicReturns500(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil || len(out.Results) != 3 {
 		t.Fatalf("batch results: %s", body)
 	}
-	var e0, e1 errorBody
+	var e0, e1 api.ErrorBody
 	if err := json.Unmarshal(out.Results[0], &e0); err != nil || e0.Status != http.StatusInternalServerError {
 		t.Errorf("panic item: %s", out.Results[0])
 	}
@@ -95,18 +96,18 @@ func TestStatsInvariant(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: 8})
 	registerPanicModel(s)
 
-	postJSON(t, ts.URL+"/v1/predict", PredictRequest{Model: "gige", Name: "s1"}) // ok
-	postJSON(t, ts.URL+"/v1/predict", PredictRequest{Name: "bogus"})             // 400
-	postJSON(t, ts.URL+"/v1/predict", PredictRequest{Model: "boom", Name: "s1"}) // 500
+	postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Model: "gige", Name: "s1"}) // ok
+	postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Name: "bogus"})             // 400
+	postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Model: "boom", Name: "s1"}) // 500
 	// A batch where every item fails: before the per-item accounting
 	// fix, this pushed errors past requests (1 request, 3 errors).
-	postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{Requests: []PredictRequest{
+	postJSON(t, ts.URL+"/v1/predict/batch", api.BatchRequest{Requests: []api.PredictRequest{
 		{Name: "bogus"},
 		{Model: "nope", Name: "s1"},
 		{Model: "boom", Name: "s1"},
 	}})
 	get(t, ts.URL+"/v1/models")
-	postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{}) // rejected envelope: 1 request, 1 error
+	postJSON(t, ts.URL+"/v1/predict/batch", api.BatchRequest{}) // rejected envelope: 1 request, 1 error
 
 	st := s.Snapshot()
 	if st.Requests != 8 {
@@ -163,7 +164,7 @@ func TestPredictGetStrictQuery(t *testing.T) {
 	if viaGet.RefRate != 2e9 || viaGet.Cached {
 		t.Fatalf("GET prediction: ref_rate %g cached %v", viaGet.RefRate, viaGet.Cached)
 	}
-	code, body = postJSON(t, ts.URL+"/v1/predict", PredictRequest{Name: "s4", RefRate: 2e9, Static: true})
+	code, body = postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Name: "s4", RefRate: 2e9, Static: true})
 	if code != http.StatusOK {
 		t.Fatalf("POST twin: status %d: %s", code, body)
 	}

@@ -96,7 +96,7 @@ func buildCandidateDocs(cands []fleet.Candidate) []candidateDoc {
 
 // decodeBody decodes a bounded JSON request body into v.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	if err := api.DecodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
+	if err := api.DecodeBody(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), v); err != nil {
 		return fmt.Errorf("bad request body: %v", err)
 	}
 	return nil
@@ -106,8 +106,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // one of the three forms, with the same size limits as /v1/predict. The
 // cluster owns the fabric and its fault schedule, so scheme text
 // declaring its own topology or faults is rejected.
-func resolveJobScheme(catalog, scheme string, comms []CommRequest) (*graph.Graph, error) {
-	g, topo, sched, err := api.ResolveGraphForm(PredictRequest{Name: catalog, Scheme: scheme, Comms: comms})
+func resolveJobScheme(catalog, scheme string, comms []api.CommRequest) (*graph.Graph, error) {
+	g, topo, sched, err := api.ResolveGraphForm(api.PredictRequest{Name: catalog, Scheme: scheme, Comms: comms})
 	if err != nil {
 		return nil, fmt.Errorf("exactly one of catalog, scheme or comms must give the job's communications: %v", err)
 	}
@@ -117,11 +117,11 @@ func resolveJobScheme(catalog, scheme string, comms []CommRequest) (*graph.Graph
 	if !sched.Empty() {
 		return nil, fmt.Errorf("scheme text declares fault: headers, but the cluster already owns the fault schedule")
 	}
-	if g.Len() > MaxComms {
-		return nil, fmt.Errorf("scheme has %d communications, limit %d", g.Len(), MaxComms)
+	if g.Len() > api.MaxComms {
+		return nil, fmt.Errorf("scheme has %d communications, limit %d", g.Len(), api.MaxComms)
 	}
-	if g.MaxNode() >= MaxNodeID {
-		return nil, fmt.Errorf("task rank %d exceeds limit %d", g.MaxNode(), MaxNodeID-1)
+	if g.MaxNode() >= api.MaxNodeID {
+		return nil, fmt.Errorf("task rank %d exceeds limit %d", g.MaxNode(), api.MaxNodeID-1)
 	}
 	return g, nil
 }
@@ -136,7 +136,7 @@ func checkSeeds(seeds int) error {
 
 func (s *Server) handleClusterCreate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req ClusterRequest
+	var req api.ClusterRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -198,7 +198,7 @@ func (s *Server) handleClusterDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req JobRequest
+	var req api.JobRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -256,7 +256,7 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req PlacementsRequest
+	var req api.PlacementsRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return

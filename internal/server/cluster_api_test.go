@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"bwshare/internal/api"
 )
 
 // doJSON issues a request with a JSON body and returns status + body.
@@ -43,9 +45,9 @@ func TestClusterLifecycleHTTP(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, CacheSize: 8})
 	base := ts.URL + "/v1/clusters"
 
-	code, body := postJSON(t, base, ClusterRequest{
+	code, body := postJSON(t, base, api.ClusterRequest{
 		Name:     "prod",
-		Topology: &TopologyRequest{Kind: "fattree", Switches: 2, HostsPerSwitch: 4, Oversub: 4},
+		Topology: &api.TopologyRequest{Kind: "fattree", Switches: 2, HostsPerSwitch: 4, Oversub: 4},
 	})
 	if code != http.StatusCreated {
 		t.Fatalf("create: status %d: %s", code, body)
@@ -74,7 +76,7 @@ func TestClusterLifecycleHTTP(t *testing.T) {
 
 	// Admit a neighbor-pair job: on this fat-tree block keeps every pair
 	// intra-switch, so best-candidate admission must choose it.
-	code, body = postJSON(t, base+"/prod/jobs", JobRequest{
+	code, body = postJSON(t, base+"/prod/jobs", api.JobRequest{
 		Name:   "ring",
 		Scheme: "a: 0 -> 1\nb: 2 -> 3\nc: 4 -> 5\nd: 6 -> 7",
 	})
@@ -103,8 +105,8 @@ func TestClusterLifecycleHTTP(t *testing.T) {
 	}
 
 	// A full cluster rejects placements with 409.
-	code, body = postJSON(t, base+"/prod/placements", PlacementsRequest{
-		Comms: []CommRequest{{Src: 0, Dst: 1}},
+	code, body = postJSON(t, base+"/prod/placements", api.PlacementsRequest{
+		Comms: []api.CommRequest{{Src: 0, Dst: 1}},
 	})
 	if code != http.StatusConflict {
 		t.Fatalf("placements on full cluster: status %d: %s", code, body)
@@ -114,7 +116,7 @@ func TestClusterLifecycleHTTP(t *testing.T) {
 	if code, body = doJSON(t, http.MethodDelete, base+"/prod/jobs/ring", nil); code != http.StatusOK {
 		t.Fatalf("job delete: status %d: %s", code, body)
 	}
-	code, body = postJSON(t, base+"/prod/placements", PlacementsRequest{
+	code, body = postJSON(t, base+"/prod/placements", api.PlacementsRequest{
 		Scheme: "a: 0 -> 1\nb: 2 -> 3\nc: 4 -> 5\nd: 6 -> 7",
 		Seeds:  1,
 	})
@@ -155,7 +157,7 @@ func TestClusterLifecycleHTTP(t *testing.T) {
 func TestClusterAPIErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 8})
 	base := ts.URL + "/v1/clusters"
-	if code, _ := postJSON(t, base, ClusterRequest{Name: "small", Hosts: 2}); code != http.StatusCreated {
+	if code, _ := postJSON(t, base, api.ClusterRequest{Name: "small", Hosts: 2}); code != http.StatusCreated {
 		t.Fatal("seed cluster")
 	}
 	cases := []struct {
@@ -165,29 +167,29 @@ func TestClusterAPIErrors(t *testing.T) {
 		body   any
 		want   int
 	}{
-		{"bad cluster name", http.MethodPost, base, ClusterRequest{Name: "Bad!", Hosts: 2}, http.StatusBadRequest},
-		{"crossbar without hosts", http.MethodPost, base, ClusterRequest{Name: "x"}, http.StatusBadRequest},
-		{"duplicate cluster", http.MethodPost, base, ClusterRequest{Name: "small", Hosts: 2}, http.StatusConflict},
-		{"unknown topology kind", http.MethodPost, base, ClusterRequest{Name: "x", Topology: &TopologyRequest{Kind: "mesh"}}, http.StatusBadRequest},
-		{"fault host beyond node-id limit", http.MethodPost, base, ClusterRequest{Name: "x", Hosts: 2,
-			Faults: []FaultRequest{{Kind: "host_slow", Host: intp(1 << 22), Factor: 0.5, At: 1}}}, http.StatusBadRequest},
+		{"bad cluster name", http.MethodPost, base, api.ClusterRequest{Name: "Bad!", Hosts: 2}, http.StatusBadRequest},
+		{"crossbar without hosts", http.MethodPost, base, api.ClusterRequest{Name: "x"}, http.StatusBadRequest},
+		{"duplicate cluster", http.MethodPost, base, api.ClusterRequest{Name: "small", Hosts: 2}, http.StatusConflict},
+		{"unknown topology kind", http.MethodPost, base, api.ClusterRequest{Name: "x", Topology: &api.TopologyRequest{Kind: "mesh"}}, http.StatusBadRequest},
+		{"fault host beyond node-id limit", http.MethodPost, base, api.ClusterRequest{Name: "x", Hosts: 2,
+			Faults: []api.FaultRequest{{Kind: "host_slow", Host: intp(1 << 22), Factor: 0.5, At: 1}}}, http.StatusBadRequest},
 		{"unknown cluster get", http.MethodGet, base + "/nope", nil, http.StatusNotFound},
 		{"unknown cluster delete", http.MethodDelete, base + "/nope", nil, http.StatusNotFound},
-		{"unknown cluster job", http.MethodPost, base + "/nope/jobs", JobRequest{Name: "j", Catalog: "s1"}, http.StatusNotFound},
+		{"unknown cluster job", http.MethodPost, base + "/nope/jobs", api.JobRequest{Name: "j", Catalog: "s1"}, http.StatusNotFound},
 		{"unknown job", http.MethodGet, base + "/small/jobs/nope", nil, http.StatusNotFound},
-		{"job without scheme", http.MethodPost, base + "/small/jobs", JobRequest{Name: "j"}, http.StatusBadRequest},
-		{"job two scheme forms", http.MethodPost, base + "/small/jobs", JobRequest{Name: "j", Catalog: "s1", Scheme: "a: 0 -> 1"}, http.StatusBadRequest},
-		{"scheme text smuggles topology", http.MethodPost, base + "/small/jobs", JobRequest{Name: "j", Scheme: "topology: star 2x2\na: 0 -> 1"}, http.StatusBadRequest},
-		{"bad strategy", http.MethodPost, base + "/small/jobs", JobRequest{Name: "j", Comms: []CommRequest{{Src: 0, Dst: 1}}, Strategy: "pack"}, http.StatusBadRequest},
-		{"seeds out of range", http.MethodPost, base + "/small/placements", PlacementsRequest{Comms: []CommRequest{{Src: 0, Dst: 1}}, Seeds: 99}, http.StatusBadRequest},
-		{"job too large", http.MethodPost, base + "/small/jobs", JobRequest{Name: "j", Comms: []CommRequest{{Src: 0, Dst: 2}}}, http.StatusConflict},
+		{"job without scheme", http.MethodPost, base + "/small/jobs", api.JobRequest{Name: "j"}, http.StatusBadRequest},
+		{"job two scheme forms", http.MethodPost, base + "/small/jobs", api.JobRequest{Name: "j", Catalog: "s1", Scheme: "a: 0 -> 1"}, http.StatusBadRequest},
+		{"scheme text smuggles topology", http.MethodPost, base + "/small/jobs", api.JobRequest{Name: "j", Scheme: "topology: star 2x2\na: 0 -> 1"}, http.StatusBadRequest},
+		{"bad strategy", http.MethodPost, base + "/small/jobs", api.JobRequest{Name: "j", Comms: []api.CommRequest{{Src: 0, Dst: 1}}, Strategy: "pack"}, http.StatusBadRequest},
+		{"seeds out of range", http.MethodPost, base + "/small/placements", api.PlacementsRequest{Comms: []api.CommRequest{{Src: 0, Dst: 1}}, Seeds: 99}, http.StatusBadRequest},
+		{"job too large", http.MethodPost, base + "/small/jobs", api.JobRequest{Name: "j", Comms: []api.CommRequest{{Src: 0, Dst: 2}}}, http.StatusConflict},
 	}
 	for _, tc := range cases {
 		code, body := doJSON(t, tc.method, tc.url, tc.body)
 		if code != tc.want {
 			t.Errorf("%s: status %d, want %d: %s", tc.name, code, tc.want, body)
 		}
-		var e errorBody
+		var e api.ErrorBody
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: not an error envelope: %s", tc.name, body)
 		}
@@ -199,10 +201,10 @@ func TestClusterAPIErrors(t *testing.T) {
 func TestClusterJobFromCatalog(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 8})
 	base := ts.URL + "/v1/clusters"
-	if code, body := postJSON(t, base, ClusterRequest{Name: "c", Hosts: 16}); code != http.StatusCreated {
+	if code, body := postJSON(t, base, api.ClusterRequest{Name: "c", Hosts: 16}); code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, body)
 	}
-	code, body := postJSON(t, base+"/c/jobs", JobRequest{Name: "cat", Catalog: "s4"})
+	code, body := postJSON(t, base+"/c/jobs", api.JobRequest{Name: "cat", Catalog: "s4"})
 	if code != http.StatusCreated {
 		t.Fatalf("catalog job: %d %s", code, body)
 	}
@@ -228,9 +230,9 @@ func TestClusterJobFromCatalog(t *testing.T) {
 		t.Fatalf("job list: %s", body)
 	}
 	// Strategy pinning is honored verbatim.
-	code, body = postJSON(t, base+"/c/jobs", JobRequest{
+	code, body = postJSON(t, base+"/c/jobs", api.JobRequest{
 		Name:     "pinned",
-		Comms:    []CommRequest{{Src: 0, Dst: 1}},
+		Comms:    []api.CommRequest{{Src: 0, Dst: 1}},
 		Strategy: "random:3",
 	})
 	if code != http.StatusCreated {

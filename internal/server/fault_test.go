@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"bwshare/internal/api"
 	"bwshare/internal/report"
 )
 
@@ -21,10 +22,10 @@ func intp(v int) *int { return &v }
 // cached under its own key, and the healthy entry never aliases it.
 func TestPredictWithFaultsBlock(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 16})
-	comms := []CommRequest{{Src: 0, Dst: 1, Volume: 4e6}}
-	healthyReq := PredictRequest{Model: "gige", Comms: comms}
-	faultedReq := PredictRequest{Model: "gige", Comms: comms,
-		Faults: []FaultRequest{{Kind: "host_slow", Host: intp(0), Factor: 0.5, At: 0}}}
+	comms := []api.CommRequest{{Src: 0, Dst: 1, Volume: 4e6}}
+	healthyReq := api.PredictRequest{Model: "gige", Comms: comms}
+	faultedReq := api.PredictRequest{Model: "gige", Comms: comms,
+		Faults: []api.FaultRequest{{Kind: "host_slow", Host: intp(0), Factor: 0.5, At: 0}}}
 
 	decode := func(code int, body []byte) report.Prediction {
 		t.Helper()
@@ -63,7 +64,7 @@ func TestPredictSchemeFaultHeaders(t *testing.T) {
 	faulted := "fault: link 0 degrade 0.25 at 0 until 1e9\n" + scheme
 	run := func(src string) report.Prediction {
 		t.Helper()
-		code, body := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Model: "gige", Scheme: src})
+		code, body := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Model: "gige", Scheme: src})
 		if code != http.StatusOK {
 			t.Fatalf("status %d: %s", code, body)
 		}
@@ -84,60 +85,60 @@ func TestPredictSchemeFaultHeaders(t *testing.T) {
 // rejected with 400 and an error naming the offending part.
 func TestPredictFaultErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 16})
-	comms := []CommRequest{{Src: 0, Dst: 1}}
-	ftree := &TopologyRequest{Kind: "fattree", Switches: 2, HostsPerSwitch: 4, Oversub: 4}
-	tooMany := make([]FaultRequest, MaxFaultEvents+1)
+	comms := []api.CommRequest{{Src: 0, Dst: 1}}
+	ftree := &api.TopologyRequest{Kind: "fattree", Switches: 2, HostsPerSwitch: 4, Oversub: 4}
+	tooMany := make([]api.FaultRequest, api.MaxFaultEvents+1)
 	var tooManyHeaders strings.Builder
 	for i := range tooMany {
-		tooMany[i] = FaultRequest{Kind: "host_slow", Host: intp(0), Factor: 0.5, At: float64(i)}
+		tooMany[i] = api.FaultRequest{Kind: "host_slow", Host: intp(0), Factor: 0.5, At: float64(i)}
 		fmt.Fprintf(&tooManyHeaders, "fault: host 0 slow 0.5 at %d\n", i)
 	}
 	tooManyHeaders.WriteString("a: 0 -> 1\n")
 	cases := []struct {
 		name string
-		req  PredictRequest
+		req  api.PredictRequest
 		want string
 	}{
 		{"unknown kind",
-			PredictRequest{Comms: comms, Faults: []FaultRequest{{Kind: "fire", Host: intp(0), At: 1}}},
+			api.PredictRequest{Comms: comms, Faults: []api.FaultRequest{{Kind: "fire", Host: intp(0), At: 1}}},
 			"unknown kind"},
 		{"missing switch field",
-			PredictRequest{Comms: comms, Topology: ftree, Faults: []FaultRequest{{Kind: "link_down", At: 1}}},
+			api.PredictRequest{Comms: comms, Topology: ftree, Faults: []api.FaultRequest{{Kind: "link_down", At: 1}}},
 			`need a \"switch\" field`},
 		{"host fault with switch field",
-			PredictRequest{Comms: comms, Faults: []FaultRequest{{Kind: "host_slow", Switch: intp(0), Factor: 0.5, At: 1}}},
+			api.PredictRequest{Comms: comms, Faults: []api.FaultRequest{{Kind: "host_slow", Switch: intp(0), Factor: 0.5, At: 1}}},
 			"takes a host"},
 		{"link fault on crossbar",
-			PredictRequest{Comms: comms, Faults: []FaultRequest{{Kind: "link_down", Switch: intp(0), At: 1, Until: 2}}},
+			api.PredictRequest{Comms: comms, Faults: []api.FaultRequest{{Kind: "link_down", Switch: intp(0), At: 1, Until: 2}}},
 			"no uplinks"},
 		{"missing switch in fabric",
-			PredictRequest{Comms: comms, Topology: ftree, Faults: []FaultRequest{{Kind: "link_down", Switch: intp(9), At: 1, Until: 2}}},
+			api.PredictRequest{Comms: comms, Topology: ftree, Faults: []api.FaultRequest{{Kind: "link_down", Switch: intp(9), At: 1, Until: 2}}},
 			"switch 9 does not exist"},
 		{"scheme headers plus faults block",
-			PredictRequest{Scheme: "fault: host 0 slow 0.5 at 1\na: 0 -> 1\n",
-				Faults: []FaultRequest{{Kind: "host_slow", Host: intp(0), Factor: 0.5, At: 1}}},
+			api.PredictRequest{Scheme: "fault: host 0 slow 0.5 at 1\na: 0 -> 1\n",
+				Faults: []api.FaultRequest{{Kind: "host_slow", Host: intp(0), Factor: 0.5, At: 1}}},
 			"drop the request's faults block"},
 		{"static with faults",
-			PredictRequest{Comms: comms, Static: true,
-				Faults: []FaultRequest{{Kind: "host_slow", Host: intp(0), Factor: 0.5, At: 1}}},
+			api.PredictRequest{Comms: comms, Static: true,
+				Faults: []api.FaultRequest{{Kind: "host_slow", Host: intp(0), Factor: 0.5, At: 1}}},
 			"static prediction cannot model faults"},
 		{"permanent zero capacity",
-			PredictRequest{Comms: comms,
-				Faults: []FaultRequest{{Kind: "host_slow", Host: intp(0), Factor: 0, At: 1}}},
+			api.PredictRequest{Comms: comms,
+				Faults: []api.FaultRequest{{Kind: "host_slow", Host: intp(0), Factor: 0, At: 1}}},
 			"permanent zero-capacity"},
 		{"oversized schedule",
-			PredictRequest{Comms: comms, Faults: tooMany},
-			fmt.Sprintf("limit %d", MaxFaultEvents)},
+			api.PredictRequest{Comms: comms, Faults: tooMany},
+			fmt.Sprintf("limit %d", api.MaxFaultEvents)},
 		{"oversized header schedule",
-			PredictRequest{Scheme: tooManyHeaders.String()},
-			fmt.Sprintf("schedule of %d faults exceeds limit %d", MaxFaultEvents+1, MaxFaultEvents)},
+			api.PredictRequest{Scheme: tooManyHeaders.String()},
+			fmt.Sprintf("schedule of %d faults exceeds limit %d", api.MaxFaultEvents+1, api.MaxFaultEvents)},
 		// A crossbar bounds no host id; the node-id limit does.
 		{"host beyond node-id limit",
-			PredictRequest{Comms: comms, Faults: []FaultRequest{{Kind: "host_slow", Host: intp(1 << 22), Factor: 0.5, At: 1}}},
-			fmt.Sprintf("host %d exceeds limit %d", 1<<22, MaxNodeID-1)},
+			api.PredictRequest{Comms: comms, Faults: []api.FaultRequest{{Kind: "host_slow", Host: intp(1 << 22), Factor: 0.5, At: 1}}},
+			fmt.Sprintf("host %d exceeds limit %d", 1<<22, api.MaxNodeID-1)},
 		{"header host beyond node-id limit",
-			PredictRequest{Scheme: "fault: host 4194304 slow 0.5 at 1\na: 0 -> 1\n"},
-			fmt.Sprintf("host %d exceeds limit %d", 1<<22, MaxNodeID-1)},
+			api.PredictRequest{Scheme: "fault: host 4194304 slow 0.5 at 1\na: 0 -> 1\n"},
+			fmt.Sprintf("host %d exceeds limit %d", 1<<22, api.MaxNodeID-1)},
 	}
 	for _, c := range cases {
 		code, body := postJSON(t, ts.URL+"/v1/predict", c.req)
@@ -157,7 +158,7 @@ func TestPredictFaultErrors(t *testing.T) {
 func TestRequestTimeout503(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: 16, RequestTimeout: 20 * time.Millisecond})
 	w := <-s.pool // wedge the service: no worker can be acquired
-	req := PredictRequest{Model: "gige", Name: "s4"}
+	req := api.PredictRequest{Model: "gige", Name: "s4"}
 	code, body := postJSON(t, ts.URL+"/v1/predict", req)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("wedged service: status %d, want 503: %s", code, body)
@@ -183,7 +184,7 @@ func TestOverloadRetryAfter(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: 16, RequestTimeout: 20 * time.Millisecond})
 	w := <-s.pool // wedge the service: no worker can be acquired
 	defer func() { s.pool <- w }()
-	body, err := json.Marshal(PredictRequest{Model: "gige", Name: "s4"})
+	body, err := json.Marshal(api.PredictRequest{Model: "gige", Name: "s4"})
 	if err != nil {
 		t.Fatal(err)
 	}

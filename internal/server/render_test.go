@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"bwshare/internal/api"
 )
 
 // TestBatchRenderingMatchesMarshalIndent holds the batch writer to the
@@ -15,11 +17,11 @@ import (
 // an embedded item error.
 func TestBatchRenderingMatchesMarshalIndent(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, CacheSize: -1}) // every item computed, cached=false
-	fabric := &TopologyRequest{Kind: "fattree", Switches: 2, HostsPerSwitch: 4, Oversub: 2}
-	items := []PredictRequest{
+	fabric := &api.TopologyRequest{Kind: "fattree", Switches: 2, HostsPerSwitch: 4, Oversub: 2}
+	items := []api.PredictRequest{
 		{Name: "s4"},
 		{Model: "myrinet", Name: "fig5"},
-		{Model: "gige", Comms: []CommRequest{{Label: "a<b>&", Src: 0, Dst: 5, Volume: 3e6}, {Src: 1, Dst: 6}, {Src: 2, Dst: 5}}, Topology: fabric},
+		{Model: "gige", Comms: []api.CommRequest{{Label: "a<b>&", Src: 0, Dst: 5, Volume: 3e6}, {Src: 1, Dst: 6}, {Src: 2, Dst: 5}}, Topology: fabric},
 		{Model: "no-such-model", Name: "s4"},
 		{Name: "s6", Static: true, RefRate: 9.5e7},
 	}
@@ -28,7 +30,7 @@ func TestBatchRenderingMatchesMarshalIndent(t *testing.T) {
 	for i, one := range items {
 		g, topo, res, err := s.resolveAndPredict(context.Background(), one)
 		if err != nil {
-			results[i] = errorBody{Error: err.Error(), Status: statusFor(err)}
+			results[i] = api.ErrorBody{Error: err.Error(), Status: statusFor(err)}
 			continue
 		}
 		p := s.buildPrediction(one, g, topo, res)
@@ -43,7 +45,7 @@ func TestBatchRenderingMatchesMarshalIndent(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = append(want, '\n')
-	code, got := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{Requests: items})
+	code, got := postJSON(t, ts.URL+"/v1/predict/batch", api.BatchRequest{Requests: items})
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, got)
 	}

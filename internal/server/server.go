@@ -96,31 +96,6 @@ import (
 	"bwshare/internal/topology"
 )
 
-// The request contract is owned by internal/api; these aliases keep the
-// worker tier's public surface (and its historical importers) stable.
-type (
-	PredictRequest    = api.PredictRequest
-	TopologyRequest   = api.TopologyRequest
-	FaultRequest      = api.FaultRequest
-	CommRequest       = api.CommRequest
-	BatchRequest      = api.BatchRequest
-	ClusterRequest    = api.ClusterRequest
-	JobRequest        = api.JobRequest
-	PlacementsRequest = api.PlacementsRequest
-)
-
-// errorBody is the shared JSON error envelope (api.ErrorBody).
-type errorBody = api.ErrorBody
-
-// Shared size limits, re-exported from the contract package.
-const (
-	MaxBatch       = api.MaxBatch
-	MaxComms       = api.MaxComms
-	MaxNodeID      = api.MaxNodeID
-	MaxFaultEvents = api.MaxFaultEvents
-	maxBodyBytes   = api.MaxBodyBytes
-)
-
 // DefaultRequestTimeout is the per-request simulation deadline when the
 // Config leaves it zero.
 const DefaultRequestTimeout = 30 * time.Second
@@ -158,13 +133,6 @@ type Server struct {
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 }
-
-// errInternal and errTimeout are the shared serving-layer sentinels
-// (api.ErrInternal, api.ErrTimeout); statusFor maps them to 500/503.
-var (
-	errInternal = api.ErrInternal
-	errTimeout  = api.ErrTimeout
-)
 
 // statusFor translates an error from the predict or fleet layers into
 // the HTTP status the client should see: the worker tier layers the
@@ -264,7 +232,7 @@ type Result struct {
 // Schedule is the healthy fabric). refOverride, when positive, replaces
 // the substrate's default reference rate. ctx bounds the whole
 // computation: expiry — waiting for a worker or mid-simulation — yields
-// an errTimeout-wrapped error (HTTP 503). The cache-hit path allocates
+// an api.ErrTimeout-wrapped error (HTTP 503). The cache-hit path allocates
 // nothing.
 func (s *Server) Predict(ctx context.Context, g *graph.Graph, modelName string, static bool, refOverride float64, topo topology.Spec, sched fault.Schedule) (Result, error) {
 	name, ok := s.canon[modelName]
@@ -298,14 +266,14 @@ func (s *Server) Predict(ctx context.Context, g *graph.Graph, modelName string, 
 // goes back to the pool only when the simulation actually finishes (an
 // abandoned slot must not be handed to another request mid-run). An
 // engine panic on a degenerate scheme is converted to an
-// errInternal-wrapped error so the HTTP layer answers 500, not 400: a
+// api.ErrInternal-wrapped error so the HTTP layer answers 500, not 400: a
 // panic is the service failing, not the client.
 func (s *Server) compute(ctx context.Context, g *graph.Graph, name string, static bool, ref float64, topo topology.Spec, sched fault.Schedule) ([]float64, []float64, error) {
 	var w *worker
 	select {
 	case w = <-s.pool:
 	case <-ctx.Done():
-		return nil, nil, fmt.Errorf("no prediction worker available: %w", errTimeout)
+		return nil, nil, fmt.Errorf("no prediction worker available: %w", api.ErrTimeout)
 	}
 	type outcome struct {
 		pen, times []float64
@@ -316,7 +284,7 @@ func (s *Server) compute(ctx context.Context, g *graph.Graph, name string, stati
 		var out outcome
 		defer func() {
 			if r := recover(); r != nil {
-				out = outcome{err: fmt.Errorf("prediction failed: %v: %w", r, errInternal)}
+				out = outcome{err: fmt.Errorf("prediction failed: %v: %w", r, api.ErrInternal)}
 			}
 			ch <- out
 			s.pool <- w
@@ -350,7 +318,7 @@ func (s *Server) compute(ctx context.Context, g *graph.Graph, name string, stati
 	case out := <-ch:
 		return out.pen, out.times, out.err
 	case <-ctx.Done():
-		return nil, nil, fmt.Errorf("simulation exceeded the request deadline: %w", errTimeout)
+		return nil, nil, fmt.Errorf("simulation exceeded the request deadline: %w", api.ErrTimeout)
 	}
 }
 
@@ -389,8 +357,8 @@ func (s *Server) routes() {
 
 func (s *Server) handlePredictPost(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req PredictRequest
-	if err := api.DecodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
+	var req api.PredictRequest
+	if err := api.DecodeBody(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -413,7 +381,7 @@ func (s *Server) handlePredictGet(w http.ResponseWriter, r *http.Request) {
 // servePredict resolves the scheme, predicts, and renders either JSON or
 // (format=text) the exact bwpredict stdout for the same model and flags.
 // Predictions on a fabric additionally carry the per-uplink utilization.
-func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, req PredictRequest) {
+func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, req api.PredictRequest) {
 	ctx, cancel := s.requestCtx(r.Context())
 	defer cancel()
 	g, topo, res, err := s.resolveAndPredict(ctx, req)
@@ -434,7 +402,7 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, req Predic
 }
 
 // buildPrediction assembles the JSON document for one predicted scheme.
-func (s *Server) buildPrediction(req PredictRequest, g *graph.Graph, topo topology.Spec, res Result) report.Prediction {
+func (s *Server) buildPrediction(req api.PredictRequest, g *graph.Graph, topo topology.Spec, res Result) report.Prediction {
 	p := report.BuildPrediction(s.models[res.Model].Name(), !req.Static, res.RefRate, g, res.Penalties, res.Times)
 	p.Cached = res.Cached
 	if !topo.Trivial() {
@@ -444,14 +412,14 @@ func (s *Server) buildPrediction(req PredictRequest, g *graph.Graph, topo topolo
 	return p
 }
 
-// handleBatch runs up to MaxBatch predictions in one call. Each item
+// handleBatch runs up to api.MaxBatch predictions in one call. Each item
 // counts as one request in /v1/stats (and in batch_items), so the
 // errors <= requests invariant survives batches where every item fails;
 // a rejected envelope (malformed body, empty or oversized batch) counts
 // as a single request.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := api.DecodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
+	var req api.BatchRequest
+	if err := api.DecodeBody(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), &req); err != nil {
 		s.requests.Add(1)
 		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -461,9 +429,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if len(req.Requests) > MaxBatch {
+	if len(req.Requests) > api.MaxBatch {
 		s.requests.Add(1)
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Requests), MaxBatch))
+		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Requests), api.MaxBatch))
 		return
 	}
 	s.requests.Add(int64(len(req.Requests)))
@@ -471,7 +439,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// An item is a prediction, or an embedded error when its Status is set.
 	type result struct {
 		doc report.Prediction
-		err errorBody
+		err api.ErrorBody
 	}
 	results := make([]result, len(req.Requests))
 	for i, one := range req.Requests {
@@ -483,7 +451,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			code := statusFor(err)
 			s.countError(code)
-			results[i].err = errorBody{Error: err.Error(), Status: code}
+			results[i].err = api.ErrorBody{Error: err.Error(), Status: code}
 			continue
 		}
 		results[i].doc = s.buildPrediction(one, g, topo, res)
@@ -501,8 +469,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // resolveAndPredict turns a request into a graph, fabric and fault
 // schedule and runs Predict.
-func (s *Server) resolveAndPredict(ctx context.Context, req PredictRequest) (*graph.Graph, topology.Spec, Result, error) {
-	g, topo, sched, err := resolveGraph(req)
+func (s *Server) resolveAndPredict(ctx context.Context, req api.PredictRequest) (*graph.Graph, topology.Spec, Result, error) {
+	g, topo, sched, err := api.ResolveGraph(req)
 	if err != nil {
 		return nil, topo, Result{}, err
 	}
@@ -515,13 +483,6 @@ func (s *Server) resolveAndPredict(ctx context.Context, req PredictRequest) (*gr
 		return nil, topo, Result{}, err
 	}
 	return g, topo, res, nil
-}
-
-// resolveGraph is the shared request-resolution entry point
-// (api.ResolveGraph), kept as a package-level name for the worker
-// tier's own tests.
-func resolveGraph(req PredictRequest) (*graph.Graph, topology.Spec, fault.Schedule, error) {
-	return api.ResolveGraph(req)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {

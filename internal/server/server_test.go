@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"bwshare/internal/api"
 	"bwshare/internal/fault"
 	"bwshare/internal/graph"
 	"bwshare/internal/predict"
@@ -62,7 +63,7 @@ func get(t *testing.T, url string) (int, []byte) {
 
 func TestPredictCatalogJSON(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, CacheSize: 8})
-	code, body := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Model: "gige", Name: "s4"})
+	code, body := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Model: "gige", Name: "s4"})
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -83,7 +84,7 @@ func TestPredictCatalogJSON(t *testing.T) {
 	}
 	// The same request again is served from the cache with identical
 	// numbers.
-	code, body2 := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Model: "gige", Name: "s4"})
+	code, body2 := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Model: "gige", Name: "s4"})
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body2)
 	}
@@ -111,11 +112,11 @@ func TestRequestFormsShareCache(t *testing.T) {
 	for _, c := range g.Comms() {
 		fmt.Fprintf(&text, "%s: %d -> %d %gB\n", c.Label, c.Src, c.Dst, c.Volume)
 	}
-	comms := make([]CommRequest, g.Len())
+	comms := make([]api.CommRequest, g.Len())
 	for i, c := range g.Comms() {
-		comms[i] = CommRequest{Label: c.Label, Src: int(c.Src), Dst: int(c.Dst), Volume: c.Volume}
+		comms[i] = api.CommRequest{Label: c.Label, Src: int(c.Src), Dst: int(c.Dst), Volume: c.Volume}
 	}
-	reqs := []PredictRequest{
+	reqs := []api.PredictRequest{
 		{Model: "myrinet", Name: "s2"},
 		{Model: "myrinet", Scheme: text.String()},
 		{Model: "myrinet", Comms: comms},
@@ -203,22 +204,22 @@ func TestPredictErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 8})
 	cases := []struct {
 		name string
-		req  PredictRequest
+		req  api.PredictRequest
 	}{
-		{"unknown model", PredictRequest{Model: "nope", Name: "s1"}},
-		{"unknown scheme", PredictRequest{Name: "bogus"}},
-		{"no scheme", PredictRequest{Model: "gige"}},
-		{"two forms", PredictRequest{Name: "s1", Scheme: "a: 0 -> 1"}},
-		{"malformed scheme", PredictRequest{Scheme: "a 0 1"}},
-		{"self loop", PredictRequest{Comms: []CommRequest{{Src: 1, Dst: 1}}}},
-		{"negative ref", PredictRequest{Name: "s1", RefRate: -1}},
+		{"unknown model", api.PredictRequest{Model: "nope", Name: "s1"}},
+		{"unknown scheme", api.PredictRequest{Name: "bogus"}},
+		{"no scheme", api.PredictRequest{Model: "gige"}},
+		{"two forms", api.PredictRequest{Name: "s1", Scheme: "a: 0 -> 1"}},
+		{"malformed scheme", api.PredictRequest{Scheme: "a 0 1"}},
+		{"self loop", api.PredictRequest{Comms: []api.CommRequest{{Src: 1, Dst: 1}}}},
+		{"negative ref", api.PredictRequest{Name: "s1", RefRate: -1}},
 	}
 	for _, tc := range cases {
 		code, body := postJSON(t, ts.URL+"/v1/predict", tc.req)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d: %s", tc.name, code, body)
 		}
-		var e errorBody
+		var e api.ErrorBody
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: not an error envelope: %s", tc.name, body)
 		}
@@ -247,7 +248,7 @@ func TestPredictErrors(t *testing.T) {
 
 func TestBatch(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, CacheSize: 8})
-	code, body := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{Requests: []PredictRequest{
+	code, body := postJSON(t, ts.URL+"/v1/predict/batch", api.BatchRequest{Requests: []api.PredictRequest{
 		{Model: "gige", Name: "s3"},
 		{Model: "nope", Name: "s3"},
 		{Model: "gige", Name: "s3"},
@@ -268,7 +269,7 @@ func TestBatch(t *testing.T) {
 	if err := json.Unmarshal(out.Results[0], &p); err != nil || len(p.Comms) != 3 {
 		t.Errorf("result 0: %s", out.Results[0])
 	}
-	var e errorBody
+	var e api.ErrorBody
 	if err := json.Unmarshal(out.Results[1], &e); err != nil || e.Error == "" {
 		t.Errorf("result 1 should be an error: %s", out.Results[1])
 	}
@@ -277,10 +278,10 @@ func TestBatch(t *testing.T) {
 		t.Errorf("result 2 should be a cache hit: %s", out.Results[2])
 	}
 	// Empty and oversized batches are rejected.
-	if code, _ := postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{}); code != http.StatusBadRequest {
+	if code, _ := postJSON(t, ts.URL+"/v1/predict/batch", api.BatchRequest{}); code != http.StatusBadRequest {
 		t.Errorf("empty batch: status %d", code)
 	}
-	big := BatchRequest{Requests: make([]PredictRequest, MaxBatch+1)}
+	big := api.BatchRequest{Requests: make([]api.PredictRequest, api.MaxBatch+1)}
 	if code, _ := postJSON(t, ts.URL+"/v1/predict/batch", big); code != http.StatusBadRequest {
 		t.Errorf("oversized batch: status %d", code)
 	}
@@ -290,7 +291,7 @@ func TestBatch(t *testing.T) {
 // errors stat just like a failed /v1/predict call.
 func TestBatchCountsItemErrors(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: 8})
-	postJSON(t, ts.URL+"/v1/predict/batch", BatchRequest{Requests: []PredictRequest{
+	postJSON(t, ts.URL+"/v1/predict/batch", api.BatchRequest{Requests: []api.PredictRequest{
 		{Model: "nope", Name: "s1"},
 		{Name: "bogus"},
 	}})
@@ -300,17 +301,17 @@ func TestBatchCountsItemErrors(t *testing.T) {
 }
 
 func TestSchemeLimits(t *testing.T) {
-	comms := make([]CommRequest, MaxComms+1)
+	comms := make([]api.CommRequest, api.MaxComms+1)
 	for i := range comms {
-		comms[i] = CommRequest{Src: 0, Dst: i + 1}
+		comms[i] = api.CommRequest{Src: 0, Dst: i + 1}
 	}
-	if _, _, _, err := resolveGraph(PredictRequest{Comms: comms}); err == nil {
+	if _, _, _, err := api.ResolveGraph(api.PredictRequest{Comms: comms}); err == nil {
 		t.Error("oversized scheme should be rejected")
 	}
-	if _, _, _, err := resolveGraph(PredictRequest{Comms: []CommRequest{{Src: 0, Dst: MaxNodeID}}}); err == nil {
+	if _, _, _, err := api.ResolveGraph(api.PredictRequest{Comms: []api.CommRequest{{Src: 0, Dst: api.MaxNodeID}}}); err == nil {
 		t.Error("out-of-range node id should be rejected")
 	}
-	if _, _, _, err := resolveGraph(PredictRequest{Comms: []CommRequest{{Src: 0, Dst: MaxNodeID - 1}}}); err != nil {
+	if _, _, _, err := api.ResolveGraph(api.PredictRequest{Comms: []api.CommRequest{{Src: 0, Dst: api.MaxNodeID - 1}}}); err != nil {
 		t.Errorf("maximal node id should be accepted: %v", err)
 	}
 }
@@ -444,14 +445,14 @@ func TestPredictZeroAllocOnHit(t *testing.T) {
 func TestConcurrentPredictDeterministic(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4, CacheSize: 32})
 	type call struct {
-		req  PredictRequest
+		req  api.PredictRequest
 		want string
 	}
 	var calls []call
 	for _, name := range []string{"s2", "s4", "s6", "fig4", "fig5", "mk1", "mk2"} {
 		for _, model := range []string{"gige", "myrinet", "infiniband"} {
-			calls = append(calls, call{req: PredictRequest{Model: model, Name: name}})
-			calls = append(calls, call{req: PredictRequest{Model: model, Name: name, Static: true}})
+			calls = append(calls, call{req: api.PredictRequest{Model: model, Name: name}})
+			calls = append(calls, call{req: api.PredictRequest{Model: model, Name: name, Static: true}})
 		}
 	}
 	strip := func(body []byte) string {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"bwshare/internal/api"
 	"bwshare/internal/fault"
 	"bwshare/internal/graph"
 	"bwshare/internal/report"
@@ -19,11 +20,11 @@ import (
 
 // ftree24 is the fabric used across these tests: two 4-host edge
 // switches behind a 4:1 oversubscribed fat-tree core.
-var ftree24 = TopologyRequest{Kind: "fattree", Switches: 2, HostsPerSwitch: 4, Oversub: 4}
+var ftree24 = api.TopologyRequest{Kind: "fattree", Switches: 2, HostsPerSwitch: 4, Oversub: 4}
 
 func TestPredictWithTopologyBlock(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, CacheSize: 8})
-	req := PredictRequest{Model: "gige", Name: "s6", Topology: &ftree24}
+	req := api.PredictRequest{Model: "gige", Name: "s6", Topology: &ftree24}
 	code, body := postJSON(t, ts.URL+"/v1/predict", req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
@@ -45,7 +46,7 @@ func TestPredictWithTopologyBlock(t *testing.T) {
 	}
 	// The oversubscribed fabric must slow the crossing communications
 	// relative to the crossbar prediction.
-	code, base := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Model: "gige", Name: "s6"})
+	code, base := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Model: "gige", Name: "s6"})
 	if code != http.StatusOK {
 		t.Fatalf("baseline status %d", code)
 	}
@@ -120,7 +121,7 @@ func TestTopologyKeysCache(t *testing.T) {
 func TestPredictSchemeTextTopologyHeader(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 8})
 	scheme := "topology: star 2x2\na: 0 -> 2\nb: 1 -> 3\n"
-	code, body := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Scheme: scheme})
+	code, body := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Scheme: scheme})
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -132,7 +133,7 @@ func TestPredictSchemeTextTopologyHeader(t *testing.T) {
 		t.Errorf("header topology lost: %s", body)
 	}
 	// Header plus request block is ambiguous and rejected.
-	code, body = postJSON(t, ts.URL+"/v1/predict", PredictRequest{Scheme: scheme, Topology: &ftree24})
+	code, body = postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Scheme: scheme, Topology: &ftree24})
 	if code != http.StatusBadRequest || !bytes.Contains(body, []byte("topology")) {
 		t.Errorf("conflicting topologies: %d %s", code, body)
 	}
@@ -140,7 +141,7 @@ func TestPredictSchemeTextTopologyHeader(t *testing.T) {
 
 func TestPredictTopologyTextFormat(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 8})
-	data, _ := json.Marshal(PredictRequest{Model: "gige", Name: "s6", Topology: &ftree24})
+	data, _ := json.Marshal(api.PredictRequest{Model: "gige", Name: "s6", Topology: &ftree24})
 	resp, err := http.Post(ts.URL+"/v1/predict?format=text", "application/json", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -161,16 +162,16 @@ func TestPredictTopologyErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 8})
 	cases := []struct {
 		name string
-		req  PredictRequest
+		req  api.PredictRequest
 	}{
-		{"unknown kind", PredictRequest{Name: "s1", Topology: &TopologyRequest{Kind: "torus", Switches: 2, HostsPerSwitch: 2}}},
-		{"star with oversub", PredictRequest{Name: "s1", Topology: &TopologyRequest{Kind: "star", Switches: 2, HostsPerSwitch: 2, Oversub: 2}}},
-		{"fattree without oversub", PredictRequest{Name: "s1", Topology: &TopologyRequest{Kind: "fattree", Switches: 2, HostsPerSwitch: 2}}},
-		{"too few switches", PredictRequest{Name: "s1", Topology: &TopologyRequest{Kind: "star", Switches: 1, HostsPerSwitch: 2}}},
-		{"oversized fabric", PredictRequest{Name: "s1", Topology: &TopologyRequest{Kind: "star", Switches: 1 << 20, HostsPerSwitch: 2}}},
-		{"scheme does not fit", PredictRequest{Name: "s6", Topology: &TopologyRequest{Kind: "star", Switches: 2, HostsPerSwitch: 2}}},
-		{"bad placement", PredictRequest{Name: "s1", Topology: &TopologyRequest{Kind: "star", Switches: 2, HostsPerSwitch: 2, Place: "diagonal"}}},
-		{"static is crossbar-only", PredictRequest{Name: "s6", Static: true, Topology: &ftree24}},
+		{"unknown kind", api.PredictRequest{Name: "s1", Topology: &api.TopologyRequest{Kind: "torus", Switches: 2, HostsPerSwitch: 2}}},
+		{"star with oversub", api.PredictRequest{Name: "s1", Topology: &api.TopologyRequest{Kind: "star", Switches: 2, HostsPerSwitch: 2, Oversub: 2}}},
+		{"fattree without oversub", api.PredictRequest{Name: "s1", Topology: &api.TopologyRequest{Kind: "fattree", Switches: 2, HostsPerSwitch: 2}}},
+		{"too few switches", api.PredictRequest{Name: "s1", Topology: &api.TopologyRequest{Kind: "star", Switches: 1, HostsPerSwitch: 2}}},
+		{"oversized fabric", api.PredictRequest{Name: "s1", Topology: &api.TopologyRequest{Kind: "star", Switches: 1 << 20, HostsPerSwitch: 2}}},
+		{"scheme does not fit", api.PredictRequest{Name: "s6", Topology: &api.TopologyRequest{Kind: "star", Switches: 2, HostsPerSwitch: 2}}},
+		{"bad placement", api.PredictRequest{Name: "s1", Topology: &api.TopologyRequest{Kind: "star", Switches: 2, HostsPerSwitch: 2, Place: "diagonal"}}},
+		{"static is crossbar-only", api.PredictRequest{Name: "s6", Static: true, Topology: &ftree24}},
 	}
 	for _, tc := range cases {
 		code, body := postJSON(t, ts.URL+"/v1/predict", tc.req)
@@ -195,7 +196,7 @@ func TestRefRateValidation(t *testing.T) {
 	if _, err := s.Predict(context.Background(), g, "gige", false, 1e6, topology.Spec{}, fault.Schedule{}); err != nil {
 		t.Errorf("positive finite ref rejected: %v", err)
 	}
-	code, body := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Name: "s1", RefRate: -5})
+	code, body := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{Name: "s1", RefRate: -5})
 	if code != http.StatusBadRequest || !bytes.Contains(body, []byte("ref_rate")) {
 		t.Errorf("negative ref over HTTP: %d %s", code, body)
 	}
