@@ -107,8 +107,8 @@ type denseFill struct {
 
 // fillFlow is one flow's entry in the fill.
 type fillFlow struct {
-	f                *Flow
-	cap              float64 // rate ceiling
+	rate, cap        float64 // rate so far, rate ceiling
+	flow             int32   // index of the flow in the filled slice
 	snd, rcv, up, dn int32   // constraint slots, -1 for none
 }
 
@@ -181,24 +181,20 @@ const relEps = 1e-9
 // charge or freeze test, so the rates are bit-identical to the map-based
 // references (referenceWaterFill, referenceWaterFillTopo,
 // referenceCapsFill). The slot counts must hold the number of flows on
-// each slot on entry; they are consumed as flows freeze. Frozen flows
-// leave the working prefix of d.flows, which keeps the unfrozen ones in
-// order; d.flows drops its flow pointers when the fill is done.
-func (d *denseFill) fill() {
-	defer clear(d.flows)
+// each slot on entry; they are consumed as flows freeze. A frozen flow
+// gets its final Rate and leaves the working prefix of d.flows, which
+// keeps the unfrozen ones in order.
+func (d *denseFill) fill(flows []*Flow) {
 	l, act := d.links, d.flows
 	for i := range l {
 		l[i].orig = l[i].left
-	}
-	for _, e := range act {
-		e.f.Rate = 0
 	}
 	for len(act) > 0 {
 		// Smallest headroom over all constraints touching unfrozen flows.
 		inc := math.Inf(1)
 		for i := range act {
 			e := &act[i]
-			if h := e.cap - e.f.Rate; h < inc {
+			if h := e.cap - e.rate; h < inc {
 				inc = h
 			}
 			inc = l.headroom(e.snd, inc)
@@ -214,7 +210,7 @@ func (d *denseFill) fill() {
 		}
 		for i := range act {
 			e := &act[i]
-			e.f.Rate += inc
+			e.rate += inc
 			l.take(e.snd, inc)
 			l.take(e.rcv, inc)
 			l.take(e.up, inc)
@@ -223,13 +219,14 @@ func (d *denseFill) fill() {
 		// Freeze the flows at a saturated ceiling or constraint.
 		n := 0
 		for _, e := range act {
-			if e.cap-e.f.Rate <= relEps*e.cap ||
+			if e.cap-e.rate <= relEps*e.cap ||
 				l.saturated(e.snd) || l.saturated(e.rcv) ||
 				l.saturated(e.up) || l.saturated(e.dn) {
 				l.release(e.snd)
 				l.release(e.rcv)
 				l.release(e.up)
 				l.release(e.dn)
+				flows[e.flow].Rate = e.rate
 			} else {
 				act[n] = e
 				n++
@@ -242,6 +239,9 @@ func (d *denseFill) fill() {
 		}
 		act = act[:n]
 	}
+	for _, e := range act {
+		flows[e.flow].Rate = e.rate
+	}
 }
 
 // fillScratch bundles everything one allocation epoch needs: the slot
@@ -251,7 +251,7 @@ type fillScratch struct {
 	snd, rcv slotTable // NIC slots by node id
 	up, dn   slotTable // link slots by edge-switch id
 	d        denseFill
-	inflow   []float64 // per receiver slot: base inflow
+	inflow   []float64 // per slot: base inflow of a receiver slot
 }
 
 func (s *fillScratch) begin() {

@@ -52,7 +52,7 @@ func waterFillTopo(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.
 	var sc fillScratch
 	sc.begin()
 	d := &sc.d
-	for _, f := range flows {
+	for i, f := range flows {
 		si, fresh := d.slot(&sc.snd, int(f.Src))
 		if fresh {
 			d.links[si].left = capOf(senderCap, f.Src, defSend)
@@ -61,10 +61,10 @@ func waterFillTopo(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.
 		if fresh {
 			d.links[ri].left = capOf(recvCap, f.Dst, defRecv)
 		}
-		d.flows = append(d.flows, fillFlow{f: f, cap: flowCap, snd: si, rcv: ri, up: -1, dn: -1})
+		d.flows = append(d.flows, fillFlow{cap: flowCap, flow: int32(i), snd: si, rcv: ri, up: -1, dn: -1})
 	}
-	sc.linkSlots(topo, topo.UplinkCap(hostRate), nil)
-	d.fill()
+	sc.linkSlots(flows, topo, topo.UplinkCap(hostRate), nil)
+	d.fill(flows)
 }
 
 // waterFillChecked runs waterFill over flows and referenceWaterFill over

@@ -36,10 +36,10 @@ type CoupledConfig struct {
 	// frames. Values <= 1 make coupling engage on any overload.
 	CouplingThreshold float64
 	// Topo describes the switch fabric connecting the hosts. The zero
-	// value (single crossbar) imposes no constraints beyond the NICs,
-	// and its rates are bit-identical to the topology-free ones; a
-	// non-trivial fabric adds shared per-edge-switch uplink/downlink
-	// capacities to the final water-fill. Capacities derive from the single-flow
+	// value (single crossbar) imposes no constraints beyond the NICs
+	// and loads no link slot in the fill; a non-trivial fabric adds
+	// shared per-edge-switch uplink/downlink capacities to the final
+	// water-fill. Capacities derive from the single-flow
 	// reference rate (FlowCap) via Topo.UplinkCap — the same
 	// normalization the paper uses for penalties — so substrate
 	// measurements and model predictions place the fabric on one scale.
@@ -81,7 +81,7 @@ func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch) {
 	// Phase 1a: intern endpoints and count per-sender/per-receiver active
 	// flows. NIC capacities carry the fault overlay's per-host factor (1
 	// on a healthy fabric, which multiplies exactly).
-	for _, f := range flows {
+	for i, f := range flows {
 		si, fresh := d.slot(&sc.snd, int(f.Src))
 		if fresh {
 			d.links[si].left = cfg.LineRate * cfg.Faults.HostFactor(int(f.Src))
@@ -90,12 +90,12 @@ func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch) {
 		if fresh {
 			d.links[ri].left = cfg.RxCap * cfg.Faults.HostFactor(int(f.Dst))
 		}
-		d.flows = append(d.flows, fillFlow{f: f, cap: cfg.FlowCap, snd: si, rcv: ri, up: -1, dn: -1})
+		d.flows = append(d.flows, fillFlow{cap: cfg.FlowCap, flow: int32(i), snd: si, rcv: ri, up: -1, dn: -1})
 	}
 
-	// Phase 1b: base demand per sender, accumulated per receiver slot.
-	// The sender line rate is the fault-scaled one (phase 2 has not
-	// reduced it yet).
+	// Phase 1b: base demand per sender, accumulated per receiver. The
+	// sender line rate is the fault-scaled one (phase 2 has not reduced
+	// it yet).
 	sc.inflow = slices.Grow(sc.inflow[:0], len(d.links))[:len(d.links)]
 	clear(sc.inflow)
 	for _, s := range d.flows {
@@ -114,10 +114,10 @@ func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch) {
 	if threshold < 1 {
 		threshold = 1
 	}
-	for _, s := range d.flows {
+	for i, s := range d.flows {
 		rho := sc.inflow[s.rcv] / d.links[s.rcv].left
 		if rho > threshold && cfg.Coupling > 0 {
-			sline := cfg.LineRate * cfg.Faults.HostFactor(int(s.f.Src))
+			sline := cfg.LineRate * cfg.Faults.HostFactor(int(flows[i].Src))
 			reduced := sline * (1 - float64(cfg.Coupling*(1-1/rho)))
 			if snd := &d.links[s.snd]; reduced < snd.left {
 				snd.left = reduced
@@ -128,6 +128,6 @@ func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch) {
 	// Phase 3: max-min under FlowCap, the reduced sender capacities,
 	// RxCap and the fabric links. The slot counts from phase 1a are
 	// exactly the initial unfrozen counts.
-	sc.linkSlots(cfg.Topo, cfg.Topo.UplinkCap(cfg.FlowCap), cfg.Faults)
-	d.fill()
+	sc.linkSlots(flows, cfg.Topo, cfg.Topo.UplinkCap(cfg.FlowCap), cfg.Faults)
+	d.fill(flows)
 }

@@ -25,14 +25,14 @@ import (
 // one switch, keeps them so. linkCap is the per-direction capacity of
 // one healthy uplink; fs (nil for a healthy fabric) scales each switch's
 // uplink by its fault factor, in both directions.
-func (sc *fillScratch) linkSlots(topo topology.Spec, linkCap float64, fs *fault.State) {
+func (sc *fillScratch) linkSlots(flows []*Flow, topo topology.Spec, linkCap float64, fs *fault.State) {
 	if topo.Trivial() {
 		return
 	}
 	d := &sc.d
-	for i := range d.flows {
-		e := &d.flows[i]
-		if ss, ds := topo.SwitchOf(e.f.Src), topo.SwitchOf(e.f.Dst); ss != ds {
+	for i, f := range flows {
+		if ss, ds := topo.SwitchOf(f.Src), topo.SwitchOf(f.Dst); ss != ds {
+			e := &d.flows[i]
 			e.up = d.linkSlot(&sc.up, ss, linkCap, fs)
 			e.dn = d.linkSlot(&sc.dn, ds, linkCap, fs)
 		}
@@ -76,9 +76,9 @@ func (tf *TopoFiller) Apply(flows []*Flow, topo topology.Spec, hostRate float64)
 	sc := &tf.scr
 	sc.begin()
 	d := &sc.d
-	for _, f := range flows {
-		d.flows = append(d.flows, fillFlow{f: f, cap: f.Rate, snd: -1, rcv: -1, up: -1, dn: -1})
+	for i, f := range flows {
+		d.flows = append(d.flows, fillFlow{cap: f.Rate, flow: int32(i), snd: -1, rcv: -1, up: -1, dn: -1})
 	}
-	sc.linkSlots(topo, topo.UplinkCap(hostRate), tf.Faults)
-	d.fill()
+	sc.linkSlots(flows, topo, topo.UplinkCap(hostRate), tf.Faults)
+	d.fill(flows)
 }
