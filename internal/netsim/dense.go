@@ -56,10 +56,17 @@ func (t *slotTable) get(id int) int32 {
 }
 
 // intern returns the slot of id, assigning it next on first sight this
-// epoch.
+// epoch (fresh). Only an id outside [0, maxDenseNode) consults the
+// overflow map.
 func (t *slotTable) intern(id int, next int32) (slot int32, fresh bool) {
-	if uint(id) < uint(len(t.dense)) && t.dense[id].stamp == t.epoch {
-		return t.dense[id].slot, false
+	if uint(id) < uint(len(t.dense)) {
+		if e := t.dense[id]; e.stamp == t.epoch {
+			return e.slot, false
+		}
+	} else if id < 0 || id >= maxDenseNode {
+		if s, ok := t.big[id]; ok {
+			return s, false
+		}
 	}
 	return t.assign(id, next), true
 }
@@ -69,9 +76,6 @@ func (t *slotTable) intern(id int, next int32) (slot int32, fresh bool) {
 // range goes to the overflow map.
 func (t *slotTable) assign(id int, next int32) int32 {
 	if id < 0 || id >= maxDenseNode {
-		if s, ok := t.big[id]; ok {
-			return s
-		}
 		if t.big == nil {
 			t.big = make(map[int]int32)
 		}

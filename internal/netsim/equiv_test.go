@@ -246,6 +246,34 @@ func TestDenseFallbackHugeNodeIDs(t *testing.T) {
 	}
 }
 
+// TestOverflowInternNotFresh: an id outside the dense range keeps its
+// slot for the epoch and is fresh only on first sight, so a fill opens
+// one slot per distinct endpoint however many flows share it.
+func TestOverflowInternNotFresh(t *testing.T) {
+	huge := maxDenseNode + 5
+	var tab slotTable
+	tab.reset()
+	if s, fresh := tab.intern(huge, 7); s != 7 || !fresh {
+		t.Fatalf("first intern: (%d, %v), want (7, true)", s, fresh)
+	}
+	if s, fresh := tab.intern(huge, 8); s != 7 || fresh {
+		t.Fatalf("second intern: (%d, %v), want (7, false)", s, fresh)
+	}
+	if s, fresh := tab.intern(-1, 9); s != 9 || !fresh {
+		t.Fatalf("negative id: (%d, %v), want (9, true)", s, fresh)
+	}
+
+	flows := make([]*Flow, 50)
+	for i := range flows {
+		flows[i] = &Flow{ID: i, Src: graph.NodeID(huge), Dst: graph.NodeID(1 + i%3), Remaining: 1}
+	}
+	var sc fillScratch
+	coupledDenseAllocate(substrateConfigs[0].cfg, flows, &sc)
+	if n := len(sc.d.links); n != 4 {
+		t.Fatalf("50 flows from one sender to 3 receivers opened %d fill slots, want 4", n)
+	}
+}
+
 // TestSharedAllocatorRefused: attaching one observing allocator to two
 // engines would corrupt its tracked partition, so the second attach
 // panics.
