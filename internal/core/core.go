@@ -38,9 +38,11 @@ func ValidRefRate(ref float64) bool {
 // communications reachable from it through a shared sender or a shared
 // receiver — and not on any volume. Scoring a union of whole components
 // as one graph must give each of them the penalty it gets in the full
-// graph, bit for bit. The progressive predictor relies on this: at each
-// event it re-scores only the components the event touched and keeps
-// the other rates.
+// graph, bit for bit. Nor may a penalty depend on the order of g's
+// communications: permuting them permutes the penalties, bit for bit.
+// The progressive predictor relies on both: at each event it re-scores
+// only the components the event touched, in whatever order it finds
+// them, and keeps the other rates.
 type Model interface {
 	// Name identifies the model, e.g. "gige", "myrinet".
 	Name() string

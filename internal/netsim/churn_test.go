@@ -275,23 +275,27 @@ func TestIncrementalSteadyStateZeroAllocs(t *testing.T) {
 
 // TestIncrementalDoesNotRetainFlowPointers: the Allocator contract
 // forbids keeping Flow pointers past Allocate — retained pointers
-// would pin structs the engine's free-list cap releases to the GC.
+// would pin structs the engine's free-list cap releases to the GC. Only
+// the slot lists hold live flows, and an ActiveSetReset with flows
+// still live drops those too.
 func TestIncrementalDoesNotRetainFlowPointers(t *testing.T) {
 	h := newChurnHarness(churnSubstrates[0].cfg)
 	for i := 0; i < 8; i++ {
 		h.add(graph.NodeID(2*i), graph.NodeID(2*i+1), 10e6)
 	}
 	h.check(t, "seed state")
-	for name, buf := range map[string][]*Flow{"dirty": h.inc.dirty, "grouper": h.inc.grp.sorted} {
-		for i, f := range buf[:cap(buf)] {
-			if f != nil {
-				t.Fatalf("%s[%d] retains a Flow pointer after Allocate", name, i)
-			}
+	for i, f := range h.inc.dirty[:cap(h.inc.dirty)] {
+		if f != nil {
+			t.Fatalf("dirty[%d] retains a Flow pointer after Allocate", i)
 		}
 	}
-	for i, c := range h.inc.grp.comps[:cap(h.inc.grp.comps)] {
-		if c != nil {
-			t.Fatalf("grouper component %d retains a flow slice after Allocate", i)
+	h.inc.ActiveSetReset()
+	x := &h.inc.idx
+	for s, l := range x.on[:cap(x.on)] {
+		for i, f := range l[:cap(l)] {
+			if f != nil {
+				t.Fatalf("slot %d list[%d] retains a Flow pointer after ActiveSetReset", s, i)
+			}
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"bwshare/internal/topology"
 )
 
-// groupTopos are the fabrics the grouping oracle runs on: the crossbar
+// groupTopos are the fabrics the walk oracle runs on: the crossbar
 // (sender and receiver NICs only) and two fabrics whose crossing flows
 // also share edge uplinks and downlinks.
 var groupTopos = []topology.Spec{
@@ -35,80 +35,68 @@ func randomGroupFlows(rng *rand.Rand, nodes, maxFlows int, base int, pHuge float
 	return flows
 }
 
-// sameGrouping fails unless g's last grouping (n components) is the
-// reference partition of flows: same components, same order, same
-// flows in the same order.
-func sameGrouping(t *testing.T, what string, g *componentGrouper, n int, topo topology.Spec, flows []*Flow) {
-	t.Helper()
-	want := referenceComponents(topo, flows)
-	if n != len(want) {
-		t.Fatalf("%s: %d components, want %d", what, n, len(want))
-	}
-	for c, comp := range want {
-		got := g.component(c)
-		if len(got) != len(comp) {
-			t.Fatalf("%s: component %d has %d flows, want %d", what, c, len(got), len(comp))
-		}
-		for i := range comp {
-			if got[i] != comp[i] {
-				t.Fatalf("%s: component %d flow %d differs", what, c, i)
-			}
-		}
-	}
-}
-
-// TestComponentGrouperMatchesReference holds the exact grouper to the
-// map partition of the reference oracle: one grouper over a sequence of
-// growing and shrinking random flow sets on the crossbar and on fabrics
-// (so no slot claim survives from an earlier grouping), with node ids
-// past the dense range (the map fallback) mixed in, and as
-// IncrementalAllocator drives it — on a dirty subset of a larger active
-// set whose persistent index over-merges after departures. Once warm,
-// grouping allocates nothing.
-func TestComponentGrouperMatchesReference(t *testing.T) {
+// TestDirtyWalkMatchesReference holds the tracker's walk to the map
+// partition of the reference oracle, on the crossbar and on fabrics,
+// with node ids past the dense range (the overflow maps) mixed in. A
+// round starts a random flow set, whose components must all come out
+// dirty, exactly as the reference partitions it; then a random subset
+// departs, splitting components, and Dirty must yield exactly the
+// reference components of the survivors that shared an element with a
+// departed flow. Once warm, a walk allocates nothing.
+func TestDirtyWalkMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, topo := range groupTopos {
-		var g componentGrouper
-		gx := slotIndex{topo: topo} // the grouper's slot interning across rounds
+		name := topo.Kind.String()
+		var tr DirtyTracker
+		tr.idx.topo = topo
 		for round := 0; round < 300; round++ {
 			pHuge := 0.0
 			if round%5 == 4 {
 				pHuge = 0.2
 			}
+			tr.ActiveSetReset()
 			flows := randomGroupFlows(rng, 2+rng.Intn(16), 24, maxDenseNode, pHuge)
-			sameGrouping(t, topo.Kind.String(), &g, g.group(&gx, flows), topo, flows)
-		}
-
-		// Dirty subsets: a persistent index links every active flow,
-		// then loses some (its unions stay), and the grouper partitions
-		// a subset of the survivors through that index.
-		x := slotIndex{topo: topo}
-		var sub componentGrouper
-		for round := 0; round < 200; round++ {
-			active := randomGroupFlows(rng, 2+rng.Intn(24), 40, 0, 0)
-			for _, f := range active {
-				x.link(f)
+			for _, f := range flows {
+				tr.FlowStarted(f)
 			}
-			var dirty []*Flow
-			for _, f := range active {
+			sameComponents(t, name+" starts", dirtyComponents(&tr, tr.Dirty(flows)), referenceComponents(topo, flows))
+			tr.Clean()
+
+			touched := make(map[componentKey]bool)
+			var live []*Flow
+			for _, f := range flows {
 				if rng.Intn(3) > 0 {
-					dirty = append(dirty, f)
+					live = append(live, f)
+					continue
+				}
+				tr.FlowFinished(f)
+				for _, k := range flowKeys(topo, f) {
+					touched[k] = true
 				}
 			}
-			n := sub.group(&x, dirty)
-			sameGrouping(t, topo.Kind.String()+" dirty subset", &sub, n, topo, dirty)
-			sub.drop()
-			if round%50 == 49 {
-				x.reset()
+			if len(live) > 0 {
+				sameComponents(t, name+" departures", dirtyComponents(&tr, tr.Dirty(live)), touchedComponents(topo, live, touched))
+				tr.Clean()
 			}
 		}
 
 		flows := make([]*Flow, 32)
+		tr.ActiveSetReset()
 		for i := range flows {
-			flows[i] = &Flow{Src: graph.NodeID(i % 16), Dst: graph.NodeID((i*5 + 3) % 16), Remaining: 1}
+			flows[i] = &Flow{ID: i, Src: graph.NodeID(i % 16), Dst: graph.NodeID((i*5 + 3) % 16), Remaining: 1}
+			tr.FlowStarted(flows[i])
 		}
-		if allocs := testing.AllocsPerRun(50, func() { g.group(&gx, flows) }); allocs != 0 {
-			t.Errorf("%v: grouping allocates %v per call, want 0", topo.Kind, allocs)
+		walk := func() {
+			for _, f := range flows {
+				tr.FlowFinished(f)
+				tr.FlowStarted(f)
+			}
+			tr.Dirty(flows)
+			tr.Clean()
+		}
+		walk()
+		if allocs := testing.AllocsPerRun(50, walk); allocs != 0 {
+			t.Errorf("%v: a warm walk allocates %v per call, want 0", topo.Kind, allocs)
 		}
 	}
 }

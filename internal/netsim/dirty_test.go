@@ -1,72 +1,114 @@
 package netsim
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bwshare/internal/fault"
 	"bwshare/internal/graph"
+	"bwshare/internal/topology"
 )
 
-// scanDirty is the linear-scan definition of DirtyTracker.Dirty, kept
-// as the oracle of the member-list gathering: every flow, in slice
-// order, whose component root carries a stamp newer than seen.
-func scanDirty(t *DirtyTracker, flows []*Flow) []*Flow {
-	var out []*Flow
-	for _, f := range flows {
-		if t.idx.touch[t.idx.root(f)] > t.seen {
-			out = append(out, f)
+// flowKeys returns the constraint elements f loads on topo, in the
+// namespaces of referenceComponents.
+func flowKeys(topo topology.Spec, f *Flow) []componentKey {
+	keys := []componentKey{{compSender, int(f.Src)}, {compReceiver, int(f.Dst)}}
+	if !topo.Trivial() {
+		if ss, ds := topo.SwitchOf(f.Src), topo.SwitchOf(f.Dst); ss != ds {
+			keys = append(keys, componentKey{compUplink, ss}, componentKey{compDownlink, ds})
+		}
+	}
+	return keys
+}
+
+// touchedComponents is the exact definition of DirtyTracker.Dirty: the
+// reference components of flows that hold a flow loading an element in
+// touched.
+func touchedComponents(topo topology.Spec, flows []*Flow, touched map[componentKey]bool) [][]*Flow {
+	var out [][]*Flow
+	for _, comp := range referenceComponents(topo, flows) {
+		hit := false
+		for _, f := range comp {
+			for _, k := range flowKeys(topo, f) {
+				hit = hit || touched[k]
+			}
+		}
+		if hit {
+			out = append(out, comp)
 		}
 	}
 	return out
 }
 
-// checkMembers holds the slot index's member lists to the live flows:
-// each flow sits in the circular list of its root, every list is
-// doubly linked, and every list's length is its root's live count.
-func checkMembers(t *testing.T, ctx string, x *slotIndex, flows []*Flow) {
+// dirtyComponents splits the last Dirty result of tr by its ends.
+func dirtyComponents(tr *DirtyTracker, dirty []*Flow) [][]*Flow {
+	var out [][]*Flow
+	start := int32(0)
+	for _, end := range tr.ends {
+		out = append(out, dirty[start:end])
+		start = end
+	}
+	return out
+}
+
+// sameComponents fails unless got and want hold the same components,
+// each one the same set of flows; order is free at both levels.
+func sameComponents(t *testing.T, ctx string, got, want [][]*Flow) {
 	t.Helper()
-	size := make(map[int32]int32)
-	for s, h := range x.members {
-		for f := h; f != nil; {
-			size[int32(s)]++
-			if f.next.prev != f {
-				t.Fatalf("%s: slot %d list is broken at flow %d", ctx, s, f.ID)
-			}
-			if f = f.next; f == h {
-				break
-			}
+	canon := func(comps [][]*Flow) [][]*Flow {
+		out := make([][]*Flow, len(comps))
+		for i, c := range comps {
+			out[i] = slices.SortedFunc(slices.Values(c), func(a, b *Flow) int { return cmp.Compare(a.ID, b.ID) })
+		}
+		slices.SortFunc(out, func(a, b []*Flow) int { return cmp.Compare(a[0].ID, b[0].ID) })
+		return out
+	}
+	g, w := canon(got), canon(want)
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d components, want %d", ctx, len(g), len(w))
+	}
+	for c := range w {
+		if !slices.Equal(g[c], w[c]) {
+			t.Fatalf("%s: the component of flow %d differs from the reference (%d flows, want %d)", ctx, w[c][0].ID, len(g[c]), len(w[c]))
 		}
 	}
-	count := make(map[int32]int32)
+}
+
+// checkSlots holds the slot index's lists to the live flows: every live
+// flow sits at on[slot[k]][pos[k]] for each of its slots, and the list
+// lengths sum to the live flows' slot count.
+func checkSlots(t *testing.T, ctx string, x *slotIndex, flows []*Flow) {
+	t.Helper()
+	want := 0
 	for _, f := range flows {
-		r := x.root(f)
-		count[r]++
-		found := false
-		for g := x.members[r]; ; {
-			if g == f {
-				found = true
+		for k, s := range f.slot {
+			if s < 0 {
+				continue
 			}
-			if g = g.next; g == x.members[r] {
-				break
+			want++
+			if p := f.pos[k]; p < 0 || int(p) >= len(x.on[s]) || x.on[s][p] != f {
+				t.Fatalf("%s: flow %d is not at position %d of slot %d", ctx, f.ID, p, s)
 			}
-		}
-		if !found {
-			t.Fatalf("%s: flow %d is not on its component's member list", ctx, f.ID)
 		}
 	}
-	for s := range x.members {
-		if size[int32(s)] != count[int32(s)] {
-			t.Fatalf("%s: slot %d lists %d members, %d live", ctx, s, size[int32(s)], count[int32(s)])
-		}
+	got := 0
+	for _, l := range x.on {
+		got += len(l)
+	}
+	if got != want {
+		t.Fatalf("%s: slot lists hold %d entries, live flows load %d slots", ctx, got, want)
 	}
 }
 
 // TestDirtyMatchesScan drives a bare tracker through random starts,
 // finishes (in the engine's order-preserving way), host and link
-// faults, barrier drains and compactions on the crossbar, a star and a
-// fat-tree, and holds every Dirty to the linear-scan definition —
-// including a second Dirty before Clean, which must repeat the first.
+// faults and barrier drains on the crossbar, a star and a fat-tree, and
+// holds every Dirty, component by component, to the exact definition:
+// the reference components of the live flows that load an element
+// touched since the last Clean — including a second Dirty before Clean,
+// which must repeat the first.
 func TestDirtyMatchesScan(t *testing.T) {
 	for _, fab := range churnFabrics {
 		hosts := fab.spec.Hosts()
@@ -79,6 +121,12 @@ func TestDirtyMatchesScan(t *testing.T) {
 			tr.idx.topo = fab.spec
 			tr.ActiveSetReset()
 			var flows []*Flow
+			touched := make(map[componentKey]bool)
+			touch := func(f *Flow) {
+				for _, k := range flowKeys(fab.spec, f) {
+					touched[k] = true
+				}
+			}
 			id := 0
 			for op := 0; op < 2000; op++ {
 				ctx := fab.name
@@ -90,79 +138,51 @@ func TestDirtyMatchesScan(t *testing.T) {
 					id++
 					flows = append(flows, f)
 					tr.FlowStarted(f)
+					touch(f)
 				case r < 0.93:
 					i := rng.Intn(len(flows))
 					tr.FlowFinished(flows[i])
+					touch(flows[i])
 					flows = append(flows[:i], flows[i+1:]...)
 				case r < 0.97:
 					tg := fault.Target{Kind: fault.TargetHost, ID: rng.Intn(hosts)}
+					keys := []componentKey{{compSender, tg.ID}, {compReceiver, tg.ID}}
 					if !fab.spec.Trivial() && rng.Intn(2) == 0 {
 						tg = fault.Target{Kind: fault.TargetLink, ID: rng.Intn(fab.spec.Switches)}
+						keys = []componentKey{{compUplink, tg.ID}, {compDownlink, tg.ID}}
+					}
+					for _, k := range keys {
+						touched[k] = true
 					}
 					tr.FaultTargetsChanged([]fault.Target{tg})
 				default: // barrier: everything drains at once
 					for len(flows) > 0 {
 						tr.FlowFinished(flows[len(flows)-1])
+						touch(flows[len(flows)-1])
 						flows = flows[:len(flows)-1]
 					}
 				}
 				if len(flows) == 0 || rng.Intn(3) == 0 {
 					continue // let marks pile up across events
 				}
-				want := scanDirty(&tr, flows)
+				want := touchedComponents(fab.spec, flows, touched)
 				got := append([]*Flow(nil), tr.Dirty(flows)...)
-				sameFlows(t, ctx+" dirty", got, want)
-				checkMembers(t, ctx, &tr.idx, flows)
-				if rng.Intn(4) == 0 {
-					sameFlows(t, ctx+" repeated dirty", tr.Dirty(flows), want)
+				sameComponents(t, ctx+" dirty", dirtyComponents(&tr, got), want)
+				checkSlots(t, ctx, &tr.idx, flows)
+				if rng.Intn(4) == 0 && !slices.Equal(tr.Dirty(flows), got) {
+					t.Fatalf("%s: a repeated Dirty before Clean differs from the first", ctx)
 				}
 				if len(got) > 0 {
 					tr.Clean()
+					clear(touched)
 				}
 			}
-		}
-	}
-}
-
-// TestMemberListsComplete links flows in shuffled ID order, so unions
-// splice lists of interleaved ids, and removes some, and the member
-// lists must stay complete throughout.
-func TestMemberListsComplete(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 50; round++ {
-		var x slotIndex
-		ids := rng.Perm(60)
-		var live []*Flow
-		for _, id := range ids {
-			src := rng.Intn(30)
-			f := &Flow{ID: id, Src: graph.NodeID(src), Dst: graph.NodeID((src + 1 + rng.Intn(29)) % 30)}
-			x.link(f)
-			live = append(live, f)
-			if rng.Intn(4) == 0 {
-				i := rng.Intn(len(live))
-				x.remove(live[i], x.root(live[i]))
-				live = append(live[:i], live[i+1:]...)
-			}
-			checkMembers(t, "shuffled", &x, live)
-		}
-	}
-}
-
-func sameFlows(t *testing.T, ctx string, got, want []*Flow) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d flows, scan has %d", ctx, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: position %d holds flow %d, scan has %d", ctx, i, got[i].ID, want[i].ID)
 		}
 	}
 }
 
 // TestDirtySteadyStateZeroAllocs: once warm, a start/finish/Dirty/Clean
-// cycle — marks, member lists, gathering, sorting and compaction —
-// allocates nothing.
+// cycle — marks, slot lists and walks — allocates nothing.
 func TestDirtySteadyStateZeroAllocs(t *testing.T) {
 	var tr DirtyTracker
 	tr.ActiveSetReset()
@@ -198,7 +218,7 @@ func TestDirtySteadyStateZeroAllocs(t *testing.T) {
 	for len(flows) < live {
 		start()
 	}
-	for i := 0; i < 4*compactionFloor; i++ {
+	for i := 0; i < 256; i++ {
 		cycle()
 	}
 	if avg := testing.AllocsPerRun(500, cycle); avg != 0 {

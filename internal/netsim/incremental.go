@@ -22,34 +22,24 @@ import (
 // DirtyTracker exploits that for any allocator whose rates are
 // component-local: it maintains the constraint graph across active-set
 // changes (via the ActiveSetObserver callbacks a FluidEngine already
-// emits) in the shared constraint-slot index of component.go, and on
-// each Allocate hands its owner only the flows of the components a flow
-// arrival, a departure or a fault touched. Rates of untouched
-// components are left exactly as the previous fill wrote them — the
-// cache is the Flow.Rate field itself. Under churn of many independent
-// jobs the per-event fill cost therefore scales with the touched
-// components, not with the total number of active flows. Two
-// allocators embed it: IncrementalAllocator (the GigE and InfiniBand
-// substrates) and the predictor's model allocator (package predict).
-//
-// Removals are handled without a per-event rebuild: the persistent
-// union-find only ever accretes unions, so after departures it is a
-// monotone over-approximation of true connectivity. That is safe —
-// dirty marking on over-merged components marks a superset of the
-// affected flows, and that superset is still a union of whole true
-// components. The over-approximation is compacted by a full
-// re-derivation only once enough removals accumulate, which amortizes
-// the linear rebuild cost to O(1) per event.
+// emits) in the slot index of component.go, and on each Allocate hands
+// its owner only the flows of the components a flow arrival, a
+// departure or a fault touched. Rates of untouched components are left
+// exactly as the previous fill wrote them — the cache is the Flow.Rate
+// field itself. Under churn of many independent jobs the per-event fill
+// cost therefore scales with the touched components, not with the total
+// number of active flows. Two allocators embed it: IncrementalAllocator
+// (the GigE and InfiniBand substrates) and the predictor's model
+// allocator (package predict).
 //
 // IncrementalAllocator's equivalence contract: rates are bit-identical
 // to the map-based full-recompute oracle of the tests
 // (referenceComponentAllocate), which partitions the flow set from
 // scratch on every call and fills each component with the retained
-// reference routines, for any node ids. This holds because (a) the
-// exact component grouping of the dirty flows is recomputed at fill
-// time by a componentGrouper, so each fill sees exactly one current
-// component's flows in active-slice order — the same sub-slice the
-// oracle fills — and (b) the per-component dense fill
+// reference routines, for any node ids. This holds because (a) Dirty
+// yields exact components, and sorting each by Flow.ID gives the fill
+// one current component's flows in active-slice order — the same
+// sub-slice the oracle fills — and (b) the per-component dense fill
 // (coupledDenseAllocate) is bit-identical to the per-component
 // reference fill by the PR-2/PR-4 differential guarantees. The engine's
 // active slice keeps flows in start order (completion compacts it in
@@ -67,26 +57,22 @@ import (
 // join them. Steady-state use allocates nothing.
 //
 // Dirty costs what the event touched, not the active population. Each
-// mark also records the marked slot, and Dirty walks the member lists
-// of the marked components — kept by the slot index: spliced on union,
-// unlinked on departure, rebuilt on compaction — and sorts what it
-// gathered by Flow.ID; a component gathered alone gets its list
-// written back in that order, so gathering it again needs no sort. A
-// FluidEngine's active slice is in ID order (it appends flows as it
-// numbers them and compacts in place), so that is slice order.
+// event marks slots: a start its sender slot, a departure each of its
+// slots that still loads a flow (so every piece of a split component
+// is refilled), a fault the degraded resources' slots. Dirty walks the
+// per-slot flow lists from each mark not yet reached, and each walk
+// yields one exact component.
 type DirtyTracker struct {
 	attached bool
 	tracking bool
 	nlive    int // tracked active flow count
 
-	// idx is the persistent partition of the run. A component is dirty
-	// when its root's touch stamp exceeds seen; every mark stamps seen+1
-	// and Clean advances seen past all of them.
-	idx   slotIndex
-	seen  uint64
-	marks []int32 // slots stamped since the last Clean (duplicates allowed)
-	pass  uint64  // Dirty calls so far: the idx.gathered stamp of this one
-	dirty []*Flow // flows of dirty components, in slice order
+	idx   slotIndex // the exact constraint graph of the run
+	marks []int32   // slots marked since the last Clean (duplicates allowed)
+	pass  uint64    // Dirty calls so far: the idx.pass stamp of this one
+	dirty []*Flow   // flows of dirty components, component by component
+	ends  []int32   // per dirty component: its end offset in dirty
+	stack []int32   // walk scratch
 }
 
 var _ ActiveSetObserver = (*DirtyTracker)(nil)
@@ -102,43 +88,41 @@ func (t *DirtyTracker) claim() bool {
 	return true
 }
 
-// FlowStarted implements ActiveSetObserver: the new flow's constraints
-// join the partition and its (possibly merged) component becomes dirty.
+// FlowStarted implements ActiveSetObserver: the new flow joins its
+// slots' lists and its (possibly merged) component becomes dirty.
 func (t *DirtyTracker) FlowStarted(f *Flow) {
 	if !t.tracking {
 		return
 	}
-	r := t.idx.link(f)
-	t.idx.touch[r] = t.seen + 1
-	t.marks = append(t.marks, r)
+	t.idx.add(f)
+	t.marks = append(t.marks, f.slot[0])
 	t.nlive++
 }
 
 // FlowFinished implements ActiveSetObserver: the departing flow leaves
-// its component's member list and the component becomes dirty. The
-// partition itself is left alone — it now over-approximates
-// connectivity, which dirty marking tolerates — and is compacted
-// amortized in Dirty.
+// its slots' lists, and each of those slots that still loads a flow
+// becomes dirty — the departure may have split the component.
 func (t *DirtyTracker) FlowFinished(f *Flow) {
 	if !t.tracking {
 		return
 	}
-	r := t.idx.stamp(t.idx.snd.get(int(f.Src)), t.seen+1)
-	t.idx.remove(f, r)
-	t.marks = append(t.marks, r)
-	t.idx.removals++
+	t.idx.remove(f)
+	for _, s := range f.slot {
+		if s >= 0 && len(t.idx.on[s]) > 0 {
+			t.marks = append(t.marks, s)
+		}
+	}
 	t.nlive--
 }
 
 // FaultTargetsChanged implements FaultObserver: the fabric resources
-// whose capacity factor just changed mark their constraint components
-// dirty, so the next Allocate refills exactly the flows whose rates the
-// fault can move — everything sharing a component with the degraded
-// link or NIC. A target no active flow has ever touched has no slot and
-// is skipped; a slot whose component holds no live flows takes a
-// harmless stale mark (no live flow finds it). Correctness rests on the
-// decomposition argument above: a capacity change at one slot can only
-// move rates inside that slot's component.
+// whose capacity factor just changed mark their slots dirty, so the
+// next Allocate refills exactly the flows whose rates the fault can
+// move — everything sharing a component with the degraded link or NIC.
+// A target no active flow has ever touched has no slot and is skipped;
+// a slot that loads no live flow yields nothing in Dirty. Correctness
+// rests on the decomposition argument above: a capacity change at one
+// slot can only move rates inside that slot's component.
 func (t *DirtyTracker) FaultTargetsChanged(targets []fault.Target) {
 	if !t.tracking {
 		return
@@ -146,7 +130,7 @@ func (t *DirtyTracker) FaultTargetsChanged(targets []fault.Target) {
 	for _, tg := range targets {
 		for _, s := range t.idx.faultSlots(tg) {
 			if s >= 0 {
-				t.marks = append(t.marks, t.idx.stamp(s, t.seen+1))
+				t.marks = append(t.marks, s)
 			}
 		}
 	}
@@ -154,27 +138,29 @@ func (t *DirtyTracker) FaultTargetsChanged(targets []fault.Target) {
 
 // ActiveSetReset implements ActiveSetObserver: the engine is
 // (re)starting from an empty active set, which arms tracking and clears
-// the partition, shedding state one huge transient run inflated.
+// the index, shedding state one huge transient run inflated.
 func (t *DirtyTracker) ActiveSetReset() {
 	t.tracking = true
 	t.nlive = 0
-	t.seen = 0
 	t.idx.reset()
 	t.marks = t.marks[:0]
-	t.pass = 0
 	if cap(t.dirty) > maxPooledScratchLen {
-		t.dirty = nil
+		t.dirty, t.ends = nil, nil
 	}
 	if cap(t.marks) > maxPooledScratchLen {
 		t.marks = nil
 	}
+	if cap(t.stack) > maxPooledScratchLen {
+		t.stack = nil
+	}
 }
 
 // Dirty returns the flows of the components an event touched since the
-// last Clean, in slice order: a union of whole constraint components of
-// flows, empty when every component is clean. flows must be the tracked
-// set in Flow.ID order, as an engine's active slice is. An untracked
-// tracker returns flows itself. The result is valid until Clean.
+// last Clean: whole constraint components, one after another (ends
+// holds where each one ends), empty when every component is clean.
+// Flows come in walk order, not Flow.ID order. flows must be the
+// tracked set; an untracked tracker returns flows itself. The result is
+// valid until Clean.
 func (t *DirtyTracker) Dirty(flows []*Flow) []*Flow {
 	if !t.tracking {
 		return flows
@@ -182,88 +168,47 @@ func (t *DirtyTracker) Dirty(flows []*Flow) []*Flow {
 	if t.nlive != len(flows) {
 		panic("netsim: tracked flow count disagrees with the flow set; an engine-attached allocator must only be invoked by its engine")
 	}
-	// Stamps live at roots and unions merge them, so every dirty
-	// component is the component of a mark. Gather the members of each
-	// dirty component once, keeping one mark per component that still
-	// has members (a stale mark on an emptied component can go: a flow
-	// joining it marks it again).
+	// Walk from each mark no earlier walk of this pass reached, keeping
+	// only the marks that start a walk: a mark on an emptied slot can go,
+	// since a flow loading it again marks its own sender slot.
 	x := &t.idx
 	t.pass++
-	roots, dirty := t.marks[:0], t.dirty[:0]
+	marks, dirty, ends := t.marks[:0], t.dirty[:0], t.ends[:0]
 	for _, m := range t.marks {
-		r := x.uf.find(m)
-		if h := x.members[r]; x.touch[r] > t.seen && h != nil && x.gathered[r] != t.pass {
-			x.gathered[r] = t.pass
-			roots = append(roots, r)
-			for f := h; ; {
-				dirty = append(dirty, f)
-				if f = f.next; f == h {
-					break
-				}
-			}
+		if x.pass[m] != t.pass && len(x.on[m]) > 0 {
+			marks = append(marks, m)
+			dirty, t.stack = x.walk(m, t.pass, dirty, t.stack)
+			ends = append(ends, int32(len(dirty)))
 		}
 	}
-	if !idOrdered(dirty) {
-		slices.SortFunc(dirty, func(a, b *Flow) int { return cmp.Compare(a.ID, b.ID) })
-		if len(roots) == 1 {
-			// The sorted flows are exactly the component's members:
-			// keep the list in that order, so a component dirty event
-			// after event (one scheme's flows in a session) is sorted
-			// when gathered again.
-			x.relist(roots[0], dirty)
-		}
-	}
-	t.marks, t.dirty = roots, dirty
-	if x.compactDue(len(flows)) {
-		// Re-derive the partition from the live flows, shedding the
-		// over-merges departures left, and re-mark the dirty flows.
-		x.unlink()
-		x.relink(flows)
-		t.marks = t.marks[:0]
-		for _, f := range t.dirty {
-			r := x.root(f)
-			x.touch[r] = t.seen + 1
-			t.marks = append(t.marks, r)
-		}
-	}
-	return t.dirty
-}
-
-// idOrdered reports whether fs is in ascending Flow.ID order.
-func idOrdered(fs []*Flow) bool {
-	for i := 1; i < len(fs); i++ {
-		if fs[i].ID < fs[i-1].ID {
-			return false
-		}
-	}
-	return true
+	t.marks, t.dirty, t.ends = marks, dirty, ends
+	return dirty
 }
 
 // Clean marks every component clean once the owner has refilled the
 // flows Dirty returned. It drops the gathered flow pointers: only the
-// member lists may hold flows past the call, and only live ones (the
+// slot lists may hold flows past the call, and only live ones (the
 // engine recycles completed Flow structs, and a kept pointer would also
 // pin structs the free-list cap meant to release to the GC).
 func (t *DirtyTracker) Clean() {
-	t.seen++
 	t.marks = t.marks[:0]
 	clear(t.dirty)
+	t.dirty = t.dirty[:0]
 }
 
 // IncrementalAllocator is the production allocator of the GigE and
 // InfiniBand substrates: the coupled allocation, evaluated
 // incrementally per connected component of the flow constraint graph
 // (see the comment above). Driven by a FluidEngine it refills only
-// dirty components, and a standalone Allocate call (no engine) falls
-// back to a full component-scoped recompute with identical results. One
-// allocator must serve at most one engine. Steady-state Allocate calls
-// do zero heap allocation.
+// dirty components, and a standalone Allocate call (no engine) tracks
+// the given flows for that one call, a full component-scoped recompute
+// with identical results. One allocator must serve at most one engine.
+// Steady-state Allocate calls do zero heap allocation.
 type IncrementalAllocator struct {
 	Cfg CoupledConfig
 	DirtyTracker
 
-	grp componentGrouper // exact grouping of the flows being refilled
-	scr fillScratch      // per-component dense fill state, reused
+	scr fillScratch // per-component dense fill state, reused
 }
 
 var _ Allocator = (*IncrementalAllocator)(nil)
@@ -275,7 +220,6 @@ var _ FaultObserver = (*IncrementalAllocator)(nil)
 func (a *IncrementalAllocator) ActiveSetReset() {
 	a.idx.topo = a.Cfg.Topo
 	a.DirtyTracker.ActiveSetReset()
-	a.grp.reset()
 	if a.scr.oversized() {
 		a.scr = fillScratch{}
 	}
@@ -287,27 +231,31 @@ func (a *IncrementalAllocator) Allocate(flows []*Flow) {
 	if len(flows) == 0 {
 		return
 	}
-	if !a.tracking {
-		// Standalone (engine-less) path: Dirty returns every flow, and
-		// the grouping interns them on the configured fabric.
-		a.idx.topo = a.Cfg.Topo
+	if a.tracking {
+		a.refill(flows)
+		return
 	}
-	dirty := a.Dirty(flows)
-	if len(dirty) == 0 {
-		return // every component cached; rates already in Flow.Rate
+	// Standalone (engine-less) call: track flows for this call only.
+	a.ActiveSetReset()
+	for _, f := range flows {
+		a.FlowStarted(f)
 	}
-	a.fill(dirty)
-	a.Clean()
+	a.refill(flows)
+	a.idx.reset()
+	a.tracking = false
 }
 
-// fill runs the dense coupled fill once per exact component of flows,
-// slice order kept inside each. The flows are a union of whole true
-// components (dirty marking is per persistent component, a superset of
-// true ones), so each fill sees exactly one component's flows.
-func (a *IncrementalAllocator) fill(flows []*Flow) {
-	n := a.grp.group(&a.idx, flows)
-	for c := 0; c < n; c++ {
-		coupledDenseAllocate(a.Cfg, a.grp.component(c), &a.scr)
+// refill runs the dense coupled fill once per dirty component, its
+// flows sorted by Flow.ID — slice order, which phase 1b's per-receiver
+// inflow sums follow.
+func (a *IncrementalAllocator) refill(flows []*Flow) {
+	dirty := a.Dirty(flows)
+	start := 0
+	for _, end := range a.ends {
+		c := dirty[start:end]
+		slices.SortFunc(c, func(p, q *Flow) int { return cmp.Compare(p.ID, q.ID) })
+		coupledDenseAllocate(a.Cfg, c, &a.scr)
+		start = int(end)
 	}
-	a.grp.drop()
+	a.Clean()
 }

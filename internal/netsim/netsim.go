@@ -36,9 +36,11 @@ type Flow struct {
 	Remaining float64 // bytes left, as of the flow's last integration point
 	Rate      float64 // set by the Allocator, bytes/second
 
-	// next and prev link the flow into its constraint component's
-	// member list while a DirtyTracker tracks it (see slotIndex).
-	next, prev *Flow
+	// slot and pos place the flow in a DirtyTracker's constraint graph
+	// while it is tracked (see slotIndex): slot[k] is its slot in
+	// namespace k (sender, receiver, uplink, downlink), pos[k] its index
+	// in that slot's flow list, both -1 for none.
+	slot, pos [4]int32
 }
 
 // Allocator assigns an instantaneous rate to every active flow. It is
@@ -200,10 +202,8 @@ func (e *FluidEngine) RefRate() float64 { return e.refRate }
 func (e *FluidEngine) Now() float64 { return e.now }
 
 // recycle returns a completed Flow struct to the free list, dropping it
-// once the list is at capacity (see maxFreeFlows). Its member-list
-// links go, so a pooled struct pins no other.
+// once the list is at capacity (see maxFreeFlows).
 func (e *FluidEngine) recycle(f *Flow) {
-	f.next, f.prev = nil, nil
 	if len(e.free) < maxFreeFlows {
 		e.free = append(e.free, f)
 	}

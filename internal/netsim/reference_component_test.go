@@ -7,7 +7,7 @@ import "bwshare/internal/topology"
 // the flow set into connected components of the constraint graph from
 // scratch and fills each component with the retained reference routines.
 // IncrementalAllocator is differential-tested against it and must
-// produce bit-identical rates, and componentGrouper against its
+// produce bit-identical rates, and DirtyTracker's walk against its
 // partition. The file also holds the test-only Allocator adapters over
 // the oracles and the whole-set dense fill. Do not "optimize" the
 // oracles.
@@ -43,8 +43,8 @@ func referenceComponentAllocate(cfg CoupledConfig, flows []*Flow) {
 // referenceComponents partitions flows into the connected components of
 // their constraint graph on topo with a map-keyed union-find over
 // constraint elements: components ordered by their first flow, flows
-// inside a component in slice order. It is the grouping oracle of
-// componentGrouper.
+// inside a component in slice order. It is the oracle of DirtyTracker's
+// component walk.
 func referenceComponents(topo topology.Spec, flows []*Flow) [][]*Flow {
 	if len(flows) == 0 {
 		return nil

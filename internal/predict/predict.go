@@ -14,7 +14,7 @@
 // comm's same-source/same-destination component (the core.Model
 // contract), so on the crossbar the engine's allocator re-scores just
 // the flows whose component a start, a completion or a NIC fault
-// touched — netsim.DirtyTracker names them, the same component index
+// touched — netsim.DirtyTracker names them, the same component walk
 // the substrates' IncrementalAllocator uses — as one conflict graph,
 // and every other flow keeps its rate. On a multi-switch fabric the
 // uplink water-fill runs level by level over the whole flow set, so
@@ -116,8 +116,9 @@ func (s Spec) engineName() string {
 // keeps the rate already in Flow.Rate. Scoring the dirty flows as one
 // graph equals scoring every active flow bit for bit, because a
 // penalty is fixed by the comm's same-source/same-destination component
-// (the core.Model contract), the dirty set is a union of whole
-// components, and the host cap is per flow. Each fill rebuilds that
+// and not by comm order (the core.Model contract), the dirty set is a
+// union of whole components, and the host cap is per flow. So the
+// dirty flows are scored in the order Dirty yields them, unsorted. Each fill rebuilds that
 // graph in an allocator-owned scratch graph; with a model offering
 // PenaltiesInto a fill allocates nothing.
 type modelAllocator struct {
