@@ -249,7 +249,8 @@ func parseNode(s string) (graph.NodeID, error) {
 }
 
 // ParseVolume parses a byte volume with an optional decimal suffix:
-// "20MB", "512KB", "1.5GB", "8B" or a raw byte count "4000000".
+// "20MB", "512KB", "1.5GB", "8B" or a raw byte count "4000000". The
+// volume must be positive and finite.
 func ParseVolume(s string) (float64, error) {
 	mult := 1.0
 	num := s
@@ -264,13 +265,18 @@ func ParseVolume(s string) (float64, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(num), 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) {
 		return 0, fmt.Errorf("invalid volume %q", s)
 	}
 	if v <= 0 {
 		return 0, fmt.Errorf("volume %q must be positive", s)
 	}
-	return v * mult, nil
+	// An infinite volume never drains, and NaN is not equal to itself,
+	// so neither could round-trip through Canonical as one graph.
+	if v *= mult; math.IsInf(v, 1) {
+		return 0, fmt.Errorf("volume %q is not finite", s)
+	}
+	return v, nil
 }
 
 // Canonical renders g in the canonical form used as a cache identity by

@@ -54,7 +54,7 @@ func TestParseVolumeUnits(t *testing.T) {
 			t.Errorf("ParseVolume(%q) = %g, %v; want %g", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "x", "-5MB", "0B", "MB"} {
+	for _, bad := range []string{"", "x", "-5MB", "0B", "MB", "nan", "NaNB", "inf", "+InfMB", "1e303GB"} {
 		if _, err := ParseVolume(bad); err == nil {
 			t.Errorf("ParseVolume(%q) should fail", bad)
 		}
