@@ -84,6 +84,38 @@ func TestPropertyNodeRelabelInvariance(t *testing.T) {
 	}
 }
 
+// TestPropertyCommOrderInvariance: the core.Model contract the
+// predictor's unsorted re-scoring relies on — shuffling a graph's
+// communications shuffles every model's penalties the same way, bit for
+// bit.
+func TestPropertyCommOrderInvariance(t *testing.T) {
+	models := []interface {
+		Penalties(*graph.Graph) []float64
+	}{NewGigE(), NewMyrinet(), NewInfiniBand(), KimLee{}, Linear{}}
+	prop := func(seed int64) bool {
+		g := randomGraph(seed)
+		perm := rand.New(rand.NewSource(seed)).Perm(g.Len())
+		b := graph.NewBuilder()
+		for _, i := range perm {
+			c := g.Comm(graph.CommID(i))
+			b.Add(c.Label, c.Src, c.Dst, c.Volume)
+		}
+		shuffled := b.MustBuild()
+		for _, m := range models {
+			pa, pb := m.Penalties(g), m.Penalties(shuffled)
+			for j, i := range perm {
+				if pa[i] != pb[j] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPropertyMyrinetComponentLocality: computing penalties on the whole
 // graph equals computing them on each conflict-component subgraph (the
 // optimization used for large application graphs).

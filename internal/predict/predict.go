@@ -118,9 +118,9 @@ func (s Spec) engineName() string {
 // penalty is fixed by the comm's same-source/same-destination component
 // and not by comm order (the core.Model contract), the dirty set is a
 // union of whole components, and the host cap is per flow. So the
-// dirty flows are scored in the order Dirty yields them, unsorted. Each fill rebuilds that
-// graph in an allocator-owned scratch graph; with a model offering
-// PenaltiesInto a fill allocates nothing.
+// dirty flows are scored in the order Dirty yields them, unsorted.
+// Each fill rebuilds that graph in an allocator-owned scratch graph;
+// with a model offering PenaltiesInto a fill allocates nothing.
 type modelAllocator struct {
 	netsim.DirtyTracker
 
