@@ -193,7 +193,6 @@ func (t *DirtyTracker) Dirty(flows []*Flow) []*Flow {
 func (t *DirtyTracker) Clean() {
 	t.marks = t.marks[:0]
 	clear(t.dirty)
-	t.dirty = t.dirty[:0]
 }
 
 // IncrementalAllocator is the production allocator of the GigE and
