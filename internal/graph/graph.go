@@ -30,24 +30,33 @@ type Comm struct {
 
 // Graph is an immutable-after-build communication scheme: Build and
 // Subgraph hand out graphs that are only ever read, so they may be
-// cached and shared across goroutines. RebuildScratch, which renumbers
-// a graph in place, is for allocator-owned scratch graphs a single
-// owner re-scores (such as the predictor's active conflict graph); a
-// graph handed to a cache or another goroutine is never rebuilt.
+// cached and shared across goroutines. RebuildScratch and
+// RebuildNumbered, which rebuild a graph in place, are for
+// allocator-owned scratch graphs a single owner re-scores (such as the
+// predictor's active conflict graph); a graph handed to a cache or
+// another goroutine is never rebuilt.
 //
-// Endpoints are numbered densely: node index k is the k-th smallest
-// endpoint id, each communication records the indices of its two ends,
-// and degrees are per-index slices, so per-comm degree lookups are
-// array reads.
+// Endpoints are numbered densely: each communication records the node
+// indices of its two ends, and degrees are per-index slices, so
+// per-comm degree lookups (Ends, OutDegreeAt, InDegreeAt) are array
+// reads. In a graph from Build, Subgraph or RebuildScratch node index k
+// is the k-th smallest endpoint id. A graph from RebuildNumbered keeps
+// its caller's numbering instead, in which an index names one
+// constraint slot — a host's send NIC or its receive NIC — rather than
+// a node; there only the role-specific degrees mean anything (the
+// out-degree at a source index, the in-degree at a destination index),
+// and the node-id accessors (Nodes, OutDegree, InDegree, ConflictAt)
+// panic.
 type Graph struct {
-	comms   []Comm
-	nodes   []NodeID // sorted distinct endpoints; index k names nodes[k]
-	src     []int    // node index of comms[i].Src
-	dst     []int    // node index of comms[i].Dst
-	outDeg  []int    // per node index
-	inDeg   []int    // per node index
-	maxNode NodeID   // largest endpoint id, -1 when empty
-	slot    []int    // RebuildScratch: dense id -> node index + 1
+	comms    []Comm
+	nodes    []NodeID // sorted distinct endpoints; index k names nodes[k]
+	src      []int    // node index of comms[i].Src
+	dst      []int    // node index of comms[i].Dst
+	outDeg   []int    // per node index
+	inDeg    []int    // per node index
+	maxNode  NodeID   // largest endpoint id, -1 when empty
+	numbered bool     // built by RebuildNumbered: indices name slots
+	slot     []int    // RebuildScratch: dense id -> node index + 1
 }
 
 // Builder incrementally constructs a Graph.
@@ -122,29 +131,62 @@ func build(comms []Comm) *Graph {
 // graph from Build or Subgraph; see Graph.
 func RebuildScratch(g *Graph, comms []Comm) {
 	n := len(comms)
-	g.comms = append(g.comms[:0], comms...)
+	minNode := g.copyComms(comms)
 	g.src = resize(g.src, n)
 	g.dst = resize(g.dst, n)
+	g.nodes = g.nodes[:0]
+	g.numbered = false
+	// The counting pass scans the whole id range, so it is taken only
+	// while that range is a constant factor of the comm count and the
+	// rebuild stays linear. Nearly every predictor event on a fabric
+	// qualifies (node ids are cluster indices), and there it halves a
+	// replay's time against sorting.
+	if minNode >= 0 && int(g.maxNode) <= 4*n+64 {
+		g.numberDense()
+	} else {
+		g.numberSorted()
+	}
+	g.countDegrees(len(g.nodes))
+}
+
+// RebuildNumbered is RebuildScratch in a numbering the caller already
+// holds: communication i runs from node index src[i] to node index
+// dst[i], and the indices are in [0, n). Nothing is scanned or sorted;
+// the cost is linear in len(comms) alone, and once warm it allocates
+// nothing. The indices must give the communications leaving one node
+// one shared source index, those entering one node one shared
+// destination index, and distinct nodes distinct indices within a
+// role; a node's two roles may share an index or not. The result is a
+// numbered graph (see Graph): the degree models score it exactly as
+// the RebuildScratch graph of the same comms, but its node-id
+// accessors panic.
+func RebuildNumbered(g *Graph, comms []Comm, src, dst []int, n int) {
+	g.copyComms(comms)
+	g.src = append(g.src[:0], src...)
+	g.dst = append(g.dst[:0], dst...)
+	g.nodes = g.nodes[:0]
+	g.numbered = true
+	g.countDegrees(n)
+}
+
+// copyComms makes g's communications a copy of comms, numbered densely
+// (ID i at position i), and sets maxNode; it returns the smallest
+// endpoint id, or 0 if that is larger.
+func (g *Graph) copyComms(comms []Comm) (minNode NodeID) {
+	g.comms = append(g.comms[:0], comms...)
 	g.maxNode = -1
-	minNode := NodeID(0)
 	for i := range g.comms {
 		c := &g.comms[i]
 		c.ID = CommID(i)
 		g.maxNode = max(g.maxNode, c.Src, c.Dst)
 		minNode = min(minNode, c.Src, c.Dst)
 	}
-	g.nodes = g.nodes[:0]
-	// The counting pass scans the whole id range, so it is taken only
-	// while that range is a constant factor of the comm count and the
-	// rebuild stays linear. Nearly every predictor event qualifies (node
-	// ids are cluster indices), and there it halves a replay's time
-	// against sorting.
-	if minNode >= 0 && int(g.maxNode) <= 4*n+64 {
-		g.numberDense()
-	} else {
-		g.numberSorted()
-	}
-	k := len(g.nodes)
+	return minNode
+}
+
+// countDegrees sizes the degree slices to k node indices and counts
+// every communication at its ends.
+func (g *Graph) countDegrees(k int) {
 	g.outDeg = resize(g.outDeg, k)
 	g.inDeg = resize(g.inDeg, k)
 	clear(g.outDeg)
@@ -152,6 +194,14 @@ func RebuildScratch(g *Graph, comms []Comm) {
 	for i := range g.comms {
 		g.outDeg[g.src[i]]++
 		g.inDeg[g.dst[i]]++
+	}
+}
+
+// byID panics on a numbered graph, whose node indices are not nodes;
+// the node-id accessors call it first.
+func (g *Graph) byID(accessor string) {
+	if g.numbered {
+		panic("graph: " + accessor + " on a numbered graph (RebuildNumbered), whose node indices name constraint slots, not nodes")
 	}
 }
 
@@ -228,6 +278,7 @@ func (g *Graph) ByLabel(label string) (Comm, bool) {
 
 // OutDegree returns Δo(n): the number of communications leaving node n.
 func (g *Graph) OutDegree(n NodeID) int {
+	g.byID("OutDegree")
 	if k, ok := slices.BinarySearch(g.nodes, n); ok {
 		return g.outDeg[k]
 	}
@@ -236,6 +287,7 @@ func (g *Graph) OutDegree(n NodeID) int {
 
 // InDegree returns Δi(n): the number of communications entering node n.
 func (g *Graph) InDegree(n NodeID) int {
+	g.byID("InDegree")
 	if k, ok := slices.BinarySearch(g.nodes, n); ok {
 		return g.inDeg[k]
 	}
@@ -243,7 +295,8 @@ func (g *Graph) InDegree(n NodeID) int {
 }
 
 // Ends returns the node indices of communication id's source and
-// destination: positions in Nodes, in [0, NumNodes).
+// destination, in [0, NumNodes): positions in Nodes, or the caller's
+// numbering in a numbered graph.
 func (g *Graph) Ends(id CommID) (src, dst int) { return g.src[id], g.dst[id] }
 
 // OutDegreeAt is OutDegree of the node with index k (see Ends).
@@ -255,12 +308,14 @@ func (g *Graph) InDegreeAt(k int) int { return g.inDeg[k] }
 // Nodes returns the sorted set of nodes that appear as an endpoint;
 // callers get a copy.
 func (g *Graph) Nodes() []NodeID {
+	g.byID("Nodes")
 	return append([]NodeID(nil), g.nodes...)
 }
 
-// NumNodes returns the number of distinct endpoint nodes without
-// allocating.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+// NumNodes returns the number of node indices without allocating: the
+// number of distinct endpoint nodes, or in a numbered graph the n it
+// was rebuilt with.
+func (g *Graph) NumNodes() int { return len(g.outDeg) }
 
 // MaxNode returns the largest node id appearing as an endpoint, or -1
 // for an empty scheme. Dense per-node state can be sized from it.
@@ -353,6 +408,7 @@ func (k ConflictKind) String() string {
 // ConflictAt classifies the conflict that communication id experiences at
 // node n, which must be one of its endpoints.
 func (g *Graph) ConflictAt(id CommID, n NodeID) ConflictKind {
+	g.byID("ConflictAt")
 	c := g.comms[int(id)]
 	switch n {
 	case c.Src:

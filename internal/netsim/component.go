@@ -20,6 +20,12 @@ import (
 // (Flow.slot, Flow.pos), so a departure is a swap-remove per slot, and
 // a walk from any slot over the lists yields exactly its current
 // component.
+//
+// A walk also numbers the slots it reaches, densely and in the order
+// it reaches them (slotIndex.local), so the owners of a DirtyTracker
+// fill in that numbering and never intern or renumber an endpoint per
+// event: IncrementalAllocator indexes its fill's slot table by it, and
+// the predictor builds its conflict graph on it (graph.RebuildNumbered).
 
 // slotIndex is the persistent constraint-slot index over the active
 // flows of one engine run. Slots are interned per namespace on first
@@ -32,6 +38,7 @@ type slotIndex struct {
 	up, dn   slotTable
 	on       [][]*Flow // per slot: the live flows that load it
 	pass     []uint64  // per slot: the Dirty walk that last reached it
+	local    []int32   // per slot: its index in the numbering of that walk
 }
 
 // intern returns the slot for id in the namespace table t, opening an
@@ -46,6 +53,7 @@ func (x *slotIndex) intern(t *slotTable, id int) int32 {
 			x.on = append(x.on, nil)
 		}
 		x.pass = append(x.pass, 0)
+		x.local = append(x.local, 0)
 	}
 	return s
 }
@@ -87,12 +95,16 @@ func (x *slotIndex) remove(f *Flow) {
 }
 
 // walk appends the flows of slot s's component to dst, stamping every
-// slot it reaches with pass; s must load a flow and carry an older
-// stamp. A sender slot adds its flows and reaches their other slots,
-// any other slot reaches its flows' sender slots, so each flow is added
-// once, from its sender slot. stack is scratch, returned for reuse.
-func (x *slotIndex) walk(s int32, pass uint64, dst []*Flow, stack []int32) ([]*Flow, []int32) {
-	x.pass[s] = pass
+// slot it reaches with pass and numbering it: the slots get local
+// indices next, next+1, ... in the order the walk reaches them, and
+// walk returns the next free index. s must load a flow and carry an
+// older stamp. A sender slot adds its flows and reaches their other
+// slots, any other slot reaches its flows' sender slots, so each flow
+// is added once, from its sender slot, and every slot of an added flow
+// is numbered. stack is scratch, returned for reuse.
+func (x *slotIndex) walk(s int32, pass uint64, next int32, dst []*Flow, stack []int32) ([]*Flow, []int32, int32) {
+	x.pass[s], x.local[s] = pass, next
+	next++
 	stack = append(stack[:0], s)
 	for len(stack) > 0 {
 		s = stack[len(stack)-1]
@@ -103,7 +115,8 @@ func (x *slotIndex) walk(s int32, pass uint64, dst []*Flow, stack []int32) ([]*F
 				dst = append(dst, f)
 				for _, o := range f.slot[1:] {
 					if o >= 0 && x.pass[o] != pass {
-						x.pass[o] = pass
+						x.pass[o], x.local[o] = pass, next
+						next++
 						stack = append(stack, o)
 					}
 				}
@@ -111,13 +124,14 @@ func (x *slotIndex) walk(s int32, pass uint64, dst []*Flow, stack []int32) ([]*F
 		} else {
 			for _, f := range on {
 				if o := f.slot[0]; x.pass[o] != pass {
-					x.pass[o] = pass
+					x.pass[o], x.local[o] = pass, next
+					next++
 					stack = append(stack, o)
 				}
 			}
 		}
 	}
-	return dst, stack
+	return dst, stack, next
 }
 
 // faultSlots returns the slots of the resources a fault target degrades
@@ -157,7 +171,7 @@ func (x *slotIndex) reset() {
 		}
 	}
 	if cap(x.on) > maxPooledScratchLen {
-		x.on, x.pass = nil, nil
+		x.on, x.pass, x.local = nil, nil, nil
 	}
-	x.on, x.pass = x.on[:0], x.pass[:0]
+	x.on, x.pass, x.local = x.on[:0], x.pass[:0], x.local[:0]
 }

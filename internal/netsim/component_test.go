@@ -42,7 +42,8 @@ func randomGroupFlows(rng *rand.Rand, nodes, maxFlows int, base int, pHuge float
 // dirty, exactly as the reference partitions it; then a random subset
 // departs, splitting components, and Dirty must yield exactly the
 // reference components of the survivors that shared an element with a
-// departed flow. Once warm, a walk allocates nothing.
+// departed flow. Each Dirty's slot numbering must hold to its contract
+// (checkNumbering). Once warm, a walk allocates nothing.
 func TestDirtyWalkMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, topo := range groupTopos {
@@ -59,7 +60,9 @@ func TestDirtyWalkMatchesReference(t *testing.T) {
 			for _, f := range flows {
 				tr.FlowStarted(f)
 			}
-			sameComponents(t, name+" starts", dirtyComponents(&tr, tr.Dirty(flows)), referenceComponents(topo, flows))
+			dirty := tr.Dirty(flows)
+			sameComponents(t, name+" starts", dirtyComponents(&tr, dirty), referenceComponents(topo, flows))
+			checkNumbering(t, name+" starts", &tr, dirty)
 			tr.Clean()
 
 			touched := make(map[componentKey]bool)
@@ -75,7 +78,9 @@ func TestDirtyWalkMatchesReference(t *testing.T) {
 				}
 			}
 			if len(live) > 0 {
-				sameComponents(t, name+" departures", dirtyComponents(&tr, tr.Dirty(live)), touchedComponents(topo, live, touched))
+				dirty := tr.Dirty(live)
+				sameComponents(t, name+" departures", dirtyComponents(&tr, dirty), touchedComponents(topo, live, touched))
+				checkNumbering(t, name+" departures", &tr, dirty)
 				tr.Clean()
 			}
 		}
@@ -98,5 +103,48 @@ func TestDirtyWalkMatchesReference(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, walk); allocs != 0 {
 			t.Errorf("%v: a warm walk allocates %v per call, want 0", topo.Kind, allocs)
 		}
+	}
+}
+
+// checkNumbering holds the slot numbering of the last Dirty, which
+// returned dirty, to its contract: component c's flows use exactly the
+// local indices [slotEnds[c-1], slotEnds[c]), each of them; the flows
+// on one slot share its index and distinct slots get distinct indices;
+// a slot a flow does not load reads -1; NumLocal counts every index.
+func checkNumbering(t *testing.T, ctx string, tr *DirtyTracker, dirty []*Flow) {
+	t.Helper()
+	slotOf := make(map[int32]int32)  // local index -> slot
+	indexOf := make(map[int32]int32) // slot -> local index
+	start, base := int32(0), int32(0)
+	for c, end := range tr.ends {
+		used := make(map[int32]bool)
+		for _, f := range dirty[start:end] {
+			for k, s := range f.slot {
+				l := tr.Local(f, k)
+				if s < 0 {
+					if l != -1 {
+						t.Fatalf("%s: flow %d loads no slot %d but has local index %d", ctx, f.ID, k, l)
+					}
+					continue
+				}
+				if l < base || l >= tr.slotEnds[c] {
+					t.Fatalf("%s: flow %d slot %d has index %d outside its component's [%d, %d)", ctx, f.ID, k, l, base, tr.slotEnds[c])
+				}
+				if o, ok := slotOf[l]; ok && o != s {
+					t.Fatalf("%s: slots %d and %d share local index %d", ctx, o, s, l)
+				}
+				if o, ok := indexOf[s]; ok && o != l {
+					t.Fatalf("%s: the flows on slot %d have local indices %d and %d", ctx, s, o, l)
+				}
+				slotOf[l], indexOf[s], used[l] = s, l, true
+			}
+		}
+		if len(used) != int(tr.slotEnds[c]-base) {
+			t.Fatalf("%s: component %d uses %d of its %d local indices", ctx, c, len(used), tr.slotEnds[c]-base)
+		}
+		start, base = end, tr.slotEnds[c]
+	}
+	if tr.NumLocal() != int(base) {
+		t.Fatalf("%s: NumLocal %d, want %d", ctx, tr.NumLocal(), base)
 	}
 }

@@ -20,8 +20,9 @@ const maxDenseNode = 1 << 22
 
 // slotTable maps the ids of one namespace (node ids for NICs, switch
 // ids for fabric links) to slots. An entry counts only when stamped
-// with the current epoch, so reset unassigns every id in O(1). The
-// fills use one epoch per fill, the persistent slotIndex one per run.
+// with the current epoch, so reset unassigns every id in O(1).
+// TopoFiller's link tables use one epoch per fill, the persistent
+// slotIndex one per run.
 type slotTable struct {
 	dense []slotEntry
 	epoch uint64
@@ -248,19 +249,18 @@ func (d *denseFill) fill(flows []*Flow) {
 	}
 }
 
-// fillScratch bundles everything one allocation epoch needs: the slot
-// tables, the fill state and the coupled fill's per-receiver inflow.
-// IncrementalAllocator and TopoFiller each own one.
+// fillScratch bundles everything one allocation epoch needs: the fill
+// state, the coupled fill's per-receiver inflow and TopoFiller's link
+// slot tables. IncrementalAllocator and TopoFiller each own one; the
+// coupled fill takes its slots from the tracker's walk and interns
+// nothing.
 type fillScratch struct {
-	snd, rcv slotTable // NIC slots by node id
-	up, dn   slotTable // link slots by edge-switch id
-	d        denseFill
-	inflow   []float64 // per slot: base inflow of a receiver slot
+	up, dn slotTable // TopoFiller's link slots by edge-switch id
+	d      denseFill
+	inflow []float64 // per slot: base inflow of a receiver slot
 }
 
 func (s *fillScratch) begin() {
-	s.snd.reset()
-	s.rcv.reset()
 	s.up.reset()
 	s.dn.reset()
 	s.d.reset()
@@ -280,6 +280,5 @@ func (s *fillScratch) oversized() bool {
 	return cap(s.d.flows) > maxPooledScratchLen ||
 		cap(s.d.links) > maxPooledScratchLen ||
 		cap(s.inflow) > maxPooledScratchLen ||
-		s.snd.oversized() || s.rcv.oversized() ||
 		s.up.oversized() || s.dn.oversized()
 }

@@ -50,14 +50,15 @@ func waterFill(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.Node
 // exactly waterFill.
 func waterFillTopo(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.NodeID]float64, defSend, defRecv float64, topo topology.Spec, hostRate float64) {
 	var sc fillScratch
+	var snd, rcv slotTable
 	sc.begin()
 	d := &sc.d
 	for i, f := range flows {
-		si, fresh := d.slot(&sc.snd, int(f.Src))
+		si, fresh := d.slot(&snd, int(f.Src))
 		if fresh {
 			d.links[si].left = capOf(senderCap, f.Src, defSend)
 		}
-		ri, fresh := d.slot(&sc.rcv, int(f.Dst))
+		ri, fresh := d.slot(&rcv, int(f.Dst))
 		if fresh {
 			d.links[ri].left = capOf(recvCap, f.Dst, defRecv)
 		}
@@ -108,11 +109,11 @@ func TestCoupledAllocatorMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sub := range substrateConfigs {
-		var sc fillScratch
+		var sc wholeFill
 		for si, g := range schemes {
 			a := schemeFlows(t, g)
 			b := schemeFlows(t, g)
-			coupledDenseAllocate(sub.cfg, a, &sc)
+			denseAllocate(sub.cfg, a, &sc)
 			referenceCoupledTopoAllocate(sub.cfg, b)
 			for i := range a {
 				if a[i].Rate != b[i].Rate {
@@ -196,9 +197,9 @@ func TestAllocateSteadyStateZeroAllocs(t *testing.T) {
 	}
 	flows := schemeFlows(t, g)
 	cfg := substrateConfigs[0].cfg
-	var sc fillScratch
-	coupledDenseAllocate(cfg, flows, &sc) // warm the scratch
-	if avg := testing.AllocsPerRun(100, func() { coupledDenseAllocate(cfg, flows, &sc) }); avg != 0 {
+	var sc wholeFill
+	denseAllocate(cfg, flows, &sc) // warm the scratch
+	if avg := testing.AllocsPerRun(100, func() { denseAllocate(cfg, flows, &sc) }); avg != 0 {
 		t.Errorf("coupledDenseAllocate allocates %.1f objects/op in steady state, want 0", avg)
 	}
 }
@@ -267,8 +268,8 @@ func TestOverflowInternNotFresh(t *testing.T) {
 	for i := range flows {
 		flows[i] = &Flow{ID: i, Src: graph.NodeID(huge), Dst: graph.NodeID(1 + i%3), Remaining: 1}
 	}
-	var sc fillScratch
-	coupledDenseAllocate(substrateConfigs[0].cfg, flows, &sc)
+	var sc wholeFill
+	denseAllocate(substrateConfigs[0].cfg, flows, &sc)
 	if n := len(sc.d.links); n != 4 {
 		t.Fatalf("50 flows from one sender to 3 receivers opened %d fill slots, want 4", n)
 	}

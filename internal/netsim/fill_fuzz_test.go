@@ -89,9 +89,9 @@ func FuzzWaterFill(f *testing.F) {
 			}
 		}
 
-		var sc fillScratch
+		var sc wholeFill
 		a, b := mk(), mk()
-		coupledDenseAllocate(cfg, a, &sc)
+		denseAllocate(cfg, a, &sc)
 		referenceCoupledTopoAllocate(cfg, b)
 		same("coupled fill", a, b)
 

@@ -44,6 +44,17 @@ import (
 // reference fill by the PR-2/PR-4 differential guarantees. The engine's
 // active slice keeps flows in start order (completion compacts it in
 // place), so the sub-slice order never drifts between the two.
+//
+// Neither owner interns or renumbers an endpoint per event. The walk
+// that finds a dirty component also numbers its slots densely (see
+// component.go), and the owners refill in that numbering:
+// IncrementalAllocator indexes the fill's slot table by the
+// component's local slot indices, and the predictor takes a flow's
+// local sender and receiver indices as the node indices of its conflict
+// graph (graph.RebuildNumbered). Which slot gets which index changes
+// nothing: the fill charges each slot in flow order, and the penalty
+// models read only role-specific degrees, so any numbering that gives
+// each slot its own index yields the same bits.
 
 // DirtyTracker is the component-tracking half of an incremental
 // allocator. Embedded in an Allocator it implements ActiveSetObserver
@@ -61,7 +72,7 @@ import (
 // slots that still loads a flow (so every piece of a split component
 // is refilled), a fault the degraded resources' slots. Dirty walks the
 // per-slot flow lists from each mark not yet reached, and each walk
-// yields one exact component.
+// yields one exact component and numbers its slots (Local, NumLocal).
 type DirtyTracker struct {
 	attached bool
 	tracking bool
@@ -72,7 +83,10 @@ type DirtyTracker struct {
 	pass  uint64    // Dirty calls so far: the idx.pass stamp of this one
 	dirty []*Flow   // flows of dirty components, component by component
 	ends  []int32   // per dirty component: its end offset in dirty
-	stack []int32   // walk scratch
+	// slotEnds holds, per dirty component, one past its last local slot
+	// index: component c numbers its slots [slotEnds[c-1], slotEnds[c]).
+	slotEnds []int32
+	stack    []int32 // walk scratch
 }
 
 var _ ActiveSetObserver = (*DirtyTracker)(nil)
@@ -145,7 +159,7 @@ func (t *DirtyTracker) ActiveSetReset() {
 	t.idx.reset()
 	t.marks = t.marks[:0]
 	if cap(t.dirty) > maxPooledScratchLen {
-		t.dirty, t.ends = nil, nil
+		t.dirty, t.ends, t.slotEnds = nil, nil, nil
 	}
 	if cap(t.marks) > maxPooledScratchLen {
 		t.marks = nil
@@ -158,9 +172,10 @@ func (t *DirtyTracker) ActiveSetReset() {
 // Dirty returns the flows of the components an event touched since the
 // last Clean: whole constraint components, one after another (ends
 // holds where each one ends), empty when every component is clean.
-// Flows come in walk order, not Flow.ID order. flows must be the
-// tracked set; an untracked tracker returns flows itself. The result is
-// valid until Clean.
+// Flows come in walk order, not Flow.ID order, and the slots they load
+// are numbered (see Local). flows must be the tracked set; an untracked
+// tracker returns flows itself and numbers nothing. The result is valid
+// until Clean.
 func (t *DirtyTracker) Dirty(flows []*Flow) []*Flow {
 	if !t.tracking {
 		return flows
@@ -173,16 +188,44 @@ func (t *DirtyTracker) Dirty(flows []*Flow) []*Flow {
 	// since a flow loading it again marks its own sender slot.
 	x := &t.idx
 	t.pass++
-	marks, dirty, ends := t.marks[:0], t.dirty[:0], t.ends[:0]
+	marks, dirty, ends, slotEnds := t.marks[:0], t.dirty[:0], t.ends[:0], t.slotEnds[:0]
+	next := int32(0)
 	for _, m := range t.marks {
 		if x.pass[m] != t.pass && len(x.on[m]) > 0 {
 			marks = append(marks, m)
-			dirty, t.stack = x.walk(m, t.pass, dirty, t.stack)
+			dirty, t.stack, next = x.walk(m, t.pass, next, dirty, t.stack)
 			ends = append(ends, int32(len(dirty)))
+			slotEnds = append(slotEnds, next)
 		}
 	}
-	t.marks, t.dirty, t.ends = marks, dirty, ends
+	t.marks, t.dirty, t.ends, t.slotEnds = marks, dirty, ends, slotEnds
 	return dirty
+}
+
+// Armed reports whether the tracker follows an engine's active set:
+// only then does Dirty name components and number their slots.
+func (t *DirtyTracker) Armed() bool { return t.tracking }
+
+// Local returns the index the last Dirty gave f's slot k — 0 its sender
+// NIC, 1 its receiver NIC, 2 its source uplink, 3 its destination
+// downlink — or -1 where f loads no such slot. The indices are dense
+// over the whole Dirty result, in [0, NumLocal()): the flows on one
+// slot share its index, and distinct slots (a host's send and receive
+// NICs among them) get distinct ones. f must be a flow Dirty returned
+// from an armed tracker: an untracked flow's slots are stale.
+func (t *DirtyTracker) Local(f *Flow, k int) int32 {
+	if s := f.slot[k]; s >= 0 {
+		return t.idx.local[s]
+	}
+	return -1
+}
+
+// NumLocal returns how many slots the last Dirty numbered.
+func (t *DirtyTracker) NumLocal() int {
+	if n := len(t.slotEnds); n > 0 {
+		return int(t.slotEnds[n-1])
+	}
+	return 0
 }
 
 // Clean marks every component clean once the owner has refilled the
@@ -244,17 +287,17 @@ func (a *IncrementalAllocator) Allocate(flows []*Flow) {
 	a.tracking = false
 }
 
-// refill runs the dense coupled fill once per dirty component, its
-// flows sorted by Flow.ID — slice order, which phase 1b's per-receiver
-// inflow sums follow.
+// refill runs the dense coupled fill once per dirty component, in the
+// component's local slot numbering, its flows sorted by Flow.ID — slice
+// order, which phase 1b's per-receiver inflow sums follow.
 func (a *IncrementalAllocator) refill(flows []*Flow) {
 	dirty := a.Dirty(flows)
-	start := 0
-	for _, end := range a.ends {
-		c := dirty[start:end]
-		slices.SortFunc(c, func(p, q *Flow) int { return cmp.Compare(p.ID, q.ID) })
-		coupledDenseAllocate(a.Cfg, c, &a.scr)
-		start = int(end)
+	start, base := int32(0), int32(0)
+	for c, end := range a.ends {
+		comp := dirty[start:end]
+		slices.SortFunc(comp, func(p, q *Flow) int { return cmp.Compare(p.ID, q.ID) })
+		coupledDenseAllocate(a.Cfg, comp, &a.idx, base, a.slotEnds[c], &a.scr)
+		start, base = end, a.slotEnds[c]
 	}
 	a.Clean()
 }

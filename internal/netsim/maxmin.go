@@ -71,26 +71,48 @@ type CoupledConfig struct {
 //     FlowCap, the reduced sender capacities, RxCap and the fabric's
 //     links.
 //
-// It is the fill of every component IncrementalAllocator refills, and
-// bit-identical to the map-based reference allocation on the same flow
-// slice, for any node ids. A warm scratch makes it allocation-free.
-func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch) {
+// flows are whole components of the last Dirty walk over x, whose slots
+// that walk numbered [base, end); the fill's slot of a flow's slot k is
+// its local index minus base, so the fill interns nothing. cfg.Topo
+// must be the fabric x was armed on. It is the fill of every component
+// IncrementalAllocator refills, and bit-identical to the map-based
+// reference allocation on the same flow slice, for any node ids and any
+// numbering. A warm scratch makes it allocation-free.
+func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, x *slotIndex, base, end int32, sc *fillScratch) {
 	sc.begin()
 	d := &sc.d
+	d.links = slices.Grow(d.links, int(end-base))[:end-base]
+	clear(d.links)
+	local := func(s int32) int32 { return x.local[s] - base }
 
-	// Phase 1a: intern endpoints and count per-sender/per-receiver active
-	// flows. NIC capacities carry the fault overlay's per-host factor (1
-	// on a healthy fabric, which multiplies exactly).
+	// Phase 1a: count per-slot active flows and open each slot at its
+	// capacity on first sight. NIC capacities carry the fault overlay's
+	// per-host factor (1 on a healthy fabric, which multiplies exactly);
+	// the fabric's links, which only phase 3 reads, carry its per-switch
+	// factor.
+	linkCap := cfg.Topo.UplinkCap(cfg.FlowCap)
 	for i, f := range flows {
-		si, fresh := d.slot(&sc.snd, int(f.Src))
-		if fresh {
-			d.links[si].left = cfg.LineRate * cfg.Faults.HostFactor(int(f.Src))
+		e := fillFlow{cap: cfg.FlowCap, flow: int32(i), snd: local(f.slot[0]), rcv: local(f.slot[1]), up: -1, dn: -1}
+		if l := &d.links[e.snd]; l.count == 0 {
+			l.left = cfg.LineRate * cfg.Faults.HostFactor(int(f.Src))
 		}
-		ri, fresh := d.slot(&sc.rcv, int(f.Dst))
-		if fresh {
-			d.links[ri].left = cfg.RxCap * cfg.Faults.HostFactor(int(f.Dst))
+		if l := &d.links[e.rcv]; l.count == 0 {
+			l.left = cfg.RxCap * cfg.Faults.HostFactor(int(f.Dst))
 		}
-		d.flows = append(d.flows, fillFlow{cap: cfg.FlowCap, flow: int32(i), snd: si, rcv: ri, up: -1, dn: -1})
+		d.links[e.snd].count++
+		d.links[e.rcv].count++
+		if f.slot[2] >= 0 {
+			e.up, e.dn = local(f.slot[2]), local(f.slot[3])
+			if l := &d.links[e.up]; l.count == 0 {
+				l.left = linkCap * cfg.Faults.LinkFactor(cfg.Topo.SwitchOf(f.Src))
+			}
+			if l := &d.links[e.dn]; l.count == 0 {
+				l.left = linkCap * cfg.Faults.LinkFactor(cfg.Topo.SwitchOf(f.Dst))
+			}
+			d.links[e.up].count++
+			d.links[e.dn].count++
+		}
+		d.flows = append(d.flows, e)
 	}
 
 	// Phase 1b: base demand per sender, accumulated per receiver. The
@@ -128,6 +150,5 @@ func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch) {
 	// Phase 3: max-min under FlowCap, the reduced sender capacities,
 	// RxCap and the fabric links. The slot counts from phase 1a are
 	// exactly the initial unfrozen counts.
-	sc.linkSlots(flows, cfg.Topo, cfg.Topo.UplinkCap(cfg.FlowCap), cfg.Faults)
 	d.fill(flows)
 }

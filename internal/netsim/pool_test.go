@@ -7,11 +7,11 @@ import "testing"
 // scheme instead of pinning it for the life of the process.
 
 // inflateScratch grows the scratch the way a big allocation epoch
-// would: many flows and a large node id in the slot tables.
-func inflateScratch(sc *fillScratch, flows int, maxNode int) {
+// would: many flows and a large switch id in the link slot tables.
+func inflateScratch(sc *fillScratch, flows int, maxSwitch int) {
 	sc.begin()
-	sc.snd.intern(maxNode, 0)
-	sc.rcv.intern(maxNode, 0)
+	sc.up.intern(maxSwitch, 0)
+	sc.dn.intern(maxSwitch, 0)
 	for i := 0; i < flows; i++ {
 		sc.d.flows = append(sc.d.flows, fillFlow{})
 	}

@@ -133,12 +133,35 @@ func (a *coupledOracle) Allocate(flows []*Flow) {
 // whole flow set at once, the counterpart of coupledOracle.
 type denseCoupled struct {
 	Cfg CoupledConfig
-	scr fillScratch
+	scr wholeFill
 }
 
 // Allocate implements Allocator.
 func (a *denseCoupled) Allocate(flows []*Flow) {
 	if len(flows) > 0 {
-		coupledDenseAllocate(a.Cfg, flows, &a.scr)
+		denseAllocate(a.Cfg, flows, &a.scr)
 	}
+}
+
+// wholeFill is the scratch of denseAllocate: a tracker of its own, whose
+// walk numbers the slots, and the fill's scratch.
+type wholeFill struct {
+	tr DirtyTracker
+	fillScratch
+}
+
+// denseAllocate runs the dense coupled fill over flows as one fill,
+// whatever their components — the counterpart of
+// referenceCoupledTopoAllocate. The flows are tracked for the call, so
+// one Dirty walk numbers their slots, then coupledDenseAllocate fills
+// them all in that numbering.
+func denseAllocate(cfg CoupledConfig, flows []*Flow, w *wholeFill) {
+	w.tr.idx.topo = cfg.Topo
+	w.tr.ActiveSetReset()
+	for _, f := range flows {
+		w.tr.FlowStarted(f)
+	}
+	w.tr.Dirty(flows)
+	coupledDenseAllocate(cfg, flows, &w.tr.idx, 0, int32(w.tr.NumLocal()), &w.fillScratch)
+	w.tr.Clean()
 }

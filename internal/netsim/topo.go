@@ -15,9 +15,11 @@ import (
 // link slots are -1 and add nothing to the fill, which keeps those rates
 // bit-identical to the topology-free ones (topo_test.go checks it).
 //
-// Edge-switch ids are interned to slots as node ids are, the per-slot
-// state lives in the reusable fillScratch, and a steady-state allocation
-// does zero heap allocation.
+// The coupled fill (coupledDenseAllocate) takes its link slots, like
+// its NIC slots, from the tracker's component walk. TopoFiller's flows
+// are not tracked, so it interns edge-switch ids to link slots itself,
+// once per fill. The per-slot state lives in the reusable fillScratch,
+// and a steady-state allocation does zero heap allocation.
 
 // linkSlots interns the edge switches of the inter-switch flows and sets
 // their uplink and downlink slots; the flows' fill entries must be in

@@ -254,9 +254,9 @@ func TestTopoSteadyStateZeroAllocs(t *testing.T) {
 	flows := schemeFlows(t, g)
 	cfg := substrateConfigs[0].cfg
 	cfg.Topo = spec
-	var sc fillScratch
-	coupledDenseAllocate(cfg, flows, &sc) // warm the scratch
-	if avg := testing.AllocsPerRun(100, func() { coupledDenseAllocate(cfg, flows, &sc) }); avg != 0 {
+	var sc wholeFill
+	denseAllocate(cfg, flows, &sc) // warm the scratch
+	if avg := testing.AllocsPerRun(100, func() { denseAllocate(cfg, flows, &sc) }); avg != 0 {
 		t.Errorf("topo coupledDenseAllocate allocates %.1f objects/op in steady state, want 0", avg)
 	}
 	var tf TopoFiller

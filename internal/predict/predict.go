@@ -119,8 +119,11 @@ func (s Spec) engineName() string {
 // and not by comm order (the core.Model contract), the dirty set is a
 // union of whole components, and the host cap is per flow. So the
 // dirty flows are scored in the order Dirty yields them, unsorted.
-// Each fill rebuilds that graph in an allocator-owned scratch graph;
-// with a model offering PenaltiesInto a fill allocates nothing.
+// Each fill rebuilds that graph in an allocator-owned scratch graph, on
+// the crossbar in the numbering the tracker's walk just gave the dirty
+// flows' sender and receiver slots (graph.RebuildNumbered), so no
+// endpoint is renumbered per event; with a model offering
+// PenaltiesInto a fill allocates nothing.
 type modelAllocator struct {
 	netsim.DirtyTracker
 
@@ -136,8 +139,9 @@ type modelAllocator struct {
 	faults *fault.State
 	tf     netsim.TopoFiller // uplink water-fill scratch
 
-	comms []graph.Comm // scratch: the flows being scored
-	g     graph.Graph  // scratch: their conflict graph
+	comms    []graph.Comm // scratch: the flows being scored
+	src, dst []int        // scratch: their local slot indices
+	g        graph.Graph  // scratch: their conflict graph
 }
 
 // scratchModel is the allocation-free form a penalty model may offer
@@ -184,7 +188,16 @@ func (a *modelAllocator) Allocate(flows []*netsim.Flow) {
 	for _, f := range dirty {
 		a.comms = append(a.comms, graph.Comm{Src: f.Src, Dst: f.Dst, Volume: f.Remaining})
 	}
-	graph.RebuildScratch(&a.g, a.comms)
+	if a.Armed() {
+		a.src, a.dst = a.src[:0], a.dst[:0]
+		for _, f := range dirty {
+			a.src = append(a.src, int(a.Local(f, 0)))
+			a.dst = append(a.dst, int(a.Local(f, 1)))
+		}
+		graph.RebuildNumbered(&a.g, a.comms, a.src, a.dst, a.NumLocal())
+	} else {
+		graph.RebuildScratch(&a.g, a.comms)
+	}
 	a.score(dirty)
 	a.Clean()
 }

@@ -240,7 +240,9 @@ func TestIndexedMatchesScanComposite(t *testing.T) {
 
 // TestReplayAllocsFlat: on a warm FluidEngine a replay allocates per
 // run, not per message — doubling the iterations of a pairwise trace
-// must not raise allocs/op.
+// must not raise allocs/op — and a warm run allocates only what it
+// returns, the Result and its Tasks: the rest of its scratch is
+// recycled across runs.
 func TestReplayAllocsFlat(t *testing.T) {
 	allocs := func(iters int) float64 {
 		tr, err := apps.AllToAll(8, iters, 4e6, 1e-3)
@@ -263,6 +265,9 @@ func TestReplayAllocsFlat(t *testing.T) {
 	a, b := allocs(k), allocs(2*k)
 	if b > a {
 		t.Fatalf("allocs/op grew with the message count: %v at %d iterations, %v at %d", a, k, b, 2*k)
+	}
+	if a > 2 || b > 2 {
+		t.Fatalf("a warm replay allocates %v and %v objects/op, want at most 2 (the Result and its Tasks)", a, b)
 	}
 	t.Logf("allocs/op: %v at %d iterations, %v at %d", a, k, b, 2*k)
 }

@@ -23,13 +23,19 @@
 // can only match its receiver's pending receive and a new receive only
 // a send queued to its rank; each is found by index (see postSend and
 // postRecv). Tasks and transfers are the queue's callbacks themselves
-// (des.Runner), transfer records are pooled per run, and engine flow
-// ids map to transfers through a dense table, so a replay allocates per
-// run, not per message.
+// (des.Runner), transfer records are recycled, and engine flow ids map
+// to transfers through a dense table, so a replay allocates per run,
+// not per message. The whole per-run scratch — the event queue and its
+// event pool, the task table, the transfer records, the flow table — is
+// pooled across runs as well, so a warm Run allocates only the Result
+// it returns and its Tasks.
 package replay
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 
 	"bwshare/internal/cluster"
 	"bwshare/internal/core"
@@ -104,8 +110,8 @@ type task struct {
 // release) resumes the task at the queue's clock.
 func (t *task) Run() { t.s.step(t, t.s.q.Now()) }
 
-// transfer is an in-flight matched communication. Records are pooled
-// per run (sim.free).
+// transfer is an in-flight matched communication. Records are recycled
+// within and across runs (sim.free).
 type transfer struct {
 	s         *sim
 	from, to  int
@@ -169,6 +175,72 @@ type sim struct {
 	remain int // tasks that have not finished their program
 }
 
+// sims holds idle replay scratch for the next Run: a free list of at
+// most GOMAXPROCS sims, one per Run that can execute at once. It is a
+// plain list rather than a sync.Pool so that a warm Run allocates the
+// same under the race detector, which makes a sync.Pool drop entries at
+// random. A sim goes back holding no reference into its run (engine,
+// placement, trace programs, results), so the list pins only buffers.
+var sims struct {
+	sync.Mutex
+	idle []*sim
+}
+
+// getSim returns an idle sim, or a new one.
+func getSim() *sim {
+	sims.Lock()
+	defer sims.Unlock()
+	if n := len(sims.idle); n > 0 {
+		s := sims.idle[n-1]
+		sims.idle[n-1] = nil
+		sims.idle = sims.idle[:n-1]
+		return s
+	}
+	return &sim{q: des.NewQueue()}
+}
+
+// putSim empties s and keeps it for a later Run, unless GOMAXPROCS
+// sims already wait.
+func putSim(s *sim) {
+	s.release()
+	sims.Lock()
+	defer sims.Unlock()
+	if len(sims.idle) < runtime.GOMAXPROCS(0) {
+		sims.idle = append(sims.idle, s)
+	}
+}
+
+// maxPooledLen bounds the buffers an idle sim keeps: one replay of a
+// huge trace (many tasks, sends or transfers in flight) would otherwise
+// pin its task table and flow table on the idle list for good. Past it
+// the buffer is dropped instead, and with a huge task table also the
+// event queue, whose heap holds at most one timer per task.
+const maxPooledLen = 1 << 14
+
+// release empties s for the idle list, shedding what one huge run
+// inflated.
+func (s *sim) release() {
+	if cap(s.tasks) > maxPooledLen {
+		s.tasks, s.q = nil, des.NewQueue()
+	}
+	clear(s.tasks)
+	s.q.Reset()
+	if cap(s.flows.dense) > maxPooledLen {
+		s.flows.dense = nil
+	}
+	if len(s.flows.big) > maxPooledLen {
+		s.flows.big = nil
+	}
+	clear(s.flows.big)
+	if len(s.free) > maxPooledLen {
+		s.free = nil
+	}
+	if cap(s.done) > maxPooledLen {
+		s.done = nil
+	}
+	*s = sim{q: s.q, tasks: s.tasks[:0], free: s.free, flows: s.flows, done: s.done[:0]}
+}
+
 // Run replays tr over eng with the given cluster and placement. The
 // engine is reset first if it supports it.
 func Run(eng core.Engine, clu cluster.Cluster, place cluster.Placement, tr *trace.Trace) (*Result, error) {
@@ -188,14 +260,10 @@ func Run(eng core.Engine, clu cluster.Cluster, place cluster.Placement, tr *trac
 		r.Reset()
 	}
 	n := tr.NumTasks()
-	s := &sim{
-		eng:    eng,
-		clu:    clu,
-		place:  place,
-		q:      des.NewQueue(),
-		tasks:  make([]task, n),
-		remain: n,
-	}
+	s := getSim()
+	defer putSim(s)
+	s.eng, s.clu, s.place, s.remain = eng, clu, place, n
+	s.tasks = slices.Grow(s.tasks, n)[:n]
 	sends := 0
 	for _, prog := range tr.Tasks {
 		for _, ev := range prog {
@@ -204,9 +272,10 @@ func Run(eng core.Engine, clu cluster.Cluster, place cluster.Placement, tr *trac
 			}
 		}
 	}
-	s.flows.dense = make([]*transfer, sends)
-	s.res.Engine = eng.Name()
-	s.res.Tasks = make([]TaskResult, n)
+	s.flows.dense = slices.Grow(s.flows.dense[:0], sends)[:sends]
+	clear(s.flows.dense) // a failed run leaves entries behind
+	// The result is the run's own memory, never a recycled sim's.
+	s.res = Result{Engine: eng.Name(), Tasks: make([]TaskResult, n)}
 	for rank := range s.tasks {
 		s.tasks[rank] = task{s: s, rank: rank, prog: tr.Tasks[rank], inHead: -1, inTail: -1, next: -1}
 		s.res.Tasks[rank].Rank = rank
@@ -218,7 +287,9 @@ func Run(eng core.Engine, clu cluster.Cluster, place cluster.Placement, tr *trac
 	if err := s.loop(); err != nil {
 		return nil, err
 	}
-	return &s.res, nil
+	res := new(Result)
+	*res = s.res
+	return res, nil
 }
 
 // loop interleaves engine progress with task timers until all tasks end.

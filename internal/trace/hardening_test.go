@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -64,6 +65,42 @@ func TestReadRoundTripsTrailingEmptyTasks(t *testing.T) {
 	for i := range orig.Tasks {
 		if len(got.Tasks[i]) != len(orig.Tasks[i]) {
 			t.Errorf("task %d: %d events, want %d", i, len(got.Tasks[i]), len(orig.Tasks[i]))
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: a NaN or infinite compute duration or
+// message volume has no replay — a NaN duration ran as a zero-length
+// step, and the others surfaced as a replay deadlock — so Validate
+// refuses each, on a send, on a receive and on a compute event, and
+// still accepts the finite neighbours (a zero duration, the largest
+// finite volume).
+func TestValidateRejectsNonFinite(t *testing.T) {
+	pair := func(compute, sendBytes, recvBytes float64) *Trace {
+		return &Trace{Tasks: []Task{
+			{{Kind: Compute, Duration: compute}, {Kind: Send, Peer: 1, Bytes: sendBytes}},
+			{{Kind: Recv, Peer: 0, Bytes: recvBytes}},
+		}}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := map[string]*Trace{
+		"NaN duration":    pair(nan, 1e6, 1e6),
+		"+Inf duration":   pair(inf, 1e6, 1e6),
+		"-Inf duration":   pair(-inf, 1e6, 1e6),
+		"NaN send bytes":  pair(0, nan, 1e6),
+		"+Inf send bytes": pair(0, inf, 1e6),
+		"NaN recv bytes":  pair(0, 1e6, nan),
+		"+Inf recv bytes": pair(0, 1e6, inf),
+		"-Inf recv bytes": pair(0, 1e6, -inf),
+	}
+	for name, tr := range bad {
+		if err := tr.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	for _, tr := range []*Trace{pair(0, 1e6, 1e6), pair(1e-3, math.MaxFloat64, math.MaxFloat64)} {
+		if err := tr.Validate(); err != nil {
+			t.Errorf("finite trace rejected: %v", err)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Kind enumerates event kinds.
@@ -58,8 +59,11 @@ type Trace struct {
 // NumTasks returns the number of tasks.
 func (t *Trace) NumTasks() int { return len(t.Tasks) }
 
-// Validate checks structural sanity: peer ranks in range, positive
-// volumes, barriers aligned (every task has the same number of barriers).
+// Validate checks structural sanity: peer ranks in range, finite
+// non-negative compute durations, finite positive volumes, barriers
+// aligned (every task has the same number of barriers). A NaN or
+// infinite duration or volume has no replay: the engines would report
+// it as a deadlock, or a NaN duration as a zero-length step.
 func (t *Trace) Validate() error {
 	n := len(t.Tasks)
 	barriers := -1
@@ -68,8 +72,8 @@ func (t *Trace) Validate() error {
 		for i, ev := range task {
 			switch ev.Kind {
 			case Compute:
-				if ev.Duration < 0 {
-					return fmt.Errorf("trace: task %d event %d: negative duration", rank, i)
+				if !(ev.Duration >= 0) || math.IsInf(ev.Duration, 1) {
+					return fmt.Errorf("trace: task %d event %d: duration %g is negative or not finite", rank, i, ev.Duration)
 				}
 			case Send:
 				if ev.Peer < 0 || ev.Peer >= n {
@@ -78,15 +82,15 @@ func (t *Trace) Validate() error {
 				if ev.Peer == rank {
 					return fmt.Errorf("trace: task %d event %d: send to self", rank, i)
 				}
-				if ev.Bytes <= 0 {
-					return fmt.Errorf("trace: task %d event %d: non-positive bytes", rank, i)
+				if err := checkBytes(ev.Bytes); err != nil {
+					return fmt.Errorf("trace: task %d event %d: %w", rank, i, err)
 				}
 			case Recv:
 				if ev.Peer != AnySource && (ev.Peer < 0 || ev.Peer >= n) {
 					return fmt.Errorf("trace: task %d event %d: recv peer %d out of range", rank, i, ev.Peer)
 				}
-				if ev.Bytes <= 0 {
-					return fmt.Errorf("trace: task %d event %d: non-positive bytes", rank, i)
+				if err := checkBytes(ev.Bytes); err != nil {
+					return fmt.Errorf("trace: task %d event %d: %w", rank, i, err)
 				}
 			case Barrier:
 				b++
@@ -99,6 +103,14 @@ func (t *Trace) Validate() error {
 		} else if b != barriers {
 			return fmt.Errorf("trace: task %d has %d barriers, task 0 has %d", rank, b, barriers)
 		}
+	}
+	return nil
+}
+
+// checkBytes refuses a message volume that is not finite and positive.
+func checkBytes(b float64) error {
+	if !(b > 0) || math.IsInf(b, 1) {
+		return fmt.Errorf("bytes %g are not finite and positive", b)
 	}
 	return nil
 }
