@@ -28,25 +28,23 @@ type Comm struct {
 	Volume float64 // bytes to transfer
 }
 
-// Graph is an immutable-after-build communication scheme: Build and
-// Subgraph hand out graphs that are only ever read, so they may be
-// cached and shared across goroutines. RebuildScratch and
-// RebuildNumbered, which rebuild a graph in place, are for
-// allocator-owned scratch graphs a single owner re-scores (such as the
-// predictor's active conflict graph); a graph handed to a cache or
-// another goroutine is never rebuilt.
+// Graph is a communication scheme. Node-id graphs come from Build and
+// Subgraph, which hand out fresh graphs that are only ever read, so
+// they may be cached and shared across goroutines. RebuildNumbered is
+// the only in-place rebuild: it is for allocator-owned scratch graphs a
+// single owner re-scores (the predictor's active conflict graph), and a
+// graph handed to a cache or another goroutine is never rebuilt.
 //
 // Endpoints are numbered densely: each communication records the node
 // indices of its two ends, and degrees are per-index slices, so
 // per-comm degree lookups (Ends, OutDegreeAt, InDegreeAt) are array
-// reads. In a graph from Build, Subgraph or RebuildScratch node index k
-// is the k-th smallest endpoint id. A graph from RebuildNumbered keeps
-// its caller's numbering instead, in which an index names one
-// constraint slot — a host's send NIC or its receive NIC — rather than
-// a node; there only the role-specific degrees mean anything (the
-// out-degree at a source index, the in-degree at a destination index),
-// and the node-id accessors (Nodes, OutDegree, InDegree, ConflictAt)
-// panic.
+// reads. In a graph from Build or Subgraph node index k is the k-th
+// smallest endpoint id. A graph from RebuildNumbered keeps its
+// caller's numbering instead, in which an index names one constraint
+// slot — a host's send NIC or its receive NIC — rather than a node;
+// there only the role-specific degrees mean anything (the out-degree
+// at a source index, the in-degree at a destination index), and the
+// node-id accessors (Nodes, OutDegree, InDegree, ConflictAt) panic.
 type Graph struct {
 	comms    []Comm
 	nodes    []NodeID // sorted distinct endpoints; index k names nodes[k]
@@ -56,7 +54,6 @@ type Graph struct {
 	inDeg    []int    // per node index
 	maxNode  NodeID   // largest endpoint id, -1 when empty
 	numbered bool     // built by RebuildNumbered: indices name slots
-	slot     []int    // RebuildScratch: dense id -> node index + 1
 }
 
 // Builder incrementally constructs a Graph.
@@ -111,55 +108,40 @@ func (b *Builder) Build() (*Graph, error) {
 	return build(b.comms), nil
 }
 
-// build returns a fresh graph over a copy of comms, without the
-// numbering scratch a graph that is never rebuilt does not need.
+// build returns a fresh graph over a copy of comms, renumbered densely
+// (ID i at position i). Nothing is checked: comms must have
+// non-negative, distinct endpoints and positive volumes.
 func build(comms []Comm) *Graph {
-	g := &Graph{}
-	RebuildScratch(g, comms)
-	g.slot = nil
-	return g
-}
-
-// RebuildScratch makes g the graph of comms in place, reusing g's
-// storage: comms are copied and renumbered densely (ID i at position i),
-// labels kept as given. The cost is linear in len(comms), and after the
-// first rebuilds of a given size it allocates nothing. Nothing is
-// checked: comms must have non-negative, distinct endpoints and positive
-// volumes. Labels may be empty or repeated; only ByLabel reads them.
-//
-// RebuildScratch is for scratch graphs with a single owner, never for a
-// graph from Build or Subgraph; see Graph.
-func RebuildScratch(g *Graph, comms []Comm) {
 	n := len(comms)
+	g := &Graph{}
 	minNode := g.copyComms(comms)
-	g.src = resize(g.src, n)
-	g.dst = resize(g.dst, n)
-	g.nodes = g.nodes[:0]
-	g.numbered = false
+	g.src = make([]int, n)
+	g.dst = make([]int, n)
 	// The counting pass scans the whole id range, so it is taken only
 	// while that range is a constant factor of the comm count and the
-	// rebuild stays linear. Nearly every predictor event on a fabric
-	// qualifies (node ids are cluster indices), and there it halves a
-	// replay's time against sorting.
+	// build stays linear.
 	if minNode >= 0 && int(g.maxNode) <= 4*n+64 {
 		g.numberDense()
 	} else {
 		g.numberSorted()
 	}
 	g.countDegrees(len(g.nodes))
+	return g
 }
 
-// RebuildNumbered is RebuildScratch in a numbering the caller already
-// holds: communication i runs from node index src[i] to node index
-// dst[i], and the indices are in [0, n). Nothing is scanned or sorted;
-// the cost is linear in len(comms) alone, and once warm it allocates
-// nothing. The indices must give the communications leaving one node
-// one shared source index, those entering one node one shared
-// destination index, and distinct nodes distinct indices within a
-// role; a node's two roles may share an index or not. The result is a
-// numbered graph (see Graph): the degree models score it exactly as
-// the RebuildScratch graph of the same comms, but its node-id
-// accessors panic.
+// RebuildNumbered makes g the graph of comms in place, reusing g's
+// storage, in a numbering the caller already holds: communication i
+// runs from node index src[i] to node index dst[i], and the indices are
+// in [0, n). comms are copied and renumbered densely (ID i at position
+// i); labels may be empty or repeated. Nothing is checked, scanned or
+// sorted; the cost is linear in len(comms), and once warm it allocates
+// nothing.
+// The indices must give the communications leaving one node one shared
+// source index, those entering one node one shared destination index,
+// and distinct nodes distinct indices within a role; a node's two roles
+// may share an index or not. The result is a numbered graph (see
+// Graph): the degree models score it exactly as the Build graph of the
+// same comms, but its node-id accessors panic.
 func RebuildNumbered(g *Graph, comms []Comm, src, dst []int, n int) {
 	g.copyComms(comms)
 	g.src = append(g.src[:0], src...)
@@ -208,8 +190,7 @@ func (g *Graph) byID(accessor string) {
 // numberDense numbers the endpoints by a counting pass over the id
 // range, for ids small relative to the comm count.
 func (g *Graph) numberDense() {
-	slot := resize(g.slot, int(g.maxNode)+1)
-	clear(slot)
+	slot := make([]int, int(g.maxNode)+1) // id -> node index + 1
 	for _, c := range g.comms {
 		slot[c.Src], slot[c.Dst] = 1, 1
 	}
@@ -222,7 +203,6 @@ func (g *Graph) numberDense() {
 	for i, c := range g.comms {
 		g.src[i], g.dst[i] = slot[c.Src]-1, slot[c.Dst]-1
 	}
-	g.slot = slot
 }
 
 // numberSorted numbers the endpoints by sorting them and binary

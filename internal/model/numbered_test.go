@@ -41,12 +41,11 @@ func slotNumbering(rng *rand.Rand, comms []graph.Comm) (src, dst []int, n int) {
 
 // TestNumberedGraphScoresLikeScratch: every model scores a graph built
 // by RebuildNumbered, in which an index names a sender or a receiver
-// NIC, bit for bit like the RebuildScratch graph of the same comms, on
-// the catalog schemes and on random ones, through Penalties and, where
-// offered, PenaltiesInto. One numbered and one scratch graph serve
-// every scheme, so rebuilds over larger and smaller schemes are
-// covered, and switching one graph between the two kinds too. On a
-// numbered graph the node-id accessors panic.
+// NIC, bit for bit like the built graph of the same comms, on the
+// catalog schemes and on random ones, through Penalties and, where
+// offered, PenaltiesInto. One numbered graph serves every scheme, so
+// rebuilds over larger and smaller schemes are covered. On a numbered
+// graph the node-id accessors panic.
 func TestNumberedGraphScoresLikeScratch(t *testing.T) {
 	var gs []*graph.Graph
 	for _, name := range schemes.Names() {
@@ -64,19 +63,18 @@ func TestNumberedGraphScoresLikeScratch(t *testing.T) {
 		Penalties(*graph.Graph) []float64
 	}{NewGigE(), NewMyrinet(), NewInfiniBand(), KimLee{}, Linear{}}
 	rng := rand.New(rand.NewSource(24))
-	var numbered, scratch graph.Graph
+	var numbered graph.Graph
 	var sc Scratch
 	for gi, g := range gs {
 		comms := g.Comms()
 		src, dst, n := slotNumbering(rng, comms)
 		graph.RebuildNumbered(&numbered, comms, src, dst, n)
-		graph.RebuildScratch(&scratch, comms)
 		if numbered.NumNodes() != n || numbered.MaxNode() != g.MaxNode() || !graph.Equal(&numbered, g) {
 			t.Fatalf("scheme %d: numbered graph has %d node indices and max node %d, want %d and %d, and the same comms",
 				gi, numbered.NumNodes(), numbered.MaxNode(), n, g.MaxNode())
 		}
 		for _, m := range models {
-			want := m.Penalties(&scratch)
+			want := m.Penalties(g)
 			got := [][]float64{m.Penalties(&numbered)}
 			if into, ok := m.(scratchModel); ok {
 				got = append(got, into.PenaltiesInto(&numbered, &sc))
@@ -84,15 +82,11 @@ func TestNumberedGraphScoresLikeScratch(t *testing.T) {
 			for _, p := range got {
 				for i := range want {
 					if math.Float64bits(p[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("scheme %d (%s), %s, comm %d: numbered %.17g, scratch %.17g",
+						t.Fatalf("scheme %d (%s), %s, comm %d: numbered %.17g, built %.17g",
 							gi, g, m.Name(), i, p[i], want[i])
 					}
 				}
 			}
-		}
-		if gi%7 == 0 {
-			// The scratch graph takes a turn as a numbered one, and back.
-			graph.RebuildNumbered(&scratch, comms, src, dst, n)
 		}
 	}
 
@@ -106,10 +100,6 @@ func TestNumberedGraphScoresLikeScratch(t *testing.T) {
 		if !panics(call) {
 			t.Errorf("%s on a numbered graph did not panic", name)
 		}
-	}
-	graph.RebuildScratch(&numbered, numbered.Comms())
-	if panics(func() { numbered.Nodes(); numbered.OutDegree(c.Src); numbered.ConflictAt(0, c.Dst) }) {
-		t.Error("a numbered graph rebuilt by RebuildScratch still refuses node ids")
 	}
 }
 

@@ -61,11 +61,10 @@ import (
 // and FaultObserver, and claims the allocator for a single engine. The
 // owner's Allocate asks Dirty for the flows to refill, refills them,
 // then calls Clean. Tracking is armed by the engine's first
-// ActiveSetReset; before that (an allocator called without an engine,
-// or an owner that never forwards ActiveSetReset) Dirty returns every
-// flow. Components are over sender and receiver NICs; IncrementalAllocator
-// also sets its fabric before arming, so that edge uplinks and downlinks
-// join them. Steady-state use allocates nothing.
+// ActiveSetReset, and Dirty must not be called before it. Components
+// are over sender and receiver NICs; IncrementalAllocator also sets its
+// fabric before arming, so that edge uplinks and downlinks join them.
+// Steady-state use allocates nothing.
 //
 // Dirty costs what the event touched, not the active population. Each
 // event marks slots: a start its sender slot, a departure each of its
@@ -173,13 +172,9 @@ func (t *DirtyTracker) ActiveSetReset() {
 // last Clean: whole constraint components, one after another (ends
 // holds where each one ends), empty when every component is clean.
 // Flows come in walk order, not Flow.ID order, and the slots they load
-// are numbered (see Local). flows must be the tracked set; an untracked
-// tracker returns flows itself and numbers nothing. The result is valid
-// until Clean.
+// are numbered (see Local). flows must be the tracked set of an armed
+// tracker. The result is valid until Clean.
 func (t *DirtyTracker) Dirty(flows []*Flow) []*Flow {
-	if !t.tracking {
-		return flows
-	}
 	if t.nlive != len(flows) {
 		panic("netsim: tracked flow count disagrees with the flow set; an engine-attached allocator must only be invoked by its engine")
 	}
@@ -202,17 +197,13 @@ func (t *DirtyTracker) Dirty(flows []*Flow) []*Flow {
 	return dirty
 }
 
-// Armed reports whether the tracker follows an engine's active set:
-// only then does Dirty name components and number their slots.
-func (t *DirtyTracker) Armed() bool { return t.tracking }
-
 // Local returns the index the last Dirty gave f's slot k — 0 its sender
 // NIC, 1 its receiver NIC, 2 its source uplink, 3 its destination
 // downlink — or -1 where f loads no such slot. The indices are dense
 // over the whole Dirty result, in [0, NumLocal()): the flows on one
 // slot share its index, and distinct slots (a host's send and receive
-// NICs among them) get distinct ones. f must be a flow Dirty returned
-// from an armed tracker: an untracked flow's slots are stale.
+// NICs among them) get distinct ones. f must be a flow the last Dirty
+// returned.
 func (t *DirtyTracker) Local(f *Flow, k int) int32 {
 	if s := f.slot[k]; s >= 0 {
 		return t.idx.local[s]

@@ -35,6 +35,11 @@ type Flow struct {
 	Src, Dst  graph.NodeID
 	Remaining float64 // bytes left, as of the flow's last integration point
 	Rate      float64 // set by the Allocator, bytes/second
+	// CrossbarRate is the rate a crossbar-level allocator (a penalty
+	// model) last gave the flow. It survives between fills, so such an
+	// allocator re-scores only the components an event touched while a
+	// fabric's uplink fill (TopoFiller) still caps every flow from it.
+	CrossbarRate float64
 
 	// slot and pos place the flow in a DirtyTracker's constraint graph
 	// while it is tracked (see slotIndex): slot[k] is its slot in

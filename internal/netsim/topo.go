@@ -16,9 +16,9 @@ import (
 // bit-identical to the topology-free ones (topo_test.go checks it).
 //
 // The coupled fill (coupledDenseAllocate) takes its link slots, like
-// its NIC slots, from the tracker's component walk. TopoFiller's flows
-// are not tracked, so it interns edge-switch ids to link slots itself,
-// once per fill. The per-slot state lives in the reusable fillScratch,
+// its NIC slots, from the tracker's component walk. TopoFiller fills
+// every flow it is given, outside any component walk, so it interns
+// edge-switch ids to link slots itself, once per fill. The per-slot state lives in the reusable fillScratch,
 // and a steady-state allocation does zero heap allocation.
 
 // linkSlots interns the edge switches of the inter-switch flows and sets

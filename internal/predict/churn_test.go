@@ -21,27 +21,46 @@ import (
 // wholeSetOracle is the predictor's allocation before it went
 // component-incremental: every Allocate rebuilds the conflict graph of
 // every active flow, scores it, caps each rate by its endpoints' NIC
-// fault factors and, on a fabric, water-fills the uplinks. The model
-// allocator must match it bitwise. Do not make it incremental.
+// fault factors and, on a fabric, water-fills the uplinks. It numbers
+// the graph's nodes itself, by node id in first-appearance order, both
+// roles of a node on one index, independently of the tracker's walk.
+// The model allocator must match it bitwise. Do not make it
+// incremental.
 type wholeSetOracle struct {
-	m      core.Model
-	ref    float64
-	topo   topology.Spec
-	faults *fault.State
-	tf     netsim.TopoFiller
-	comms  []graph.Comm
-	g      graph.Graph
+	m        core.Model
+	ref      float64
+	topo     topology.Spec
+	faults   *fault.State
+	tf       netsim.TopoFiller
+	comms    []graph.Comm
+	index    map[graph.NodeID]int
+	src, dst []int
+	g        graph.Graph
 }
 
 func (o *wholeSetOracle) Allocate(flows []*netsim.Flow) {
 	if len(flows) == 0 {
 		return
 	}
-	o.comms = o.comms[:0]
+	if o.index == nil {
+		o.index = make(map[graph.NodeID]int)
+	}
+	clear(o.index)
+	node := func(id graph.NodeID) int {
+		k, ok := o.index[id]
+		if !ok {
+			k = len(o.index)
+			o.index[id] = k
+		}
+		return k
+	}
+	o.comms, o.src, o.dst = o.comms[:0], o.src[:0], o.dst[:0]
 	for _, f := range flows {
 		o.comms = append(o.comms, graph.Comm{Src: f.Src, Dst: f.Dst, Volume: f.Remaining})
+		o.src = append(o.src, node(f.Src))
+		o.dst = append(o.dst, node(f.Dst))
 	}
-	graph.RebuildScratch(&o.g, o.comms)
+	graph.RebuildNumbered(&o.g, o.comms, o.src, o.dst, len(o.index))
 	p := o.m.Penalties(&o.g)
 	for i, f := range flows {
 		r := o.ref / p[i]
@@ -150,10 +169,9 @@ func churnOps(g *graph.Graph, gap byte) []byte {
 	return ops
 }
 
-// churnFabrics are the fabrics FuzzModelChurn runs on: the crossbar,
-// where the allocator re-scores only touched components, and two
-// fabrics, where it re-scores every flow (block placement makes hosts
-// 0..15 cross switches).
+// churnFabrics are the fabrics FuzzModelChurn runs on: the crossbar
+// and two fabrics, where the uplink fill reruns over every flow at
+// every event (block placement makes hosts 0..15 cross switches).
 var churnFabrics = []topology.Spec{
 	{},
 	{Kind: topology.Star, Switches: 4, HostsPerSwitch: 4, Place: topology.Block},
@@ -252,55 +270,84 @@ func FuzzModelChurn(f *testing.F) {
 }
 
 // TestCompositeReplayMatchesWholeSet replays seeded 20-job composite
-// traces (randgen workloads on dual-core nodes, rank r on node r mod
-// nodes, as the repository benchmark places them) on the predictor and
-// on the whole-set oracle, healthy and with NIC faults, and requires
-// identical replay results: every task's times and the makespan,
-// bitwise.
+// traces (randgen workloads, rank r on node r mod nodes, as the
+// repository benchmark places them) on the predictor and on the
+// whole-set oracle, and requires identical replay results: every
+// task's times and the makespan, bitwise. Each trace runs on the
+// crossbar over dual-core nodes, healthy and with NIC faults, and on a
+// fat-tree with block placement, its 96 hosts given as many cores as
+// the ranks need, healthy, with the same NIC faults and with a
+// transient uplink outage.
 func TestCompositeReplayMatchesWholeSet(t *testing.T) {
 	cfg := randgen.DefaultTraceConfig()
-	faults := fault.Schedule{Events: []fault.Event{
+	nicFaults := fault.Schedule{Events: []fault.Event{
 		{Kind: fault.HostSlow, Target: 2, Factor: 0.5, At: 0.01, Until: 0.08},
 		{Kind: fault.HostSlow, Target: 7, Factor: 0.25, At: 0.03},
 	}}
+	linkFault := fault.Schedule{Events: []fault.Event{
+		{Kind: fault.LinkDown, Target: 1, At: 0.02, Until: 0.09},
+	}}
+	fatTree, err := topology.ParseSpec("fattree 6x16 oversub 2 place block")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabrics := []struct {
+		topo   topology.Spec
+		scheds []fault.Schedule
+	}{
+		{topology.Spec{}, []fault.Schedule{{}, nicFaults}},
+		{fatTree, []fault.Schedule{{}, nicFaults, linkFault}},
+	}
 	for _, seed := range []int64{4711, 90210} {
 		tr, err := randgen.WorkloadFromSeed(seed, 20, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes := (len(tr.Tasks) + 1) / 2
-		place := make(cluster.Placement, len(tr.Tasks))
-		for r := range place {
-			place[r] = graph.NodeID(r % nodes)
-		}
-		clu := cluster.Default(nodes)
-		for _, name := range []string{"gige", "infiniband", "kimlee", "linear"} {
-			m, sub, err := LookupModel(name)
-			if err != nil {
-				t.Fatal(err)
+		for _, fab := range fabrics {
+			nodes := (len(tr.Tasks) + 1) / 2
+			if h := fab.topo.Hosts(); h > 0 {
+				nodes = min(nodes, h)
 			}
-			for _, sched := range []fault.Schedule{{}, faults} {
-				spec := Spec{Model: m, Ref: sub.RefRate(), Faults: sched}
-				e, err := NewEngine(spec)
+			clu := cluster.Default(nodes)
+			clu.CoresPerNode = (len(tr.Tasks) + nodes - 1) / nodes
+			place := make(cluster.Placement, len(tr.Tasks))
+			for r := range place {
+				place[r] = graph.NodeID(r % nodes)
+			}
+			for _, name := range []string{"gige", "infiniband", "kimlee", "linear"} {
+				m, sub, err := LookupModel(name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := replay.Run(e, clu, place, tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.NetTransfers == 0 {
-					t.Fatalf("seed %d: no network transfers", seed)
-				}
-				o := &wholeSetOracle{}
-				want, err := replay.Run(oracleEngine(spec, o, o), clu, place, tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want.Engine = got.Engine
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed %d %s faulted=%v: replay differs from the whole-set oracle (makespan %.17g vs %.17g)",
-						seed, name, !sched.Empty(), got.Makespan, want.Makespan)
+				var healthy *replay.Result
+				for i, sched := range fab.scheds {
+					spec := Spec{Model: m, Ref: sub.RefRate(), Topo: fab.topo, Faults: sched}
+					e, err := NewEngine(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := replay.Run(e, clu, place, tr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.NetTransfers == 0 {
+						t.Fatalf("seed %d: no network transfers", seed)
+					}
+					if i == 0 {
+						healthy = got
+					} else if got.Makespan == healthy.Makespan {
+						t.Errorf("seed %d %s on %s: faults %v leave the makespan as it is", seed, name, fab.topo, sched.Events)
+					}
+					o := &wholeSetOracle{}
+					want, err := replay.Run(oracleEngine(spec, o, o), clu, place, tr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want.Engine = got.Engine
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("seed %d %s on %s, faults %v: replay differs from the whole-set oracle (makespan %.17g vs %.17g)",
+							seed, name, fab.topo, sched.Events, got.Makespan, want.Makespan)
+					}
 				}
 			}
 		}

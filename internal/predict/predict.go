@@ -12,13 +12,13 @@
 //
 // Re-evaluating only what changed is exact. A penalty is fixed by the
 // comm's same-source/same-destination component (the core.Model
-// contract), so on the crossbar the engine's allocator re-scores just
-// the flows whose component a start, a completion or a NIC fault
-// touched — netsim.DirtyTracker names them, the same component walk
-// the substrates' IncrementalAllocator uses — as one conflict graph,
-// and every other flow keeps its rate. On a multi-switch fabric the
-// uplink water-fill runs level by level over the whole flow set, so
-// there every event re-scores every active flow.
+// contract), so the engine's allocator re-scores just the flows whose
+// component a start, a completion or a NIC fault touched —
+// netsim.DirtyTracker names them, the same component walk the
+// substrates' IncrementalAllocator uses — as one conflict graph, and
+// every other flow keeps its rate. On a multi-switch fabric only the
+// uplink water-fill, level-based over the whole flow set, reruns over
+// every active flow.
 //
 // NewEngine wraps any core.Model as a core.Engine, so predicted times and
 // substrate-measured times come from running the same drivers. A Spec
@@ -109,21 +109,24 @@ func (s Spec) engineName() string {
 }
 
 // modelAllocator adapts a penalty Model to the fluid Allocator
-// interface. On the crossbar its embedded DirtyTracker (the component
-// index IncrementalAllocator uses too) names the flows whose sender or
+// interface. Its embedded DirtyTracker (the component index
+// IncrementalAllocator uses too) names the flows whose sender or
 // receiver component an arrival, a departure or a host fault touched
 // since the last fill, and only they are re-scored; every other flow
-// keeps the rate already in Flow.Rate. Scoring the dirty flows as one
-// graph equals scoring every active flow bit for bit, because a
-// penalty is fixed by the comm's same-source/same-destination component
-// and not by comm order (the core.Model contract), the dirty set is a
-// union of whole components, and the host cap is per flow. So the
-// dirty flows are scored in the order Dirty yields them, unsorted.
-// Each fill rebuilds that graph in an allocator-owned scratch graph, on
-// the crossbar in the numbering the tracker's walk just gave the dirty
-// flows' sender and receiver slots (graph.RebuildNumbered), so no
-// endpoint is renumbered per event; with a model offering
-// PenaltiesInto a fill allocates nothing.
+// keeps the crossbar-level rate already in Flow.CrossbarRate. Scoring
+// the dirty flows as one graph equals scoring every active flow bit for
+// bit, because a penalty is fixed by the comm's same-source/same-
+// destination component and not by comm order (the core.Model
+// contract), the dirty set is a union of whole components, and the
+// host cap is per flow. So the dirty flows are scored in the order
+// Dirty yields them, unsorted, in an allocator-owned scratch graph
+// built in the numbering the tracker's walk just gave their sender and
+// receiver slots (graph.RebuildNumbered), so no endpoint is renumbered
+// per event. On a fabric the components stay over the NICs, and
+// TopoFiller then water-fills every active flow, in active-slice
+// order, capped by its crossbar-level rate; a link fault touches no
+// component and moves rates through that fill alone. With a model
+// offering PenaltiesInto a fill allocates nothing.
 type modelAllocator struct {
 	netsim.DirtyTracker
 
@@ -164,48 +167,34 @@ func newModelAllocator(m core.Model, refRate float64, topo topology.Spec, tl *fa
 	return a
 }
 
-// ActiveSetReset implements netsim.ActiveSetObserver. On the crossbar it
-// arms the dirty tracker. On a fabric tracking stays off and every
-// Allocate scores every active flow: TopoFiller's uplink water-fill is
-// level-based over the whole flow set, so filling one component at a
-// time would move the last bits of the rates.
-func (a *modelAllocator) ActiveSetReset() {
-	if a.topo.Trivial() {
-		a.DirtyTracker.ActiveSetReset()
-	}
-}
-
 // Allocate implements netsim.Allocator.
 func (a *modelAllocator) Allocate(flows []*netsim.Flow) {
 	if len(flows) == 0 {
 		return
 	}
-	dirty := a.Dirty(flows)
-	if len(dirty) == 0 {
-		return
-	}
-	a.comms = a.comms[:0]
-	for _, f := range dirty {
-		a.comms = append(a.comms, graph.Comm{Src: f.Src, Dst: f.Dst, Volume: f.Remaining})
-	}
-	if a.Armed() {
+	if dirty := a.Dirty(flows); len(dirty) > 0 {
+		a.comms = a.comms[:0]
 		a.src, a.dst = a.src[:0], a.dst[:0]
 		for _, f := range dirty {
+			a.comms = append(a.comms, graph.Comm{Src: f.Src, Dst: f.Dst, Volume: f.Remaining})
 			a.src = append(a.src, int(a.Local(f, 0)))
 			a.dst = append(a.dst, int(a.Local(f, 1)))
 		}
 		graph.RebuildNumbered(&a.g, a.comms, a.src, a.dst, a.NumLocal())
-	} else {
-		graph.RebuildScratch(&a.g, a.comms)
+		a.score(dirty)
+		a.Clean()
 	}
-	a.score(dirty)
-	a.Clean()
+	if !a.topo.Trivial() {
+		for _, f := range flows {
+			f.Rate = f.CrossbarRate
+		}
+		a.tf.Apply(flows, a.topo, a.ref)
+	}
 }
 
-// score sets the rates of flows, whose conflict graph a.g must already
-// hold: model penalties set the crossbar-level rates, degraded
-// endpoints cap them, and on a fabric the shared uplinks water-fill the
-// result.
+// score sets the crossbar-level rates of flows, whose conflict graph
+// a.g must already hold: model penalties set them and degraded
+// endpoints cap them.
 func (a *modelAllocator) score(flows []*netsim.Flow) {
 	var p []float64
 	if a.into != nil {
@@ -223,10 +212,7 @@ func (a *modelAllocator) score(flows []*netsim.Flow) {
 				r = c
 			}
 		}
-		f.Rate = r
-	}
-	if !a.topo.Trivial() {
-		a.tf.Apply(flows, a.topo, a.ref)
+		f.Rate, f.CrossbarRate = r, r
 	}
 }
 

@@ -25,6 +25,16 @@ func TestReadMaliciousHeader(t *testing.T) {
 	if _, err := Read(strings.NewReader(src)); err == nil {
 		t.Fatal("a header just above MaxTasks was accepted")
 	}
+	// The pad to the declared count grows the task slice in one step,
+	// not one task at a time.
+	src = fmt.Sprintf("{\"format\":%q,\"tasks\":%d}\n", formatName, MaxTasks)
+	if allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Read(strings.NewReader(src)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs >= 20 {
+		t.Errorf("reading a header that declares MaxTasks tasks allocates %v objects, want under 20", allocs)
+	}
 }
 
 // TestReadDoesNotPreallocateFromHeader: a claimed-but-plausible task

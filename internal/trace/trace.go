@@ -210,16 +210,14 @@ func Read(r io.Reader) (*Trace, error) {
 		if rec.Task < 0 || rec.Task >= h.Tasks {
 			return nil, fmt.Errorf("trace: event for task %d, header says %d tasks", rec.Task, h.Tasks)
 		}
-		for len(t.Tasks) <= rec.Task {
-			t.Tasks = append(t.Tasks, nil)
+		if n := rec.Task + 1 - len(t.Tasks); n > 0 {
+			t.Tasks = append(t.Tasks, make([]Task, n)...)
 		}
 		t.Tasks[rec.Task] = append(t.Tasks[rec.Task], rec.Event)
 	}
 	// Trailing event-free tasks produce no records; restore the declared
 	// count so Read(Write(t)) round-trips.
-	for len(t.Tasks) < h.Tasks {
-		t.Tasks = append(t.Tasks, nil)
-	}
+	t.Tasks = append(t.Tasks, make([]Task, h.Tasks-len(t.Tasks))...)
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
