@@ -6,47 +6,36 @@
 // and predicted times, and flaky substrates would make relative errors
 // unstable; ties are broken by insertion sequence number.
 //
-// Event structs are pooled inside the queue: a fired or canceled event
-// goes to a free list and is reused by the next Schedule, so long traces
-// (millions of packet events) do not churn the garbage collector. The
-// free list is bounded (maxFreeEvents): one huge transient trace would
-// otherwise pin its peak event count for the life of the queue. Handles
-// carry a generation number, which makes Cancel on a stale handle a
-// safe no-op even after the underlying struct was reused.
+// Pending events are plain values in the queue's heap slice, and every
+// callback is a Runner the caller owns (and may pool), so once the heap
+// has grown to a run's peak, scheduling and dispatching allocate
+// nothing. Events cannot be canceled: a caller that needs to ignore a
+// scheduled event checks its own state when it runs.
 //
 // A Queue is single-owner: it has no internal locking, and every method
 // must be called from one goroutine (or otherwise externally
 // serialized).
 package des
 
-import "container/heap"
-
-// Runner is a scheduled callback with a receiver, the allocation-free
-// alternative to a closure: callers can pool the implementing struct.
+// Runner is a scheduled callback with a receiver: callers can pool the
+// implementing struct instead of allocating a closure per event.
 type Runner interface {
 	Run()
 }
 
-// Event is one pending queue entry. It is owned by the queue and only
-// reachable through a Handle.
-type Event struct {
+// event is one pending queue entry.
+type event struct {
 	time float64
-	fn   func()
+	seq  uint64
 	run  Runner
-
-	seq   uint64
-	index int
-	fired bool
-	gen   uint64
 }
 
-// Handle identifies a scheduled event for Cancel. The zero Handle is
-// valid and cancels nothing. A handle whose event already fired, was
-// canceled, or was recycled for a newer event is detected by generation
-// and ignored.
-type Handle struct {
-	ev  *Event
-	gen uint64
+// before is the queue's total order: by time, then by insertion.
+func (a *event) before(b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.seq < b.seq
 }
 
 // Queue is a deterministic event queue. The zero value is ready to use.
@@ -54,101 +43,43 @@ type Handle struct {
 // A Queue must be owned by a single driver goroutine for its lifetime:
 // methods are not safe for concurrent use.
 type Queue struct {
-	h    eventHeap
-	seq  uint64
-	now  float64
-	free []*Event
+	h   []event // binary min-heap under event.before
+	seq uint64
+	now float64
 }
 
-// NewQueue returns a fresh queue. It is equivalent to new(Queue) — the
-// zero value is ready.
-func NewQueue() *Queue { return new(Queue) }
-
-// maxFreeEvents bounds the event free list, mirroring netsim's
-// maxFreeFlows: structs beyond the cap are dropped to the garbage
-// collector instead of being retained, so one huge transient trace
-// cannot pin its peak event count forever. Generation bumps still
-// invalidate handles of dropped structs.
-const maxFreeEvents = 1 << 12
+// maxKeptEvents bounds the heap capacity Reset keeps, mirroring the
+// other scratch owners' caps: one huge transient run would otherwise
+// pin its peak event count for the life of the queue.
+const maxKeptEvents = 1 << 14
 
 // Now returns the current simulation time (the time of the last event
 // dispatched by Step, 0 initially).
 func (q *Queue) Now() float64 { return q.now }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
-
-// Reset empties the queue and rewinds the clock to zero, keeping the
-// event free list so a reused queue stays allocation-free.
+// Reset empties the queue and rewinds the clock to zero. It keeps the
+// heap's backing array, so a reused queue stays allocation-free, unless
+// a run grew it past maxKeptEvents.
 func (q *Queue) Reset() {
-	for _, ev := range q.h {
-		q.recycle(ev)
+	if cap(q.h) > maxKeptEvents {
+		q.h = nil
+	} else {
+		clear(q.h)
+		q.h = q.h[:0]
 	}
-	q.h = q.h[:0]
 	q.seq = 0
 	q.now = 0
 }
 
-// get returns a fresh or recycled event initialized for time t.
-func (q *Queue) get(t float64) *Event {
+// Schedule enqueues r to run at time t. Scheduling in the past
+// (t < Now) panics: it always indicates a simulator bug.
+func (q *Queue) Schedule(t float64, r Runner) {
 	if t < q.now {
 		panic("des: scheduling into the past")
 	}
-	var ev *Event
-	if n := len(q.free); n > 0 {
-		ev = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		ev = new(Event)
-	}
-	ev.time = t
-	ev.fired = false
-	ev.seq = q.seq
+	q.h = append(q.h, event{time: t, seq: q.seq, run: r})
 	q.seq++
-	return ev
-}
-
-// recycle invalidates outstanding handles and returns ev to the free
-// list, dropping it once the list is at capacity (see maxFreeEvents).
-func (q *Queue) recycle(ev *Event) {
-	ev.gen++
-	ev.fn = nil
-	ev.run = nil
-	ev.index = -1
-	if len(q.free) < maxFreeEvents {
-		q.free = append(q.free, ev)
-	}
-}
-
-// Schedule enqueues fn to run at time t and returns a cancellation
-// handle. Scheduling in the past (t < Now) panics: it always indicates a
-// simulator bug.
-func (q *Queue) Schedule(t float64, fn func()) Handle {
-	ev := q.get(t)
-	ev.fn = fn
-	heap.Push(&q.h, ev)
-	return Handle{ev: ev, gen: ev.gen}
-}
-
-// ScheduleRunner is Schedule for a Runner callback. It exists so hot
-// paths can pool their callback state instead of allocating a closure
-// per event.
-func (q *Queue) ScheduleRunner(t float64, r Runner) Handle {
-	ev := q.get(t)
-	ev.run = r
-	heap.Push(&q.h, ev)
-	return Handle{ev: ev, gen: ev.gen}
-}
-
-// Cancel removes a pending event. Canceling the zero Handle, an
-// already-fired, already-canceled or recycled event is a no-op.
-func (q *Queue) Cancel(h Handle) {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.fired || ev.index < 0 {
-		return
-	}
-	heap.Remove(&q.h, ev.index)
-	q.recycle(ev)
+	q.up(len(q.h) - 1)
 }
 
 // PeekTime returns the time of the next event.
@@ -162,25 +93,20 @@ func (q *Queue) PeekTime() (float64, bool) {
 // Step dispatches the next event and returns its time. ok is false when
 // the queue is empty.
 func (q *Queue) Step() (t float64, ok bool) {
-	if len(q.h) == 0 {
+	n := len(q.h) - 1
+	if n < 0 {
 		return q.now, false
 	}
-	ev := heap.Pop(&q.h).(*Event)
-	ev.fired = true
-	ev.index = -1
-	q.now = ev.time
-	t = ev.time
-	fn, run := ev.fn, ev.run
-	// Recycle before dispatch: the callback may Schedule, and reusing
-	// this struct immediately keeps the free list tight. The handle is
-	// invalidated by the generation bump, and fn/run were captured.
-	q.recycle(ev)
-	if fn != nil {
-		fn()
-	} else if run != nil {
-		run.Run()
+	ev := q.h[0]
+	q.h[0] = q.h[n]
+	q.h[n] = event{} // drop the Runner reference
+	q.h = q.h[:n]
+	if n > 1 {
+		q.down(0)
 	}
-	return t, true
+	q.now = ev.time
+	ev.run.Run()
+	return ev.time, true
 }
 
 // RunUntil dispatches events with time <= t, then sets the clock to t.
@@ -197,43 +123,39 @@ func (q *Queue) RunUntil(t float64) {
 	}
 }
 
-// Drain dispatches every pending event.
-func (q *Queue) Drain() {
-	for {
-		if _, ok := q.Step(); !ok {
-			return
+// up moves h[j] toward the root until its parent is before it.
+func (q *Queue) up(j int) {
+	h := q.h
+	ev := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !ev.before(&h[i]) {
+			break
 		}
+		h[j] = h[i]
+		j = i
 	}
+	h[j] = ev
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// down moves h[i] toward the leaves until neither child is before it.
+func (q *Queue) down(i int) {
+	h := q.h
+	n := len(h)
+	ev := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	h[i] = ev
 }

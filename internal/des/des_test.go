@@ -4,13 +4,27 @@ import (
 	"testing"
 )
 
+// runFunc adapts a closure to Runner for tests.
+type runFunc func()
+
+func (f runFunc) Run() { f() }
+
+// drain dispatches every pending event.
+func drain(q *Queue) {
+	for {
+		if _, ok := q.Step(); !ok {
+			return
+		}
+	}
+}
+
 func TestOrderAndClock(t *testing.T) {
 	var q Queue
 	var got []int
-	q.Schedule(2.0, func() { got = append(got, 2) })
-	q.Schedule(1.0, func() { got = append(got, 1) })
-	q.Schedule(3.0, func() { got = append(got, 3) })
-	q.Drain()
+	q.Schedule(2.0, runFunc(func() { got = append(got, 2) }))
+	q.Schedule(1.0, runFunc(func() { got = append(got, 1) }))
+	q.Schedule(3.0, runFunc(func() { got = append(got, 3) }))
+	drain(&q)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order = %v", got)
 	}
@@ -23,10 +37,9 @@ func TestTieBreakBySequence(t *testing.T) {
 	var q Queue
 	var got []int
 	for i := 0; i < 5; i++ {
-		i := i
-		q.Schedule(1.0, func() { got = append(got, i) })
+		q.Schedule(1.0, runFunc(func() { got = append(got, i) }))
 	}
-	q.Drain()
+	drain(&q)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events fired out of order: %v", got)
@@ -34,73 +47,24 @@ func TestTieBreakBySequence(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	var q Queue
-	fired := false
-	ev := q.Schedule(1.0, func() { fired = true })
-	q.Cancel(ev)
-	q.Drain()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	q.Cancel(ev)       // double cancel is a no-op
-	q.Cancel(Handle{}) // zero handle is a no-op
-}
-
-func TestCancelAfterFire(t *testing.T) {
-	var q Queue
-	ev := q.Schedule(1.0, func() {})
-	q.Drain()
-	q.Cancel(ev) // no-op, no panic
-}
-
-// TestStaleHandleAfterReuse: event structs are pooled, so a handle to a
-// fired event must not cancel the unrelated event that reused its struct.
-func TestStaleHandleAfterReuse(t *testing.T) {
-	var q Queue
-	stale := q.Schedule(1.0, func() {})
-	q.Drain() // fires and recycles the struct
-	fired := false
-	q.Schedule(2.0, func() { fired = true }) // reuses the recycled struct
-	q.Cancel(stale)                          // must be a no-op
-	q.Drain()
-	if !fired {
-		t.Fatal("stale handle canceled a reused event")
-	}
-}
-
-// TestStaleHandleAfterCancelReuse: same as above for a canceled event.
-func TestStaleHandleAfterCancelReuse(t *testing.T) {
-	var q Queue
-	stale := q.Schedule(1.0, func() { t.Fatal("canceled event fired") })
-	q.Cancel(stale)
-	fired := false
-	q.Schedule(2.0, func() { fired = true })
-	q.Cancel(stale) // stale: struct now belongs to the new event
-	q.Drain()
-	if !fired {
-		t.Fatal("stale handle canceled a reused event")
-	}
-}
-
 type countRunner struct{ n *int }
 
 func (r *countRunner) Run() { *r.n++ }
 
-// TestScheduleRunner: Runner callbacks dispatch like closures and
-// interleave with them deterministically.
+// TestScheduleRunner: one Runner scheduled twice dispatches twice, and
+// interleaves deterministically with other Runners.
 func TestScheduleRunner(t *testing.T) {
 	var q Queue
 	n := 0
 	r := &countRunner{n: &n}
-	q.ScheduleRunner(1.0, r)
-	q.ScheduleRunner(3.0, r)
-	q.Schedule(2.0, func() {
+	q.Schedule(1.0, r)
+	q.Schedule(3.0, r)
+	q.Schedule(2.0, runFunc(func() {
 		if n != 1 {
-			t.Fatalf("closure at t=2 saw %d runner calls, want 1", n)
+			t.Fatalf("callback at t=2 saw %d runner calls, want 1", n)
 		}
-	})
-	q.Drain()
+	}))
+	drain(&q)
 	if n != 2 {
 		t.Fatalf("runner ran %d times, want 2", n)
 	}
@@ -110,16 +74,16 @@ func TestScheduleRunner(t *testing.T) {
 // keeps the queue usable.
 func TestQueueReset(t *testing.T) {
 	var q Queue
-	q.Schedule(1.0, func() {})
-	q.Drain()
-	q.Schedule(5.0, func() { t.Fatal("event survived Reset") })
+	q.Schedule(1.0, runFunc(func() {}))
+	drain(&q)
+	q.Schedule(5.0, runFunc(func() { t.Fatal("event survived Reset") }))
 	q.Reset()
-	if q.Now() != 0 || q.Len() != 0 {
-		t.Fatalf("after Reset: now=%g len=%d", q.Now(), q.Len())
+	if _, ok := q.PeekTime(); q.Now() != 0 || ok {
+		t.Fatalf("after Reset: now=%g pending=%v", q.Now(), ok)
 	}
 	fired := false
-	q.Schedule(1.0, func() { fired = true }) // in the past of the pre-Reset clock
-	q.Drain()
+	q.Schedule(1.0, runFunc(func() { fired = true })) // in the past of the pre-Reset clock
+	drain(&q)
 	if !fired {
 		t.Fatal("event scheduled after Reset did not fire")
 	}
@@ -129,8 +93,7 @@ func TestRunUntil(t *testing.T) {
 	var q Queue
 	var got []float64
 	for _, tm := range []float64{1, 2, 3, 4} {
-		tm := tm
-		q.Schedule(tm, func() { got = append(got, tm) })
+		q.Schedule(tm, runFunc(func() { got = append(got, tm) }))
 	}
 	q.RunUntil(2.5)
 	if len(got) != 2 {
@@ -139,7 +102,7 @@ func TestRunUntil(t *testing.T) {
 	if q.Now() != 2.5 {
 		t.Fatalf("Now = %g, want 2.5", q.Now())
 	}
-	q.Drain()
+	drain(&q)
 	if len(got) != 4 {
 		t.Fatalf("fired %v after drain", got)
 	}
@@ -148,11 +111,11 @@ func TestRunUntil(t *testing.T) {
 func TestScheduleDuringDispatch(t *testing.T) {
 	var q Queue
 	var got []string
-	q.Schedule(1.0, func() {
+	q.Schedule(1.0, runFunc(func() {
 		got = append(got, "first")
-		q.Schedule(2.0, func() { got = append(got, "nested") })
-	})
-	q.Drain()
+		q.Schedule(2.0, runFunc(func() { got = append(got, "nested") }))
+	}))
+	drain(&q)
 	if len(got) != 2 || got[1] != "nested" {
 		t.Fatalf("got %v", got)
 	}
@@ -160,14 +123,14 @@ func TestScheduleDuringDispatch(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	var q Queue
-	q.Schedule(5.0, func() {})
-	q.Drain()
+	q.Schedule(5.0, runFunc(func() {}))
+	drain(&q)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling into the past")
 		}
 	}()
-	q.Schedule(1.0, func() {})
+	q.Schedule(1.0, runFunc(func() {}))
 }
 
 func TestPeekAndStepEmpty(t *testing.T) {
@@ -177,21 +140,5 @@ func TestPeekAndStepEmpty(t *testing.T) {
 	}
 	if _, ok := q.Step(); ok {
 		t.Fatal("Step on empty queue")
-	}
-}
-
-func TestLen(t *testing.T) {
-	var q Queue
-	if q.Len() != 0 {
-		t.Fatal("empty queue Len != 0")
-	}
-	e1 := q.Schedule(1, func() {})
-	q.Schedule(2, func() {})
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", q.Len())
-	}
-	q.Cancel(e1)
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d after cancel, want 1", q.Len())
 	}
 }

@@ -29,23 +29,12 @@ type Outcome struct {
 }
 
 // Runner executes experiment specs over a bounded worker pool. The
-// zero value uses runtime.NumCPU() workers. Outcomes are returned in
+// zero value uses runtime.NumCPU() workers. RunSeq emits outcomes in
 // spec order regardless of worker count or completion order, so output
 // is byte-identical for any parallelism.
 type Runner struct {
 	// Workers is the pool size; <= 0 means runtime.NumCPU().
 	Workers int
-}
-
-// RunAll executes every spec and returns one Outcome per spec, in spec
-// order. Errors do not stop other specs; they are reported in the
-// corresponding Outcome.
-func (r Runner) RunAll(specs []Spec) []Outcome {
-	return parallelMap(r.Workers, len(specs), func(i int) Outcome {
-		o := Outcome{ID: specs[i].ID, Title: specs[i].Title}
-		o.Artifact, o.Err = specs[i].Run()
-		return o
-	})
 }
 
 // RunSeq executes every spec over the pool and delivers outcomes to
@@ -126,10 +115,9 @@ type indexed[T any] struct {
 
 // parallelMap evaluates f(0..n-1) over a bounded worker pool and
 // returns the results in index order. It is the concurrency primitive
-// under both Runner.RunAll and the randomized sweep: work is fanned out
-// through a jobs channel and collected through a results channel, so
-// the output is deterministic for any worker count as long as f is
-// pure per index.
+// under the randomized sweep: work is fanned out through a jobs channel
+// and collected through a results channel, so the output is
+// deterministic for any worker count as long as f is pure per index.
 func parallelMap[T any](workers, n int, f func(int) T) []T {
 	if workers <= 0 {
 		workers = runtime.NumCPU()

@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// collect runs specs through RunSeq and returns the emitted outcomes.
+func collect(t *testing.T, r Runner, specs []Spec) []Outcome {
+	t.Helper()
+	var outs []Outcome
+	if err := r.RunSeq(specs, func(o Outcome) { outs = append(outs, o) }); err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
 func TestRunnerPreservesOrderAcrossWorkerCounts(t *testing.T) {
 	var specs []Spec
 	for i := 0; i < 40; i++ {
@@ -18,7 +28,7 @@ func TestRunnerPreservesOrderAcrossWorkerCounts(t *testing.T) {
 	}
 	var outs [][]Outcome
 	for _, workers := range []int{1, 2, 8, 64} {
-		outs = append(outs, Runner{Workers: workers}.RunAll(specs))
+		outs = append(outs, collect(t, Runner{Workers: workers}, specs))
 	}
 	for i, o := range outs[1:] {
 		if !reflect.DeepEqual(outs[0], o) {
@@ -29,25 +39,6 @@ func TestRunnerPreservesOrderAcrossWorkerCounts(t *testing.T) {
 		if o.ID != specs[i].ID || o.Artifact != fmt.Sprintf("artifact %d\n", i) {
 			t.Fatalf("outcome %d out of order: %+v", i, o)
 		}
-	}
-}
-
-func TestRunnerReportsErrorsPerSpec(t *testing.T) {
-	boom := errors.New("boom")
-	specs := []Spec{
-		{ID: "ok", Run: func() (string, error) { return "fine", nil }},
-		{ID: "bad", Run: func() (string, error) { return "", boom }},
-		{ID: "ok2", Run: func() (string, error) { return "fine too", nil }},
-	}
-	outs := Runner{Workers: 2}.RunAll(specs)
-	if outs[0].Err != nil || outs[2].Err != nil {
-		t.Fatal("healthy specs reported errors")
-	}
-	if !errors.Is(outs[1].Err, boom) {
-		t.Fatalf("expected boom, got %v", outs[1].Err)
-	}
-	if outs[0].Artifact != "fine" || outs[2].Artifact != "fine too" {
-		t.Fatal("artifacts lost")
 	}
 }
 
@@ -88,10 +79,10 @@ func TestRunSeqEmitsInOrderAndStopsOnError(t *testing.T) {
 }
 
 func TestRunnerEmptyAndZeroWorkers(t *testing.T) {
-	if got := (Runner{}).RunAll(nil); len(got) != 0 {
+	if got := collect(t, Runner{}, nil); len(got) != 0 {
 		t.Fatalf("expected no outcomes, got %d", len(got))
 	}
-	outs := Runner{Workers: -3}.RunAll([]Spec{{ID: "a", Run: func() (string, error) { return "x", nil }}})
+	outs := collect(t, Runner{Workers: -3}, []Spec{{ID: "a", Run: func() (string, error) { return "x", nil }}})
 	if len(outs) != 1 || outs[0].Artifact != "x" {
 		t.Fatalf("unexpected outcomes %+v", outs)
 	}

@@ -355,8 +355,8 @@ func (s Schedule) Hash() uint64 {
 // switches, injected uniformly in [0, horizon) with repair windows of
 // up to half the horizon (one in four faults is permanent). Half the
 // faults are hard downs, half fractional degradations. Deterministic
-// given the generator state — the EXP-FAULT trials and the seeded
-// differential tests both rely on that.
+// given the generator state, which the package's seeded tests rely on.
+// (EXP-FAULT draws its trial schedules itself, in package experiments.)
 func RandomLinks(rng *rand.Rand, switches, n int, horizon float64) Schedule {
 	if switches < 1 || n < 1 || !(horizon > 0) {
 		return Schedule{}

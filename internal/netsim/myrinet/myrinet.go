@@ -53,9 +53,21 @@ const (
 )
 
 type flow struct {
+	e         *Engine
 	id        int
 	src, dst  graph.NodeID
 	remaining float64
+}
+
+// Run implements des.Runner: the flow arrives at its sender, which
+// starts transmitting if it was idle.
+func (f *flow) Run() {
+	e := f.e
+	s := e.senderOf(f.src)
+	s.flows = append(s.flows, f)
+	if s.state == senderIdle {
+		e.tryNext(s, e.q.Now())
+	}
 }
 
 type sender struct {
@@ -77,8 +89,8 @@ type waiter struct {
 }
 
 // packetDone is the pooled packet-completion callback: one live instance
-// per in-flight packet, recycled when it fires. Pooling it (plus the
-// des.Queue's own event pooling) makes the steady packet loop
+// per in-flight packet, recycled when it fires. Pooling it (des.Queue
+// holds its events by value) makes the steady packet loop
 // allocation-free, which matters on Linpack-scale traces with millions
 // of packet events.
 type packetDone struct {
@@ -163,15 +175,9 @@ func (e *Engine) StartFlow(src, dst graph.NodeID, bytes float64, now float64) in
 	} else {
 		f = new(flow)
 	}
-	*f = flow{id: e.next, src: src, dst: dst, remaining: bytes}
+	*f = flow{e: e, id: e.next, src: src, dst: dst, remaining: bytes}
 	e.next++
-	e.q.Schedule(now, func() {
-		s := e.senderOf(src)
-		s.flows = append(s.flows, f)
-		if s.state == senderIdle {
-			e.tryNext(s, e.q.Now())
-		}
-	})
+	e.q.Schedule(now, f)
 	return f.id
 }
 
@@ -255,7 +261,7 @@ func (e *Engine) startPacket(s *sender, f *flow, r *receiver, t float64) {
 		p = new(packetDone)
 	}
 	*p = packetDone{e: e, s: s, f: f, r: r, sz: sz}
-	e.q.ScheduleRunner(t+dur, p)
+	e.q.Schedule(t+dur, p)
 }
 
 func (e *Engine) finishPacket(s *sender, f *flow, r *receiver, sz float64) {

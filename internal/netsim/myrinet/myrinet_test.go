@@ -187,9 +187,9 @@ func TestPooledReuseMatchesFreshEngine(t *testing.T) {
 }
 
 // TestPooledSteadyStateAllocs: after a warm-up run, repeated runs of the
-// same scheme reuse pooled events, packets and flows; the residual
-// allocations are the per-run bookkeeping (completions slice, start
-// closures), far below the thousands of packet events dispatched.
+// same scheme reuse the queue's heap, pooled packets and flows; the
+// residual allocations are the per-run bookkeeping (completion slices,
+// the result), far below the thousands of packet events dispatched.
 func TestPooledSteadyStateAllocs(t *testing.T) {
 	e := New(DefaultConfig())
 	g := schemes.Fig2(6)

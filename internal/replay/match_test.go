@@ -16,7 +16,7 @@ import (
 	"bwshare/internal/trace"
 )
 
-// The indexed matcher, the pooled events and the dense flow table must
+// The indexed matcher, the pooled callbacks and the dense flow table must
 // replay every trace exactly as scanRun (scan_oracle_test.go) does: same
 // matches, same event order, bitwise-equal Results, same errors.
 

@@ -6,7 +6,6 @@ import (
 
 	"bwshare/internal/apps"
 	"bwshare/internal/cluster"
-	"bwshare/internal/des"
 	"bwshare/internal/netsim/gige"
 	"bwshare/internal/trace"
 )
@@ -56,27 +55,28 @@ func TestResultsOutliveRecycledScratch(t *testing.T) {
 // modest ones, and holds no reference into the finished run.
 func TestReleaseShedsHugeScratch(t *testing.T) {
 	huge := &sim{
-		q:     des.NewQueue(),
 		tasks: make([]task, maxPooledLen+1),
 		free:  make([]*transfer, maxPooledLen+1),
 		flows: flowTable{dense: make([]*transfer, maxPooledLen+1)},
 	}
-	q := huge.q
 	huge.release()
-	if cap(huge.tasks) != 0 || huge.free != nil || huge.flows.dense != nil || huge.q == q {
-		t.Fatalf("release kept huge buffers: tasks %d, free %d, flows %d, same queue %v",
-			cap(huge.tasks), len(huge.free), cap(huge.flows.dense), huge.q == q)
+	if cap(huge.tasks) != 0 || huge.free != nil || huge.flows.dense != nil {
+		t.Fatalf("release kept huge buffers: tasks %d, free %d, flows %d",
+			cap(huge.tasks), len(huge.free), cap(huge.flows.dense))
 	}
 
-	modest := &sim{q: des.NewQueue(), tasks: make([]task, 8), flows: flowTable{dense: make([]*transfer, 8)}}
+	modest := &sim{tasks: make([]task, 8), flows: flowTable{dense: make([]*transfer, 8)}}
 	modest.tasks[0].prog = trace.Task{{Kind: trace.Compute, Duration: 1}}
 	modest.res.Tasks = make([]TaskResult, 8)
-	q = modest.q
+	modest.q.Schedule(1, &modest.tasks[0])
 	modest.release()
-	if cap(modest.tasks) != 8 || cap(modest.flows.dense) != 8 || modest.q != q {
+	if cap(modest.tasks) != 8 || cap(modest.flows.dense) != 8 {
 		t.Fatal("release dropped modest buffers")
 	}
 	if modest.tasks[:1][0].prog != nil || modest.res.Tasks != nil || modest.eng != nil {
 		t.Fatal("an idle sim still references its last run")
+	}
+	if _, ok := modest.q.PeekTime(); ok {
+		t.Fatal("an idle sim still holds a pending event")
 	}
 }

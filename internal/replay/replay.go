@@ -25,10 +25,10 @@
 // postRecv). Tasks and transfers are the queue's callbacks themselves
 // (des.Runner), transfer records are recycled, and engine flow ids map
 // to transfers through a dense table, so a replay allocates per run,
-// not per message. The whole per-run scratch — the event queue and its
-// event pool, the task table, the transfer records, the flow table — is
-// pooled across runs as well, so a warm Run allocates only the Result
-// it returns and its Tasks.
+// not per message. The whole per-run scratch — the event queue, the
+// task table, the transfer records, the flow table — is pooled across
+// runs as well, so a warm Run allocates only the Result it returns and
+// its Tasks.
 package replay
 
 import (
@@ -165,7 +165,7 @@ type sim struct {
 	place cluster.Placement
 	// q holds the task-side timers (compute ends, local copies, barrier
 	// releases). The replay loop is the queue's single owner.
-	q      *des.Queue
+	q      des.Queue
 	tasks  []task
 	free   []*transfer // finished transfer records, reused
 	flows  flowTable
@@ -196,7 +196,7 @@ func getSim() *sim {
 		sims.idle = sims.idle[:n-1]
 		return s
 	}
-	return &sim{q: des.NewQueue()}
+	return new(sim)
 }
 
 // putSim empties s and keeps it for a later Run, unless GOMAXPROCS
@@ -213,15 +213,15 @@ func putSim(s *sim) {
 // maxPooledLen bounds the buffers an idle sim keeps: one replay of a
 // huge trace (many tasks, sends or transfers in flight) would otherwise
 // pin its task table and flow table on the idle list for good. Past it
-// the buffer is dropped instead, and with a huge task table also the
-// event queue, whose heap holds at most one timer per task.
+// the buffer is dropped instead; the event queue's Reset sheds its own
+// heap the same way.
 const maxPooledLen = 1 << 14
 
 // release empties s for the idle list, shedding what one huge run
 // inflated.
 func (s *sim) release() {
 	if cap(s.tasks) > maxPooledLen {
-		s.tasks, s.q = nil, des.NewQueue()
+		s.tasks = nil
 	}
 	clear(s.tasks)
 	s.q.Reset()
@@ -337,7 +337,7 @@ func (s *sim) step(t *task, now float64) {
 	case trace.Compute:
 		t.phase = phaseComputing
 		t.pc++
-		s.q.ScheduleRunner(now+ev.Duration, t)
+		s.q.Schedule(now+ev.Duration, t)
 	case trace.Send:
 		t.opStart = now
 		s.postSend(t, ev, now)
@@ -363,7 +363,7 @@ func (s *sim) releaseBarrier(now float64) {
 		if t := &s.tasks[i]; t.phase == phaseBarrier {
 			t.phase = phaseReady
 			t.pc++
-			s.q.ScheduleRunner(now, t)
+			s.q.Schedule(now, t)
 		}
 	}
 }
@@ -443,7 +443,7 @@ func (s *sim) start(snd, rcv *task, now float64) {
 	}
 	if tr.local {
 		s.res.LocalTransfers++
-		s.q.ScheduleRunner(now+s.clu.LocalCopyTime(tr.bytes), tr)
+		s.q.Schedule(now+s.clu.LocalCopyTime(tr.bytes), tr)
 	} else {
 		s.res.NetTransfers++
 		s.flows.put(s.eng.StartFlow(s.place[tr.from], s.place[tr.to], tr.bytes, now), tr)

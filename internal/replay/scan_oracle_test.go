@@ -37,7 +37,6 @@ func scanRun(eng core.Engine, clu cluster.Cluster, place cluster.Placement, tr *
 		eng:    eng,
 		clu:    clu,
 		place:  place,
-		q:      des.NewQueue(),
 		flows:  make(map[int]*scanTransfer),
 		remain: tr.NumTasks(),
 	}
@@ -99,11 +98,16 @@ type scanTransfer struct {
 	local     bool
 }
 
+// runFunc adapts a closure to des.Runner for the oracle's timers.
+type runFunc func()
+
+func (f runFunc) Run() { f() }
+
 type scanSim struct {
 	eng    core.Engine
 	clu    cluster.Cluster
 	place  cluster.Placement
-	q      *des.Queue
+	q      des.Queue
 	tasks  []*scanTask
 	sends  []*scanSend
 	recvs  []*scanRecv
@@ -161,7 +165,7 @@ func (s *scanSim) step(t *scanTask, now float64) {
 			t.phase = scanComputing
 			t.pc++
 			tt := t
-			s.q.Schedule(now+ev.Duration, func() { s.step(tt, s.q.Now()) })
+			s.q.Schedule(now+ev.Duration, runFunc(func() { s.step(tt, s.q.Now()) }))
 			return
 		case trace.Send:
 			t.phase = scanSendWait
@@ -190,7 +194,7 @@ func (s *scanSim) step(t *scanTask, now float64) {
 						bt.phase = scanReady
 						bt.pc++
 						tt := bt
-						s.q.Schedule(now, func() { s.step(tt, s.q.Now()) })
+						s.q.Schedule(now, runFunc(func() { s.step(tt, s.q.Now()) }))
 					}
 				}
 			}
@@ -233,7 +237,7 @@ func (s *scanSim) match(now float64) {
 		if tr.local {
 			s.res.LocalTransfers++
 			dur := s.clu.LocalCopyTime(tr.bytes)
-			s.q.Schedule(now+dur, func() { s.finishTransfer(tr, s.q.Now()) })
+			s.q.Schedule(now+dur, runFunc(func() { s.finishTransfer(tr, s.q.Now()) }))
 		} else {
 			s.res.NetTransfers++
 			id := s.eng.StartFlow(s.place[snd.from], s.place[rcv.by], tr.bytes, now)
