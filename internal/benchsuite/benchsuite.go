@@ -110,6 +110,10 @@ func engineBench(mkEngine func() core.Engine, g *graph.Graph) func(b *testing.B)
 // fat-tree core (the PR-4 acceptance configuration).
 var benchTopo = topology.Spec{Kind: topology.FatTree, Switches: 4, HostsPerSwitch: 4, Oversub: 4, Place: topology.Block}
 
+// replayTopo is the fabric of the fat-tree multi-job replay rows:
+// 8 edge switches of 16 hosts at 2:1 oversubscription.
+var replayTopo = topology.Spec{Kind: topology.FatTree, Switches: 8, HostsPerSwitch: 16, Oversub: 2, Place: topology.Block}
+
 // churnFlows builds `jobs` independent 4-node ring jobs (4 flows each
 // on a private node range), the canonical multi-component churn
 // population of the PR-5 benchmarks.
@@ -509,6 +513,16 @@ func Suite() []Benchmark {
 		})},
 		{"Replay/substrate/gige/20jobs", multiJobReplayBench(20, func() (core.Engine, error) {
 			return gige.New(gige.DefaultConfig()), nil
+		})},
+		// The same replay on a fat-tree whose 128 hosts hold the
+		// composite's 123 nodes, so the edge uplinks join the fill.
+		{"Replay/predict/gige-fattree/20jobs", multiJobReplayBench(20, func() (core.Engine, error) {
+			return predict.NewEngine(predict.Spec{Model: model.NewGigE(), Ref: gige.New(gige.DefaultConfig()).RefRate(), Topo: replayTopo})
+		})},
+		{"Replay/substrate/gige-fattree/20jobs", multiJobReplayBench(20, func() (core.Engine, error) {
+			cfg := gige.DefaultConfig()
+			cfg.Topo = replayTopo
+			return gige.New(cfg), nil
 		})},
 		{"Session/times/rand32", func(b *testing.B) {
 			m, sub, err := predict.LookupModel("gige")

@@ -25,7 +25,6 @@ type Outcome struct {
 	ID       string
 	Title    string
 	Artifact string
-	Err      error
 }
 
 // Runner executes experiment specs over a bounded worker pool. The
@@ -65,12 +64,12 @@ func (r Runner) RunSeq(specs []Spec, emit func(Outcome)) error {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				o := Outcome{ID: specs[i].ID, Title: specs[i].Title}
-				o.Artifact, o.Err = specs[i].Run()
-				if o.Err != nil {
+				res := indexed[Outcome]{i: i, v: Outcome{ID: specs[i].ID, Title: specs[i].Title}}
+				res.v.Artifact, res.err = specs[i].Run()
+				if res.err != nil {
 					failed.Store(true)
 				}
-				results <- indexed[Outcome]{i: i, v: o}
+				results <- res
 			}
 		}()
 	}
@@ -82,13 +81,13 @@ func (r Runner) RunSeq(specs []Spec, emit func(Outcome)) error {
 		wg.Wait()
 		close(results)
 	}()
-	pending := make(map[int]Outcome)
+	pending := make(map[int]indexed[Outcome])
 	next := 0
 	var firstErr error
 	for r := range results {
-		pending[r.i] = r.v
+		pending[r.i] = r
 		for {
-			o, ok := pending[next]
+			p, ok := pending[next]
 			if !ok {
 				break
 			}
@@ -97,20 +96,23 @@ func (r Runner) RunSeq(specs []Spec, emit func(Outcome)) error {
 			if firstErr != nil {
 				continue
 			}
-			if o.Err != nil {
-				firstErr = fmt.Errorf("%s: %w", o.ID, o.Err)
+			if p.err != nil {
+				firstErr = fmt.Errorf("%s: %w", p.v.ID, p.err)
 				continue
 			}
-			emit(o)
+			emit(p.v)
 		}
 	}
 	return firstErr
 }
 
-// indexed carries one worker result back to the collector.
+// indexed carries one worker result back to the collector, with the
+// error of the work that produced it (RunSeq's specs; parallelMap's
+// work cannot fail).
 type indexed[T any] struct {
-	i int
-	v T
+	i   int
+	v   T
+	err error
 }
 
 // parallelMap evaluates f(0..n-1) over a bounded worker pool and

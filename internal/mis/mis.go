@@ -13,7 +13,10 @@
 // cost is irrelevant; pivoting keeps typical costs tiny.
 package mis
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // MaximalIndependentSets returns every maximal independent set of the
 // graph described by the symmetric adjacency matrix adj. Each set is a
@@ -148,7 +151,7 @@ func (b bitset) or(o bitset) bitset {
 func (b bitset) andCount(o bitset) int {
 	n := 0
 	for i := range b {
-		n += popcount(b[i] & o[i])
+		n += bits.OnesCount64(b[i] & o[i])
 	}
 	return n
 }
@@ -156,8 +159,7 @@ func (b bitset) andCount(o bitset) int {
 func (b bitset) each(f func(int)) {
 	for wi, w := range b {
 		for w != 0 {
-			tz := trailingZeros(w)
-			f(wi*64 + tz)
+			f(wi*64 + bits.TrailingZeros64(w))
 			w &= w - 1
 		}
 	}
@@ -167,24 +169,6 @@ func (b bitset) elems() []int {
 	var out []int
 	b.each(func(i int) { out = append(out, i) })
 	return out
-}
-
-func popcount(w uint64) int {
-	n := 0
-	for w != 0 {
-		w &= w - 1
-		n++
-	}
-	return n
-}
-
-func trailingZeros(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
-	}
-	return n
 }
 
 func lessIntSlice(a, b []int) bool {

@@ -10,7 +10,7 @@ import (
 
 // FuzzIncrementalChurn drives fuzzed churn — flows starting at fuzzed
 // times, the completions they cause, and a schedule of fault.ParseEvent
-// events — on a crossbar, a star or a fat-tree. A sequential engine on
+// events — on each fabric of churnFabrics. A sequential engine on
 // IncrementalAllocator must complete every flow at exactly the time a
 // sequential engine on the map-based oracle (componentOracle) does.
 // ops is read four bytes per flow: arrival

@@ -20,9 +20,12 @@ import (
 // is exact (==), not a tolerance: the incremental path is required to
 // compute the identical floating-point operations per component.
 
-// churnFabrics are the fabrics of the PR-5 acceptance matrix. Sizes are
-// kept small so random schemes exercise both intra- and inter-switch
-// traffic; SwitchOf wraps out-of-range ids, which both sides share.
+// churnFabrics are the fabrics of the churn acceptance matrix. The star
+// and the small fat-tree keep their sizes small so random schemes
+// exercise both intra- and inter-switch traffic; SwitchOf wraps
+// out-of-range ids, which both sides share. The largest fat-tree
+// (topology.MaxSwitches edge switches of one host each) puts every
+// flow on two links and reserves 2·MaxSwitches link slots.
 var churnFabrics = []struct {
 	name string
 	spec topology.Spec
@@ -30,6 +33,7 @@ var churnFabrics = []struct {
 	{"crossbar", topology.Spec{}},
 	{"star", topology.Spec{Kind: topology.Star, Switches: 4, HostsPerSwitch: 4, Place: topology.Block}},
 	{"fattree", topology.Spec{Kind: topology.FatTree, Switches: 4, HostsPerSwitch: 4, Oversub: 2, Place: topology.RoundRobin}},
+	{"fattree-4096x1", topology.Spec{Kind: topology.FatTree, Switches: topology.MaxSwitches, HostsPerSwitch: 1, Oversub: 1, Place: topology.Block}},
 }
 
 // churnSubstrates are the coupled substrate configs (gige-style full

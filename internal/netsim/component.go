@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"slices"
+
 	"bwshare/internal/fault"
 	"bwshare/internal/topology"
 )
@@ -14,12 +16,12 @@ import (
 // DirtyTracker (incremental.go) works on: its owners refill only the
 // components an event touched and keep the rates of the others.
 //
-// slotIndex holds that graph exactly: one interning table per
-// namespace, and per slot the list of live flows that load it. Each
-// flow records its slots and its position in each slot's list
-// (Flow.slot, Flow.pos), so a departure is a swap-remove per slot, and
-// a walk from any slot over the lists yields exactly its current
-// component.
+// slotIndex holds that graph exactly: per slot, the list of live flows
+// that load it. Link slots are fixed by switch id (see topo.go), NIC
+// slots are interned by node id after them. Each flow records its
+// slots and its position in each slot's list (Flow.slot, Flow.pos), so
+// a departure is a swap-remove per slot, and a walk from any slot over
+// the lists yields exactly its current component.
 //
 // A walk also numbers the slots it reaches, densely and in the order
 // it reaches them (slotIndex.local), so the owners of a DirtyTracker
@@ -28,14 +30,15 @@ import (
 // the predictor builds its conflict graph on it (graph.RebuildNumbered).
 
 // slotIndex is the persistent constraint-slot index over the active
-// flows of one engine run. Slots are interned per namespace on first
-// sight: senders and receivers by node id, uplinks and downlinks by
-// edge-switch id, and they keep their number until reset. Slot k of a
-// flow is always in namespace k (sender, receiver, uplink, downlink).
+// flows of one engine run. Armed on a fabric (topo, set before reset),
+// it reserves slots [0, 2·Switches) for the links: switch sw's uplink
+// is slot sw, its downlink Switches+sw. Senders and receivers are
+// interned by node id on first sight, after the links, and keep their
+// slot until reset. Slot k of a flow is always in namespace k (sender,
+// receiver, uplink, downlink).
 type slotIndex struct {
 	topo     topology.Spec
 	snd, rcv slotTable
-	up, dn   slotTable
 	on       [][]*Flow // per slot: the live flows that load it
 	pass     []uint64  // per slot: the Dirty walk that last reached it
 	local    []int32   // per slot: its index in the numbering of that walk
@@ -58,14 +61,14 @@ func (x *slotIndex) intern(t *slotTable, id int) int32 {
 	return s
 }
 
-// add interns f's constraint slots — sender, receiver, and for a flow
+// add sets f's constraint slots — sender, receiver, and for a flow
 // crossing edge switches the source uplink and destination downlink —
 // and appends f to their lists.
 func (x *slotIndex) add(f *Flow) {
 	f.slot = [4]int32{x.intern(&x.snd, int(f.Src)), x.intern(&x.rcv, int(f.Dst)), -1, -1}
 	if !x.topo.Trivial() {
 		if ss, ds := x.topo.SwitchOf(f.Src), x.topo.SwitchOf(f.Dst); ss != ds {
-			f.slot[2], f.slot[3] = x.intern(&x.up, ss), x.intern(&x.dn, ds)
+			f.slot[2], f.slot[3] = upSlot(ss), dnSlot(x.topo, ds)
 		}
 	}
 	for k, s := range f.slot {
@@ -136,32 +139,32 @@ func (x *slotIndex) walk(s int32, pass uint64, next int32, dst []*Flow, stack []
 
 // faultSlots returns the slots of the resources a fault target degrades
 // — a link target's uplink and downlink, a host target's sender and
-// receiver NIC — or -1 where no active flow has interned one.
+// receiver NIC — or -1 where there is none: a host no active flow has
+// interned, a switch outside the armed fabric.
 func (x *slotIndex) faultSlots(t fault.Target) [2]int32 {
 	switch t.Kind {
 	case fault.TargetLink:
-		return [2]int32{x.up.get(t.ID), x.dn.get(t.ID)}
+		if !x.topo.Trivial() && uint(t.ID) < uint(x.topo.Switches) {
+			return [2]int32{upSlot(t.ID), dnSlot(x.topo, t.ID)}
+		}
 	case fault.TargetHost:
 		return [2]int32{x.snd.get(t.ID), x.rcv.get(t.ID)}
 	}
 	return [2]int32{-1, -1}
 }
 
-// reset empties the index for a new run, dropping every flow pointer.
-// Capacity is kept for the steady state but shed where one huge
-// transient run inflated it: without the shed, a single scheme
-// addressing many distinct node ids or carrying an enormous flow count
-// would pin tens of megabytes in every long-lived engine forever.
+// reset empties the index for a new run on x.topo, dropping every flow
+// pointer, and reserves the fabric's link slots. Capacity is kept for
+// the steady state but shed where one huge transient run inflated it:
+// without the shed, a single scheme addressing many distinct node ids
+// or carrying an enormous flow count would pin tens of megabytes in
+// every long-lived engine forever.
 func (x *slotIndex) reset() {
 	if x.snd.oversized() || x.rcv.oversized() {
 		x.snd, x.rcv = slotTable{}, slotTable{}
 	}
-	if x.up.oversized() || x.dn.oversized() {
-		x.up, x.dn = slotTable{}, slotTable{}
-	}
-	for _, t := range [...]*slotTable{&x.snd, &x.rcv, &x.up, &x.dn} {
-		t.reset()
-	}
+	x.snd.reset()
+	x.rcv.reset()
 	for i, l := range x.on {
 		clear(l)
 		if cap(l) > maxPooledScratchLen {
@@ -174,4 +177,12 @@ func (x *slotIndex) reset() {
 		x.on, x.pass, x.local = nil, nil, nil
 	}
 	x.on, x.pass, x.local = x.on[:0], x.pass[:0], x.local[:0]
+	if !x.topo.Trivial() {
+		n := 2 * x.topo.Switches
+		x.on = slices.Grow(x.on, n)[:n] // lists past len are empty: a reset emptied them before shortening
+		x.pass = slices.Grow(x.pass, n)[:n]
+		x.local = slices.Grow(x.local, n)[:n]
+		clear(x.pass)
+		clear(x.local)
+	}
 }

@@ -5,12 +5,13 @@ import (
 	"slices"
 )
 
-// Dense scratch state for the allocation core. graph.NodeID values are
-// small cluster indices, so per-node state lives in flat slices indexed by
-// an interned slot instead of maps. All buffers are reused across epochs
-// (one epoch per fill): a slotTable invalidates old slots with an epoch
-// stamp instead of clearing, so a steady-state allocation does zero heap
-// allocation.
+// Dense scratch state for the allocation core. Every constraint lives
+// in a flat slice indexed by a slot number instead of a map. In the
+// tracker's slotIndex a fabric link's slot is fixed by its switch id
+// and a NIC's is interned by node id in a slotTable, once per run; the
+// coupled fill indexes its table by a walk's local numbering of those
+// slots, TopoFiller by the link slots themselves. All buffers are
+// reused, so a steady-state allocation does zero heap allocation.
 
 // maxDenseNode bounds the ids the slot tables index directly. Schemes
 // use cluster node indices (tens to thousands); an id outside
@@ -18,11 +19,10 @@ import (
 // a huge table, on the same slow path that grows the table.
 const maxDenseNode = 1 << 22
 
-// slotTable maps the ids of one namespace (node ids for NICs, switch
-// ids for fabric links) to slots. An entry counts only when stamped
-// with the current epoch, so reset unassigns every id in O(1).
-// TopoFiller's link tables use one epoch per fill, the persistent
-// slotIndex one per run.
+// slotTable maps the node ids of one NIC namespace (senders or
+// receivers) to slots. An entry counts only when stamped with the
+// current epoch, so reset unassigns every id in O(1); slotIndex starts
+// one epoch per run.
 type slotTable struct {
 	dense []slotEntry
 	epoch uint64
@@ -127,15 +127,20 @@ type link struct {
 	count      int32   // unfrozen flows on the slot
 }
 
-// slot interns id in t as a slot of the fill, opening it with no
-// capacity on first sight (fresh), and counts one more flow on it. The
-// caller sets a fresh slot's capacity in left; fill takes orig from it.
-func (d *denseFill) slot(t *slotTable, id int) (s int32, fresh bool) {
-	if s, fresh = t.intern(id, int32(len(d.links))); fresh {
-		d.links = append(d.links, link{})
+// load counts one more flow on slot s, opening the slot at capacity c
+// when that flow is its first. fill takes orig from left.
+func (l links) load(s int32, c float64) {
+	if l[s].count == 0 {
+		l[s].left = c
 	}
-	d.links[s].count++
-	return s, fresh
+	l[s].count++
+}
+
+// setOrig records slot s's capacity at the start of the fill.
+func (l links) setOrig(s int32) {
+	if i := int(s); uint(i) < uint(len(l)) {
+		l[i].orig = l[i].left
+	}
 }
 
 // headroom lowers inc to slot s's equal share of what is left.
@@ -188,11 +193,15 @@ const relEps = 1e-9
 // referenceCapsFill). The slot counts must hold the number of flows on
 // each slot on entry; they are consumed as flows freeze. A frozen flow
 // gets its final Rate and leaves the working prefix of d.flows, which
-// keeps the unfrozen ones in order.
+// keeps the unfrozen ones in order. Only the slots the flows load are
+// read or written, so the table may hold slots no flow loads.
 func (d *denseFill) fill(flows []*Flow) {
 	l, act := d.links, d.flows
-	for i := range l {
-		l[i].orig = l[i].left
+	for _, e := range act {
+		l.setOrig(e.snd)
+		l.setOrig(e.rcv)
+		l.setOrig(e.up)
+		l.setOrig(e.dn)
 	}
 	for len(act) > 0 {
 		// Smallest headroom over all constraints touching unfrozen flows.
@@ -250,19 +259,14 @@ func (d *denseFill) fill(flows []*Flow) {
 }
 
 // fillScratch bundles everything one allocation epoch needs: the fill
-// state, the coupled fill's per-receiver inflow and TopoFiller's link
-// slot tables. IncrementalAllocator and TopoFiller each own one; the
-// coupled fill takes its slots from the tracker's walk and interns
-// nothing.
+// state and the coupled fill's per-receiver inflow. IncrementalAllocator
+// and TopoFiller each own one; neither interns anything per fill.
 type fillScratch struct {
-	up, dn slotTable // TopoFiller's link slots by edge-switch id
 	d      denseFill
 	inflow []float64 // per slot: base inflow of a receiver slot
 }
 
 func (s *fillScratch) begin() {
-	s.up.reset()
-	s.dn.reset()
 	s.d.reset()
 	s.inflow = s.inflow[:0]
 }
@@ -279,6 +283,5 @@ const maxPooledScratchLen = 1 << 14
 func (s *fillScratch) oversized() bool {
 	return cap(s.d.flows) > maxPooledScratchLen ||
 		cap(s.d.links) > maxPooledScratchLen ||
-		cap(s.inflow) > maxPooledScratchLen ||
-		s.up.oversized() || s.dn.oversized()
+		cap(s.inflow) > maxPooledScratchLen
 }

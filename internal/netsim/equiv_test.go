@@ -49,22 +49,30 @@ func waterFill(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.Node
 // referenceWaterFillTopo on a healthy fabric. A trivial topology is
 // exactly waterFill.
 func waterFillTopo(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.NodeID]float64, defSend, defRecv float64, topo topology.Spec, hostRate float64) {
-	var sc fillScratch
+	var d denseFill
 	var snd, rcv slotTable
-	sc.begin()
-	d := &sc.d
-	for i, f := range flows {
-		si, fresh := d.slot(&snd, int(f.Src))
-		if fresh {
-			d.links[si].left = capOf(senderCap, f.Src, defSend)
-		}
-		ri, fresh := d.slot(&rcv, int(f.Dst))
-		if fresh {
-			d.links[ri].left = capOf(recvCap, f.Dst, defRecv)
-		}
-		d.flows = append(d.flows, fillFlow{cap: flowCap, flow: int32(i), snd: si, rcv: ri, up: -1, dn: -1})
+	if !topo.Trivial() {
+		d.links = make(links, 2*topo.Switches)
 	}
-	sc.linkSlots(flows, topo, topo.UplinkCap(hostRate), nil)
+	intern := func(t *slotTable, id int) int32 {
+		s, fresh := t.intern(id, int32(len(d.links)))
+		if fresh {
+			d.links = append(d.links, link{})
+		}
+		return s
+	}
+	linkCap := topo.UplinkCap(hostRate)
+	for i, f := range flows {
+		e := fillFlow{cap: flowCap, flow: int32(i), snd: intern(&snd, int(f.Src)), rcv: intern(&rcv, int(f.Dst)), up: -1, dn: -1}
+		d.links.load(e.snd, capOf(senderCap, f.Src, defSend))
+		d.links.load(e.rcv, capOf(recvCap, f.Dst, defRecv))
+		if topo.Crosses(f.Src, f.Dst) {
+			e.up, e.dn = upSlot(topo.SwitchOf(f.Src)), dnSlot(topo, topo.SwitchOf(f.Dst))
+			d.links.load(e.up, linkCap)
+			d.links.load(e.dn, linkCap)
+		}
+		d.flows = append(d.flows, e)
+	}
 	d.fill(flows)
 }
 

@@ -93,24 +93,12 @@ func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, x *slotIndex, base, 
 	linkCap := cfg.Topo.UplinkCap(cfg.FlowCap)
 	for i, f := range flows {
 		e := fillFlow{cap: cfg.FlowCap, flow: int32(i), snd: local(f.slot[0]), rcv: local(f.slot[1]), up: -1, dn: -1}
-		if l := &d.links[e.snd]; l.count == 0 {
-			l.left = cfg.LineRate * cfg.Faults.HostFactor(int(f.Src))
-		}
-		if l := &d.links[e.rcv]; l.count == 0 {
-			l.left = cfg.RxCap * cfg.Faults.HostFactor(int(f.Dst))
-		}
-		d.links[e.snd].count++
-		d.links[e.rcv].count++
-		if f.slot[2] >= 0 {
+		d.links.load(e.snd, cfg.LineRate*cfg.Faults.HostFactor(int(f.Src)))
+		d.links.load(e.rcv, cfg.RxCap*cfg.Faults.HostFactor(int(f.Dst)))
+		if f.slot[2] >= 0 { // a link's slot is its switch id (see topo.go)
 			e.up, e.dn = local(f.slot[2]), local(f.slot[3])
-			if l := &d.links[e.up]; l.count == 0 {
-				l.left = linkCap * cfg.Faults.LinkFactor(cfg.Topo.SwitchOf(f.Src))
-			}
-			if l := &d.links[e.dn]; l.count == 0 {
-				l.left = linkCap * cfg.Faults.LinkFactor(cfg.Topo.SwitchOf(f.Dst))
-			}
-			d.links[e.up].count++
-			d.links[e.dn].count++
+			d.links.load(e.up, linkCap*cfg.Faults.LinkFactor(int(f.slot[2])))
+			d.links.load(e.dn, linkCap*cfg.Faults.LinkFactor(int(f.slot[3])-cfg.Topo.Switches))
 		}
 		d.flows = append(d.flows, e)
 	}

@@ -7,11 +7,10 @@ import "testing"
 // scheme instead of pinning it for the life of the process.
 
 // inflateScratch grows the scratch the way a big allocation epoch
-// would: many flows and a large switch id in the link slot tables.
-func inflateScratch(sc *fillScratch, flows int, maxSwitch int) {
+// would: many flows and many slots in the link table.
+func inflateScratch(sc *fillScratch, flows int, slots int) {
 	sc.begin()
-	sc.up.intern(maxSwitch, 0)
-	sc.dn.intern(maxSwitch, 0)
+	sc.d.links = append(sc.d.links, make(links, slots)...)
 	for i := 0; i < flows; i++ {
 		sc.d.flows = append(sc.d.flows, fillFlow{})
 	}
@@ -28,9 +27,9 @@ func TestFillScratchOversized(t *testing.T) {
 	if !byFlows.oversized() {
 		t.Fatal("scratch with huge per-flow arrays not reported oversized")
 	}
-	byNode := new(fillScratch)
-	inflateScratch(byNode, 64, maxPooledScratchLen+1)
-	if !byNode.oversized() {
-		t.Fatal("scratch with huge interner tables not reported oversized")
+	byLinks := new(fillScratch)
+	inflateScratch(byLinks, 64, maxPooledScratchLen+1)
+	if !byLinks.oversized() {
+		t.Fatal("scratch with a huge link table not reported oversized")
 	}
 }

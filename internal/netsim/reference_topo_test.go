@@ -25,7 +25,8 @@ type linkSide struct {
 // downlink constraints; constraint evaluation order per flow (flow cap,
 // sender, receiver, uplink, downlink) matches denseFill.fill exactly.
 // fs (nil = healthy) scales per-switch uplink capacities by the fault
-// overlay's link factors, mirroring fillScratch.linkSlots.
+// overlay's link factors, as TopoFiller and the coupled fill open
+// their link slots.
 func referenceWaterFillTopo(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.NodeID]float64, defSend, defRecv float64, topo topology.Spec, hostRate float64, fs *fault.State) {
 	if topo.Trivial() {
 		referenceWaterFill(flows, flowCap, senderCap, recvCap, defSend, defRecv)

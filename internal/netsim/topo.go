@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"slices"
+
 	"bwshare/internal/fault"
 	"bwshare/internal/topology"
 )
@@ -15,49 +17,25 @@ import (
 // link slots are -1 and add nothing to the fill, which keeps those rates
 // bit-identical to the topology-free ones (topo_test.go checks it).
 //
-// The coupled fill (coupledDenseAllocate) takes its link slots, like
-// its NIC slots, from the tracker's component walk. TopoFiller fills
-// every flow it is given, outside any component walk, so it interns
-// edge-switch ids to link slots itself, once per fill. The per-slot state lives in the reusable fillScratch,
-// and a steady-state allocation does zero heap allocation.
+// A link's slot is its switch id: switch sw's uplink is slot sw and its
+// downlink slot Switches+sw (upSlot, dnSlot), in the tracker's slot
+// index and in TopoFiller's table alike. So no link is interned, and a
+// link's switch reads back from its slot (less Switches for a
+// downlink). Each fill opens only the links its flows load, at the
+// healthy capacity times the switch's fault factor.
 
-// linkSlots interns the edge switches of the inter-switch flows and sets
-// their uplink and downlink slots; the flows' fill entries must be in
-// place, with link slots -1. A crossbar, or a flow that stays inside
-// one switch, keeps them so. linkCap is the per-direction capacity of
-// one healthy uplink; fs (nil for a healthy fabric) scales each switch's
-// uplink by its fault factor, in both directions.
-func (sc *fillScratch) linkSlots(flows []*Flow, topo topology.Spec, linkCap float64, fs *fault.State) {
-	if topo.Trivial() {
-		return
-	}
-	d := &sc.d
-	for i, f := range flows {
-		if ss, ds := topo.SwitchOf(f.Src), topo.SwitchOf(f.Dst); ss != ds {
-			e := &d.flows[i]
-			e.up = d.linkSlot(&sc.up, ss, linkCap, fs)
-			e.dn = d.linkSlot(&sc.dn, ds, linkCap, fs)
-		}
-	}
-}
-
-// linkSlot is slot for switch sw's link in table t, opening it at
-// linkCap scaled by the switch's fault factor.
-func (d *denseFill) linkSlot(t *slotTable, sw int, linkCap float64, fs *fault.State) int32 {
-	s, fresh := d.slot(t, sw)
-	if fresh {
-		d.links[s].left = linkCap * fs.LinkFactor(sw)
-	}
-	return s
-}
+// upSlot and dnSlot are the slots of switch sw's uplink and downlink on
+// topo.
+func upSlot(sw int) int32                     { return int32(sw) }
+func dnSlot(topo topology.Spec, sw int) int32 { return int32(topo.Switches + sw) }
 
 // TopoFiller imposes a fabric's uplink capacities on flow rates computed
 // by a crossbar-level allocator (a penalty model): the incoming
 // Flow.Rate values become per-flow caps and the rates are re-derived by
 // the one progressive fill (denseFill.fill) under those caps plus the
 // shared uplinks, with no NIC slot. Intra-switch flows keep their rate
-// exactly. The zero value is ready to
-// use; scratch is reused, so steady-state Apply calls allocate nothing.
+// exactly. The zero value is ready to use; its link table is indexed by
+// switch id and reused, so steady-state Apply calls allocate nothing.
 // A TopoFiller is not safe for concurrent use.
 type TopoFiller struct {
 	// Faults, when non-nil, scales each uplink's capacity by the
@@ -78,9 +56,24 @@ func (tf *TopoFiller) Apply(flows []*Flow, topo topology.Spec, hostRate float64)
 	sc := &tf.scr
 	sc.begin()
 	d := &sc.d
+	// The table keeps whatever earlier fills left in slots these flows
+	// do not load; the fill reads only the loaded ones, whose counts are
+	// zeroed here before any is counted.
+	d.links = slices.Grow(d.links, 2*topo.Switches)[:2*topo.Switches]
 	for i, f := range flows {
-		d.flows = append(d.flows, fillFlow{cap: f.Rate, flow: int32(i), snd: -1, rcv: -1, up: -1, dn: -1})
+		e := fillFlow{cap: f.Rate, flow: int32(i), snd: -1, rcv: -1, up: -1, dn: -1}
+		if ss, ds := topo.SwitchOf(f.Src), topo.SwitchOf(f.Dst); ss != ds {
+			e.up, e.dn = upSlot(ss), dnSlot(topo, ds)
+			d.links[e.up].count, d.links[e.dn].count = 0, 0
+		}
+		d.flows = append(d.flows, e)
 	}
-	sc.linkSlots(flows, topo, topo.UplinkCap(hostRate), tf.Faults)
+	linkCap := topo.UplinkCap(hostRate)
+	for _, e := range d.flows {
+		if e.up >= 0 {
+			d.links.load(e.up, linkCap*tf.Faults.LinkFactor(int(e.up)))
+			d.links.load(e.dn, linkCap*tf.Faults.LinkFactor(int(e.dn)-topo.Switches))
+		}
+	}
 	d.fill(flows)
 }
