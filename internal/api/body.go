@@ -210,14 +210,3 @@ func DecodeBody(r io.Reader, v any) error {
 	}
 	return DecodeJSON(data, v)
 }
-
-// DecodeJSON decodes a request body holding exactly one JSON value into
-// v. Whitespace may follow the value; anything else is an error. Both
-// tiers decode every predict, batch and cluster body by this rule (the
-// worker through DecodeBody, the gateway on the bytes it has already
-// read), so they agree on which bodies are well-formed: a gateway that
-// rejected a body its worker accepts would route it by raw bytes, away
-// from its home replica.
-func DecodeJSON(data []byte, v any) error {
-	return json.Unmarshal(data, v)
-}

@@ -10,17 +10,23 @@
 package benchsuite
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"testing"
 
+	"bwshare/internal/api"
 	"bwshare/internal/apps"
 	"bwshare/internal/cluster"
 	"bwshare/internal/core"
 	"bwshare/internal/experiments"
 	"bwshare/internal/fault"
 	"bwshare/internal/fleet"
+	"bwshare/internal/gateway"
 	"bwshare/internal/graph"
 	"bwshare/internal/measure"
 	"bwshare/internal/model"
@@ -31,6 +37,7 @@ import (
 	"bwshare/internal/predict"
 	"bwshare/internal/randgen"
 	"bwshare/internal/replay"
+	"bwshare/internal/schemelang"
 	"bwshare/internal/schemes"
 	"bwshare/internal/server"
 	"bwshare/internal/topology"
@@ -468,6 +475,14 @@ func Suite() []Benchmark {
 				}
 			}
 		}},
+		// Handler-level hits: one POST /v1/predict of the rand32 scheme
+		// as structured comms and as scheme text, through the worker's
+		// handler (decode, key, cache hit, render), and one 4-item batch
+		// through the gateway's handler, split over two loopback replicas
+		// and merged. Not in a committed snapshot, so not gated.
+		{"Server/post/hit/comms", postHitBench(rand32, false)},
+		{"Server/post/hit/text", postHitBench(rand32, true)},
+		{"Gateway/batch/split4", gatewaySplitBench},
 		// Placement engine: one full candidate enumeration (block,
 		// roundrobin, greedy, 2 seeded-random) scored by what-if
 		// simulation against 3 resident 4-task jobs on the 16-host
@@ -553,6 +568,81 @@ func Suite() []Benchmark {
 				}
 			}
 		}},
+	}
+}
+
+// postHitBench times a cache-hit POST /v1/predict of g, as structured
+// comms or as scheme text, through a worker's handler.
+func postHitBench(g *graph.Graph, text bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		req := api.PredictRequest{Model: "infiniband"}
+		if text {
+			req.Scheme = schemelang.Canonical(g)
+		} else {
+			for _, c := range g.Comms() {
+				req.Comms = append(req.Comms, api.CommRequest{Label: c.Label, Src: int(c.Src), Dst: int(c.Dst), Volume: c.Volume})
+			}
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := server.New(server.Config{Workers: 1, CacheSize: 16}).Handler()
+		post := func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+			return rec
+		}
+		post()
+		if rec := post(); rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cached": true`)) {
+			b.Fatalf("warm-up: status %d, want a cache hit", rec.Code)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rec := post(); rec.Code != http.StatusOK {
+				b.Fatalf("status %d", rec.Code)
+			}
+		}
+	}
+}
+
+// gatewaySplitBench times a warm 4-item POST /v1/predict/batch through
+// the gateway's handler over two loopback worker replicas, the items
+// homed on both, so every op splits, proxies two sub-batches and merges.
+func gatewaySplitBench(b *testing.B) {
+	var ups []gateway.Upstream
+	for _, name := range []string{"a", "b"} {
+		ts := httptest.NewServer(server.New(server.Config{Workers: 1, CacheSize: 16}).Handler())
+		defer ts.Close()
+		ups = append(ups, gateway.Upstream{Name: name, URL: ts.URL})
+	}
+	gw, err := gateway.New(gateway.Config{Upstreams: ups, HealthInterval: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer gw.Close()
+	body := []byte(`{"requests":[{"name":"s1"},{"name":"s2"},{"name":"s4"},{"name":"s6"}]}`)
+	post := func() int {
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict/batch", bytes.NewReader(body)))
+		return rec.Code
+	}
+	post()
+	if code := post(); code != http.StatusOK {
+		b.Fatalf("warm-up: status %d", code)
+	}
+	for _, up := range gw.Snapshot().Upstreams {
+		if up.Requests == 0 {
+			b.Fatalf("replica %s received no sub-batch; the batch does not split", up.Name)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if code := post(); code != http.StatusOK {
+			b.Fatalf("status %d", code)
+		}
 	}
 }
 

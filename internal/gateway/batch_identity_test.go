@@ -62,7 +62,7 @@ func spanningBatch(t *testing.T, g *Gateway) string {
 		if err := json.Unmarshal([]byte(c), &req); err != nil {
 			t.Fatalf("candidate %s: %v", c, err)
 		}
-		homes[g.healthyOrder(itemShardKey(req))[0].name] = true
+		homes[g.healthyOrder(itemShardKey(api.NewKey(), &req, []byte(c)))[0].name] = true
 	}
 	if len(homes) < 2 {
 		t.Fatalf("candidate items all home on one replica (%v); extend the candidate pool", homes)
@@ -88,4 +88,42 @@ func postRaw(t *testing.T, url, body string) rawResponse {
 		t.Fatal(err)
 	}
 	return rawResponse{status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), body: data}
+}
+
+// TestBatchSplitForwardsItemBytes: a split batch forwards each item's
+// own bytes — spacing, escapes and key order as the client sent them —
+// in sub-batches joined from those bytes, and an item that does not
+// resolve at all (two scheme forms) keys on its bytes; the merged answer
+// is byte-identical to a single worker's, cold and warm.
+func TestBatchSplitForwardsItemBytes(t *testing.T) {
+	f := newFleet(t, nil)
+	items := []string{
+		` { "model" : "myrinet" , "name" : "fig5" } `,
+		`{"scheme":"a: 0 -> 1 3MB\nb: 1 -> 2\n","static":true}`,
+		`{"comms":[{"src":0,"dst":1,"volume":3000001},{"label":"x\"y","src":1,"dst":0}],"model":"ib"}`,
+		`{"name":"s1","scheme":"a: 0 -> 1"}`,
+		`{"name":"s6"}`,
+		`{"name":"mk2","model":"myrinet"}`,
+	}
+	homes := map[string]bool{}
+	k := api.NewKey()
+	defer k.Free()
+	for _, item := range items {
+		var req api.PredictRequest
+		if err := api.DecodeJSON([]byte(item), &req); err != nil {
+			t.Fatalf("item %s: %v", item, err)
+		}
+		homes[f.g.healthyOrder(itemShardKey(k, &req, []byte(strings.TrimSpace(item))))[0].name] = true
+	}
+	if len(homes) < 2 {
+		t.Fatalf("items all home on one replica (%v); extend the items", homes)
+	}
+	body := `{"requests":[` + strings.Join(items, ",") + `]}`
+	for _, pass := range []string{"cold", "warm"} {
+		viaGateway := postRaw(t, f.gw+"/v1/predict/batch", body)
+		viaDirect := postRaw(t, f.direct+"/v1/predict/batch", body)
+		if viaGateway.status != http.StatusOK || viaGateway.status != viaDirect.status || !bytes.Equal(viaGateway.body, viaDirect.body) {
+			t.Fatalf("%s pass: gateway %d\n%s\ndirect %d\n%s", pass, viaGateway.status, viaGateway.body, viaDirect.status, viaDirect.body)
+		}
+	}
 }

@@ -44,7 +44,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -306,7 +305,10 @@ func (g *Gateway) shardKey(r *http.Request, body []byte) uint64 {
 			err = api.DecodeJSON(body, &req)
 		}
 		if err == nil {
-			if key, kerr := predictShardKey(req); kerr == nil {
+			k := api.NewKey()
+			key, ok := predictShardKey(k, &req)
+			k.Free()
+			if ok {
 				return key
 			}
 		}
@@ -381,15 +383,18 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key uint64, bo
 // key instead — the rejection must come from a worker, byte-identical.
 func (g *Gateway) serveBatch(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req api.BatchRequest
-	if err := api.DecodeJSON(body, &req); err != nil || len(req.Requests) == 0 || len(req.Requests) > api.MaxBatch {
+	raw, err := api.DecodeBatch(body, &req)
+	if err != nil || len(req.Requests) == 0 || len(req.Requests) > api.MaxBatch {
 		g.forward(w, r, hashBytes(body), body)
 		return
 	}
 	order := make([]*upstream, 0, 2)    // distinct home replicas, first-use order
 	groups := make(map[*upstream][]int) // home replica -> item positions (ascending)
 	var firstKey uint64
-	for i, item := range req.Requests {
-		key := itemShardKey(item)
+	k := api.NewKey()
+	defer k.Free()
+	for i := range req.Requests {
+		key := itemShardKey(k, &req.Requests[i], raw[i])
 		if i == 0 {
 			firstKey = key
 		}
@@ -413,24 +418,31 @@ func (g *Gateway) serveBatch(w http.ResponseWriter, r *http.Request, body []byte
 	// items are already laid out as they sit in the merged document;
 	// splicing them back through WriteResults in request order makes the
 	// answer byte-identical to a single worker answering the whole batch.
+	// A sub-batch joins its items' own bytes (DecodeBatch), which decode
+	// to the very items of the request.
 	merged := make([][]byte, len(req.Requests))
 	var items [][]byte
 	for _, up := range order {
 		positions := groups[up]
-		sub := api.BatchRequest{Requests: make([]api.PredictRequest, len(positions))}
+		// A fresh buffer per sub-batch: the transport may still hold the
+		// last one after its answer arrives.
+		n := len(`{"requests":[]}`) + len(positions)
+		for _, pos := range positions {
+			n += len(raw[pos])
+		}
+		subBody := append(make([]byte, 0, n), `{"requests":[`...)
 		for j, pos := range positions {
-			sub.Requests[j] = req.Requests[pos]
+			if j > 0 {
+				subBody = append(subBody, ',')
+			}
+			subBody = append(subBody, raw[pos]...)
 		}
-		subBody, err := json.Marshal(sub)
-		if err != nil {
-			api.WriteError(w, http.StatusInternalServerError, "gateway: encoding sub-batch: "+err.Error())
-			return
-		}
+		subBody = append(subBody, "]}"...)
 		if !g.admit(up) {
 			g.reject(w, up)
 			return
 		}
-		resp, raw, err := g.proxyTo(up, r, subBody)
+		resp, answer, err := g.proxyTo(up, r, subBody)
 		g.release(up)
 		if err != nil {
 			g.eject(up)
@@ -440,11 +452,11 @@ func (g *Gateway) serveBatch(w http.ResponseWriter, r *http.Request, body []byte
 		if resp.StatusCode != http.StatusOK {
 			// A well-formed sub-batch always answers 200 (item errors are
 			// embedded); anything else is relayed verbatim.
-			g.copyResponse(w, resp, raw)
+			g.copyResponse(w, resp, answer)
 			return
 		}
 		var ok bool
-		if items, ok = api.ResultItems(raw, items[:0]); !ok || len(items) != len(positions) {
+		if items, ok = api.ResultItems(answer, items[:0]); !ok || len(items) != len(positions) {
 			g.badGateway.Add(1)
 			api.WriteError(w, http.StatusBadGateway, fmt.Sprintf("gateway: upstream %q answered a malformed batch document", up.name))
 			return

@@ -1,65 +1,44 @@
 // Shard-key computation: the gateway's view of "which cache line is
 // this request". A predict request's key folds together exactly the
-// components of the worker tier's response-cache key — canonical scheme
-// hash, canonical model, static flag, reference-rate override, fabric
-// and fault schedule — so two requests that would share a worker cache
+// components of the worker tier's response-cache key — scheme hash,
+// canonical model, static flag, reference-rate override, fabric and
+// fault schedule — so two requests that would share a worker cache
 // entry always shard to the same upstream, and the fleet's effective
 // cache is the union of its replicas' LRUs.
 package gateway
 
 import (
-	"encoding/json"
-	"hash/fnv"
-	"math"
-
 	"bwshare/internal/api"
-	"bwshare/internal/schemelang"
 )
 
-// predictShardKey resolves one predict request the same way the worker
-// will (api.ResolveGraph) and folds the worker's cache-key components
-// into a shard key. Requests the worker would reject resolve here with
-// the same error; callers fall back to a raw-bytes key so any healthy
-// worker can produce the identical rejection.
+// predictShardKey resolves one predict request to its api.Key, the one
+// the worker looks its cache up by, built without a graph, and folds it
+// into a shard key (api.Key.ShardKey). It reports false for a request
+// the key rejects; callers fall back to a raw-bytes key so any healthy
+// worker can produce the identical rejection. A request whose graph the
+// worker's builder rejects still keys here, on the scheme it names:
+// every worker answers it with the same error.
 //
 // One deliberate asymmetry with the worker's key: an explicit RefRate
 // equal to the substrate default shards separately from an omitted one
 // (the gateway does not know per-model defaults — that knowledge lives
 // with the simulator registry, which this tier must not link). Both
-// forms still answer correctly; they may just warm two replicas'
-// caches instead of one.
-func predictShardKey(req api.PredictRequest) (uint64, error) {
-	g, topo, sched, err := api.ResolveGraph(req)
-	if err != nil {
-		return 0, err
+// forms still answer correctly; they may just warm two replicas' caches
+// instead of one.
+func predictShardKey(k *api.Key, req *api.PredictRequest) (uint64, bool) {
+	if k.Resolve(req) != nil {
+		return 0, false
 	}
-	h := fnv.New64a()
-	writeU64(h, schemelang.Hash(g))
-	h.Write([]byte(api.CanonicalModel(req.Model)))
-	h.Write([]byte{0})
-	if req.Static {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
-	}
-	writeU64(h, math.Float64bits(req.RefRate))
-	h.Write([]byte(topo.String()))
-	h.Write([]byte{0})
-	writeU64(h, sched.Hash())
-	return h.Sum64(), nil
+	return k.ShardKey(), true
 }
 
-// itemShardKey keys one batch item: the resolved cache-line key when
-// the item is valid, a deterministic fallback over its re-marshalled
-// JSON when it is not (every worker embeds the identical per-item
-// error, so the fallback only needs to be stable, not meaningful).
-func itemShardKey(item api.PredictRequest) uint64 {
-	if key, err := predictShardKey(item); err == nil {
+// itemShardKey keys one batch item: the cache-line key when the item
+// resolves, a hash of the item's bytes when it does not (every worker
+// embeds the identical per-item error, so the fallback only needs to be
+// stable, not meaningful).
+func itemShardKey(k *api.Key, item *api.PredictRequest, raw []byte) uint64 {
+	if key, ok := predictShardKey(k, item); ok {
 		return key
-	}
-	raw, err := json.Marshal(item)
-	if err != nil {
-		return 0
 	}
 	return hashBytes(raw)
 }
@@ -70,14 +49,4 @@ func itemShardKey(item api.PredictRequest) uint64 {
 // live where it was created.
 func clusterShardKey(name string) uint64 {
 	return hashString("cluster\x00" + name)
-}
-
-type hash64 interface{ Write(p []byte) (int, error) }
-
-func writeU64(h hash64, v uint64) {
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
-	h.Write(b[:])
 }

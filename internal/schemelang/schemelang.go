@@ -42,6 +42,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"bwshare/internal/fault"
 	"bwshare/internal/graph"
@@ -97,19 +98,77 @@ func ParseFull(src string) (*graph.Graph, topology.Spec, fault.Schedule, error) 
 	return g, spec, sched, err
 }
 
-// parseFull is the single parser behind Parse, ParseWithTopology and
-// ParseFull. lines[i] is the 1-based source line of sched.Events[i].
+// parseFull is ParseList plus the graph build, the one parser behind
+// Parse, ParseWithTopology and ParseFull. lines[i] is the 1-based source
+// line of sched.Events[i].
 func parseFull(src string) (*graph.Graph, topology.Spec, fault.Schedule, []int, error) {
+	comms, spec, sched, lines, err := parseLines(src, nil)
+	if err != nil {
+		return nil, spec, sched, lines, err
+	}
+	b := graph.NewBuilder()
+	for _, c := range comms {
+		b.Add(c.Label, c.Src, c.Dst, c.Volume)
+	}
+	g, err := b.Build()
+	if err != nil {
+		return nil, spec, sched, lines, fmt.Errorf("schemelang: %w", err)
+	}
+	return g, spec, sched, lines, checkFabric(g.MaxNode(), spec, sched, lines)
+}
+
+// ParseList is ParseFull without the graph: it appends the scheme's
+// communications to dst, in source order and with their effective
+// volumes (IDs are left zero), and returns the declared fabric and
+// fault schedule, checked as ParseFull checks them. It does not run
+// graph.Builder, so the errors Build reports (an empty or duplicate
+// label, a self-loop, a negative node) are not detected, and an error
+// ParseFull reports after such one may be returned in its place; a
+// caller that needs ParseFull's exact error calls ParseFull. Labels are
+// substrings of src, and a valid scheme of well-formed lines is parsed
+// without allocating once dst has room.
+func ParseList(src string, dst []graph.Comm) ([]graph.Comm, topology.Spec, fault.Schedule, error) {
+	comms, spec, sched, lines, err := parseLines(src, dst)
+	if err != nil {
+		return comms, spec, sched, err
+	}
+	maxNode := graph.NodeID(-1)
+	for _, c := range comms {
+		maxNode = max(maxNode, c.Src, c.Dst)
+	}
+	return comms, spec, sched, checkFabric(maxNode, spec, sched, lines)
+}
+
+// checkFabric checks a parsed scheme against its declared fabric: its
+// nodes must fit, and its fault events must name parts of it. Fault
+// events are checked only here because the topology: header may legally
+// follow the fault: headers.
+func checkFabric(maxNode graph.NodeID, spec topology.Spec, sched fault.Schedule, lines []int) error {
+	if err := spec.CheckFit(maxNode); err != nil {
+		return fmt.Errorf("schemelang: %w", err)
+	}
+	for i, e := range sched.Events {
+		if err := fault.CheckEvent(e, spec); err != nil {
+			return &ParseError{lines[i], "fault: " + err.Error()}
+		}
+	}
+	return nil
+}
+
+// parseLines reads the statements of src, appending its communications
+// to comms. It checks everything but the graph build and the fabric
+// fit.
+func parseLines(src string, comms []graph.Comm) ([]graph.Comm, topology.Spec, fault.Schedule, []int, error) {
 	var spec topology.Spec
 	var sched fault.Schedule
 	var faultLines []int // 1-based source line of each event
-	b := graph.NewBuilder()
 	volume := float64(DefaultVolume)
 	seen := false
 	topoSeen, placeSeen, inlinePlace := false, false, false
 	var placeAt int // line of the place: header, validated after topology:
-	for ln, raw := range strings.Split(src, "\n") {
-		line := raw
+	for ln, tail, more := 0, src, true; more; ln++ {
+		var line string
+		line, tail, more = strings.Cut(tail, "\n")
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
@@ -117,14 +176,14 @@ func parseFull(src string) (*graph.Graph, topology.Spec, fault.Schedule, []int, 
 		if line == "" {
 			continue
 		}
-		fields := strings.Fields(line)
-		if fields[0] == "volume" {
-			if len(fields) != 2 {
-				return nil, spec, sched, faultLines, &ParseError{ln + 1, "volume directive needs exactly one argument"}
+		if first, args := cutField(line); first == "volume" {
+			arg, extra := cutField(args)
+			if arg == "" || strings.TrimSpace(extra) != "" {
+				return comms, spec, sched, faultLines, &ParseError{ln + 1, "volume directive needs exactly one argument"}
 			}
-			v, err := ParseVolume(fields[1])
+			v, err := ParseVolume(arg)
 			if err != nil {
-				return nil, spec, sched, faultLines, &ParseError{ln + 1, err.Error()}
+				return comms, spec, sched, faultLines, &ParseError{ln + 1, err.Error()}
 			}
 			volume = v
 			continue
@@ -135,7 +194,7 @@ func parseFull(src string) (*graph.Graph, topology.Spec, fault.Schedule, []int, 
 		// keep parsing.
 		if arg, ok := strings.CutPrefix(line, "topology:"); ok && !strings.Contains(arg, "->") {
 			if topoSeen {
-				return nil, spec, sched, faultLines, &ParseError{ln + 1, "duplicate topology header"}
+				return comms, spec, sched, faultLines, &ParseError{ln + 1, "duplicate topology header"}
 			}
 			topoSeen = true
 			for _, f := range strings.Fields(arg) {
@@ -144,12 +203,12 @@ func parseFull(src string) (*graph.Graph, topology.Spec, fault.Schedule, []int, 
 				}
 			}
 			if placeSeen && inlinePlace {
-				return nil, spec, sched, faultLines, &ParseError{ln + 1, "placement declared both as a place: header and inside the topology header"}
+				return comms, spec, sched, faultLines, &ParseError{ln + 1, "placement declared both as a place: header and inside the topology header"}
 			}
 			place := spec.Place // a preceding place: header
 			s, err := topology.ParseSpec(strings.TrimSpace(arg))
 			if err != nil {
-				return nil, spec, sched, faultLines, &ParseError{ln + 1, err.Error()}
+				return comms, spec, sched, faultLines, &ParseError{ln + 1, err.Error()}
 			}
 			spec = s
 			if placeSeen && spec.Kind != topology.Crossbar {
@@ -159,16 +218,16 @@ func parseFull(src string) (*graph.Graph, topology.Spec, fault.Schedule, []int, 
 		}
 		if arg, ok := strings.CutPrefix(line, "place:"); ok && !strings.Contains(arg, "->") {
 			if placeSeen {
-				return nil, spec, sched, faultLines, &ParseError{ln + 1, "duplicate place header"}
+				return comms, spec, sched, faultLines, &ParseError{ln + 1, "duplicate place header"}
 			}
 			if inlinePlace {
-				return nil, spec, sched, faultLines, &ParseError{ln + 1, "placement declared both as a place: header and inside the topology header"}
+				return comms, spec, sched, faultLines, &ParseError{ln + 1, "placement declared both as a place: header and inside the topology header"}
 			}
 			placeSeen = true
 			placeAt = ln + 1
 			p, err := topology.ParsePlacement(strings.TrimSpace(arg))
 			if err != nil {
-				return nil, spec, sched, faultLines, &ParseError{ln + 1, err.Error()}
+				return comms, spec, sched, faultLines, &ParseError{ln + 1, err.Error()}
 			}
 			spec.Place = p
 			continue
@@ -176,7 +235,7 @@ func parseFull(src string) (*graph.Graph, topology.Spec, fault.Schedule, []int, 
 		if arg, ok := strings.CutPrefix(line, "fault:"); ok && !strings.Contains(arg, "->") {
 			e, err := fault.ParseEvent(strings.TrimSpace(arg))
 			if err != nil {
-				return nil, spec, sched, faultLines, &ParseError{ln + 1, err.Error()}
+				return comms, spec, sched, faultLines, &ParseError{ln + 1, err.Error()}
 			}
 			sched.Events = append(sched.Events, e)
 			faultLines = append(faultLines, ln+1)
@@ -184,59 +243,56 @@ func parseFull(src string) (*graph.Graph, topology.Spec, fault.Schedule, []int, 
 		}
 		label, rest, ok := strings.Cut(line, ":")
 		if !ok {
-			return nil, spec, sched, faultLines, &ParseError{ln + 1, fmt.Sprintf("expected 'label: src -> dst', 'volume', 'topology:', 'place:' or 'fault:', got %q", line)}
+			return comms, spec, sched, faultLines, &ParseError{ln + 1, fmt.Sprintf("expected 'label: src -> dst', 'volume', 'topology:', 'place:' or 'fault:', got %q", line)}
 		}
 		label = strings.TrimSpace(label)
 		if label == "" || strings.ContainsAny(label, " \t") {
-			return nil, spec, sched, faultLines, &ParseError{ln + 1, fmt.Sprintf("invalid label %q", label)}
+			return comms, spec, sched, faultLines, &ParseError{ln + 1, fmt.Sprintf("invalid label %q", label)}
 		}
 		srcStr, dstStr, ok := strings.Cut(rest, "->")
 		if !ok {
-			return nil, spec, sched, faultLines, &ParseError{ln + 1, "missing '->'"}
+			return comms, spec, sched, faultLines, &ParseError{ln + 1, "missing '->'"}
 		}
 		srcNode, err := parseNode(srcStr)
 		if err != nil {
-			return nil, spec, sched, faultLines, &ParseError{ln + 1, "source: " + err.Error()}
+			return comms, spec, sched, faultLines, &ParseError{ln + 1, "source: " + err.Error()}
 		}
-		dstFields := strings.Fields(dstStr)
-		if len(dstFields) < 1 || len(dstFields) > 2 {
-			return nil, spec, sched, faultLines, &ParseError{ln + 1, "expected 'dst [volume]' after '->'"}
+		dstField, volField := cutField(dstStr)
+		volField, extra := cutField(volField)
+		if dstField == "" || strings.TrimSpace(extra) != "" {
+			return comms, spec, sched, faultLines, &ParseError{ln + 1, "expected 'dst [volume]' after '->'"}
 		}
-		dstNode, err := parseNode(dstFields[0])
+		dstNode, err := parseNode(dstField)
 		if err != nil {
-			return nil, spec, sched, faultLines, &ParseError{ln + 1, "destination: " + err.Error()}
+			return comms, spec, sched, faultLines, &ParseError{ln + 1, "destination: " + err.Error()}
 		}
 		v := volume
-		if len(dstFields) == 2 {
-			v, err = ParseVolume(dstFields[1])
+		if volField != "" {
+			v, err = ParseVolume(volField)
 			if err != nil {
-				return nil, spec, sched, faultLines, &ParseError{ln + 1, err.Error()}
+				return comms, spec, sched, faultLines, &ParseError{ln + 1, err.Error()}
 			}
 		}
-		b.Add(label, srcNode, dstNode, v)
+		comms = append(comms, graph.Comm{Label: label, Src: srcNode, Dst: dstNode, Volume: v})
 		seen = true
 	}
 	if placeSeen && spec.Trivial() {
-		return nil, spec, sched, faultLines, &ParseError{placeAt, "place: needs a multi-switch topology header"}
+		return comms, spec, sched, faultLines, &ParseError{placeAt, "place: needs a multi-switch topology header"}
 	}
 	if !seen {
-		return nil, spec, sched, faultLines, &ParseError{0, "no communications in scheme"}
+		return comms, spec, sched, faultLines, &ParseError{0, "no communications in scheme"}
 	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, spec, sched, faultLines, fmt.Errorf("schemelang: %w", err)
+	return comms, spec, sched, faultLines, nil
+}
+
+// cutField returns the first field of s as strings.Fields splits it,
+// and the text after that field.
+func cutField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
 	}
-	if err := spec.CheckFit(g.MaxNode()); err != nil {
-		return nil, spec, sched, faultLines, fmt.Errorf("schemelang: %w", err)
-	}
-	// Fault events are checked against the fabric only now: the
-	// topology: header may legally follow the fault: headers.
-	for i, e := range sched.Events {
-		if err := fault.CheckEvent(e, spec); err != nil {
-			return nil, spec, sched, faultLines, &ParseError{faultLines[i], "fault: " + err.Error()}
-		}
-	}
-	return g, spec, sched, faultLines, nil
+	return s, ""
 }
 
 func parseNode(s string) (graph.NodeID, error) {
@@ -258,7 +314,7 @@ func ParseVolume(s string) (float64, error) {
 		name string
 		mult float64
 	}{{"GB", 1e9}, {"MB", 1e6}, {"KB", 1e3}, {"B", 1}} {
-		if strings.HasSuffix(strings.ToUpper(s), suf.name) {
+		if hasUnit(s, suf.name) {
 			mult = suf.mult
 			num = s[:len(s)-len(suf.name)]
 			break
@@ -279,6 +335,25 @@ func ParseVolume(s string) (float64, error) {
 	return v, nil
 }
 
+// hasUnit reports whether s ends in the upper-case unit, ignoring ASCII
+// case: strings.HasSuffix(strings.ToUpper(s), unit) without building
+// the upper-case copy (no other rune upper-cases to a unit's letters).
+func hasUnit(s, unit string) bool {
+	if len(s) < len(unit) {
+		return false
+	}
+	for i := 0; i < len(unit); i++ {
+		c := s[len(s)-len(unit)+i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != unit[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Canonical renders g in the canonical form used as a cache identity by
 // the prediction service: exactly Format's output, which is a pure
 // function of the communication sequence (label, src, dst, volume in id
@@ -297,18 +372,29 @@ const (
 // allocating, so it can key a response cache on the serving hot path.
 // Collisions must be confirmed with graph.Equal before trusting a hit.
 func Hash(g *graph.Graph) uint64 {
-	h := uint64(fnv64Offset)
+	h := HashSeed
 	for i, n := 0, g.Len(); i < n; i++ {
 		c := g.Comm(graph.CommID(i))
-		for j := 0; j < len(c.Label); j++ {
-			h = (h ^ uint64(c.Label[j])) * fnv64Prime
-		}
-		h = (h ^ '\n') * fnv64Prime // label terminator: "ab"+"c" != "a"+"bc"
-		h = hashU64(h, uint64(c.Src))
-		h = hashU64(h, uint64(c.Dst))
-		h = hashU64(h, math.Float64bits(c.Volume))
+		h = FoldComm(h, c.Label, c.Src, c.Dst, c.Volume)
 	}
 	return h
+}
+
+// HashSeed is the state Hash starts from. Folding a communication
+// sequence into it with FoldComm, in order, gives Hash of the graph
+// that sequence builds, so a caller holding the communications in
+// another form hashes them without building the graph.
+const HashSeed uint64 = fnv64Offset
+
+// FoldComm folds one communication into a Hash state.
+func FoldComm[L ~string | ~[]byte](h uint64, label L, src, dst graph.NodeID, volume float64) uint64 {
+	for j := 0; j < len(label); j++ {
+		h = (h ^ uint64(label[j])) * fnv64Prime
+	}
+	h = (h ^ '\n') * fnv64Prime // label terminator: "ab"+"c" != "a"+"bc"
+	h = hashU64(h, uint64(src))
+	h = hashU64(h, uint64(dst))
+	return hashU64(h, math.Float64bits(volume))
 }
 
 // hashU64 folds one 64-bit word into an FNV-1a state byte by byte.

@@ -3,15 +3,18 @@ package server
 import (
 	"sync"
 
+	"bwshare/internal/api"
 	"bwshare/internal/fault"
 	"bwshare/internal/graph"
 	"bwshare/internal/topology"
 )
 
-// cacheKey identifies one cached prediction: canonical scheme hash x
-// model x static/progressive x reference rate x fabric x fault-schedule
-// hash. The scheme and fault hashes can collide, so hits are confirmed
-// against the stored graph (graph.Equal) and schedule (Schedule.Equal)
+// cacheKey identifies one cached prediction: scheme hash x model x
+// static/progressive x reference rate x fabric x fault-schedule hash.
+// The scheme hash is api.Key's, which every request form (catalog name,
+// scheme text, comms) and Server.Predict's graph derive alike for one
+// graph, so they share one entry. The hashes can collide, so a hit is
+// confirmed against the stored graph and schedule (api.Key.Matches)
 // before being served — a degraded prediction must never alias a
 // healthy one. The empty schedule hashes to 0, so healthy entries keep
 // their historical keys. The other fields are exact values.
@@ -24,8 +27,9 @@ type cacheKey struct {
 	faults uint64
 }
 
-// entry is one LRU cache slot. The stored slices are immutable once
-// inserted: readers hand them out without copying.
+// entry is one LRU cache slot. The stored slices and graph are
+// immutable once inserted: readers hand them out without copying, and a
+// hit is answered from the entry's own graph.
 type entry struct {
 	key        cacheKey
 	g          *graph.Graph
@@ -36,7 +40,7 @@ type entry struct {
 }
 
 // lru is a mutex-guarded fixed-capacity LRU map. The hit path performs
-// no allocation: a map lookup, a graph.Equal confirmation and an
+// no allocation: a map lookup, an api.Key.Matches confirmation and an
 // intrusive list splice.
 type lru struct {
 	mu         sync.Mutex
@@ -51,16 +55,16 @@ func newLRU(capacity int) *lru {
 	return &lru{cap: capacity, byKey: make(map[cacheKey]*entry)}
 }
 
-// get returns the entry for key after confirming the stored graph and
-// fault schedule match, promoting it to most recently used.
-func (c *lru) get(key cacheKey, g *graph.Graph, sched fault.Schedule) *entry {
+// get returns the entry for key after confirming that k matches its
+// graph and fault schedule, promoting it to most recently used.
+func (c *lru) get(key cacheKey, k *api.Key) *entry {
 	if c.cap <= 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.byKey[key]
-	if e == nil || !graph.Equal(e.g, g) || !e.sched.Equal(sched) {
+	if e == nil || !k.Matches(e.g, e.sched) {
 		return nil
 	}
 	c.moveToFront(e)

@@ -6,9 +6,18 @@ package server
 import (
 	"testing"
 
+	"bwshare/internal/api"
 	"bwshare/internal/fault"
 	"bwshare/internal/graph"
+	"bwshare/internal/topology"
 )
+
+// keyOf is the key of a prediction of g on the healthy crossbar.
+func keyOf(g *graph.Graph) *api.Key {
+	var k api.Key
+	k.SetGraph(g, topology.Spec{}, fault.Schedule{})
+	return &k
+}
 
 // mkEntry builds a distinct graph + key pair; the key hash is synthetic
 // so tests control collisions explicitly.
@@ -25,14 +34,14 @@ func TestNegativeCapacityCache(t *testing.T) {
 	for _, capacity := range []int{0, -1, -1000} {
 		c := newLRU(capacity)
 		g, k := mkEntry("a", 1)
-		if e := c.get(k, g, fault.Schedule{}); e != nil {
+		if e := c.get(k, keyOf(g)); e != nil {
 			t.Errorf("cap %d: get on empty disabled cache returned %v", capacity, e)
 		}
 		c.put(&entry{key: k, g: g})
 		if n := c.len(); n != 0 {
 			t.Errorf("cap %d: put should be dropped, len = %d", capacity, n)
 		}
-		if e := c.get(k, g, fault.Schedule{}); e != nil {
+		if e := c.get(k, keyOf(g)); e != nil {
 			t.Errorf("cap %d: disabled cache served a hit", capacity)
 		}
 	}
@@ -62,23 +71,23 @@ func TestLRUEvictionOrderAfterPromotions(t *testing.T) {
 	c.put(&entry{key: kc, g: gc})
 
 	// Promote a (tail -> head), then c; recency is now c, a, b.
-	if c.get(ka, ga, fault.Schedule{}) == nil || c.get(kc, gc, fault.Schedule{}) == nil {
+	if c.get(ka, keyOf(ga)) == nil || c.get(kc, keyOf(gc)) == nil {
 		t.Fatal("a and c should be resident")
 	}
 	c.put(&entry{key: kd, g: gd}) // must evict b
-	if c.get(kb, gb, fault.Schedule{}) != nil {
+	if c.get(kb, keyOf(gb)) != nil {
 		t.Error("b should have been evicted (true LRU)")
 	}
-	if c.get(ka, ga, fault.Schedule{}) == nil || c.get(kc, gc, fault.Schedule{}) == nil {
+	if c.get(ka, keyOf(ga)) == nil || c.get(kc, keyOf(gc)) == nil {
 		t.Error("a and c were promoted and must survive")
 	}
 	// The residency checks above promoted a and c past d, so d is now
 	// the tail despite being the most recent insert.
 	c.put(&entry{key: ke, g: ge}) // must evict d
-	if c.get(kd, gd, fault.Schedule{}) != nil {
+	if c.get(kd, keyOf(gd)) != nil {
 		t.Error("d should have been evicted after a and c were re-promoted")
 	}
-	if c.get(ka, ga, fault.Schedule{}) == nil || c.get(kc, gc, fault.Schedule{}) == nil || c.get(ke, ge, fault.Schedule{}) == nil {
+	if c.get(ka, keyOf(ga)) == nil || c.get(kc, keyOf(gc)) == nil || c.get(ke, keyOf(ge)) == nil {
 		t.Error("a, c, e should be resident")
 	}
 	if c.len() != 3 {
@@ -89,10 +98,10 @@ func TestLRUEvictionOrderAfterPromotions(t *testing.T) {
 	// to the head, so the next eviction takes c (current tail), not a.
 	c.put(&entry{key: ka, g: ga})
 	c.put(&entry{key: kd, g: gd}) // evicts c
-	if c.get(kc, gc, fault.Schedule{}) != nil {
+	if c.get(kc, keyOf(gc)) != nil {
 		t.Error("c should have been evicted after a's re-put promotion")
 	}
-	if c.get(ka, ga, fault.Schedule{}) == nil {
+	if c.get(ka, keyOf(ga)) == nil {
 		t.Error("re-put a must stay resident")
 	}
 }

@@ -27,7 +27,8 @@ func TestBatchRenderingMatchesMarshalIndent(t *testing.T) {
 	}
 	results := make([]any, len(items))
 	links := 0
-	for i, one := range items {
+	for i := range items {
+		one := &items[i]
 		g, topo, res, err := s.resolveAndPredict(context.Background(), one)
 		if err != nil {
 			results[i] = api.ErrorBody{Error: err.Error(), Status: statusFor(err)}

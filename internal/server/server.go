@@ -232,32 +232,55 @@ type Result struct {
 // Schedule is the healthy fabric). refOverride, when positive, replaces
 // the substrate's default reference rate. ctx bounds the whole
 // computation: expiry — waiting for a worker or mid-simulation — yields
-// an api.ErrTimeout-wrapped error (HTTP 503). The cache-hit path allocates
-// nothing.
+// an api.ErrTimeout-wrapped error (HTTP 503). g is keyed by an api.Key
+// as a request for it is, so in-process calls and HTTP requests share
+// cache entries. The cache-hit path allocates nothing.
 func (s *Server) Predict(ctx context.Context, g *graph.Graph, modelName string, static bool, refOverride float64, topo topology.Spec, sched fault.Schedule) (Result, error) {
-	name, ok := s.canon[modelName]
-	if !ok {
-		return Result{}, fmt.Errorf("unknown model %q (see /v1/models)", modelName)
-	}
-	if !core.ValidRefRate(refOverride) {
-		return Result{}, fmt.Errorf("ref_rate must be a positive finite rate in bytes/second, got %g", refOverride)
-	}
-	ref := refOverride
-	if ref == 0 {
-		ref = s.refs[name]
-	}
-	key := cacheKey{hash: schemelang.Hash(g), model: name, static: static, ref: ref, topo: topo, faults: sched.Hash()}
-	if e := s.cache.get(key, g, sched); e != nil {
-		s.cacheHits.Add(1)
-		return Result{Model: name, RefRate: ref, Penalties: e.pen, Times: e.times, Cached: true}, nil
-	}
-	s.cacheMisses.Add(1)
-	pen, times, err := s.compute(ctx, g, name, static, ref, topo, sched)
+	name, ref, err := s.modelRate(modelName, refOverride)
 	if err != nil {
 		return Result{}, err
 	}
-	s.cache.put(&entry{key: key, g: g, sched: sched.Clone(), pen: pen, times: times})
-	return Result{Model: name, RefRate: ref, Penalties: pen, Times: times, Cached: false}, nil
+	var k api.Key
+	k.SetGraph(g, topo, sched)
+	key := cacheKey{hash: k.Scheme, model: name, static: static, ref: ref, topo: topo, faults: sched.Hash()}
+	if e := s.cache.get(key, &k); e != nil {
+		return s.hit(e), nil
+	}
+	return s.miss(ctx, key, &k, g)
+}
+
+// modelRate resolves a model name to its canonical name and a rate
+// override to the rate the prediction runs at.
+func (s *Server) modelRate(modelName string, refOverride float64) (string, float64, error) {
+	name, ok := s.canon[modelName]
+	if !ok {
+		return "", 0, fmt.Errorf("unknown model %q (see /v1/models)", modelName)
+	}
+	if !core.ValidRefRate(refOverride) {
+		return "", 0, fmt.Errorf("ref_rate must be a positive finite rate in bytes/second, got %g", refOverride)
+	}
+	if refOverride == 0 {
+		return name, s.refs[name], nil
+	}
+	return name, refOverride, nil
+}
+
+// hit answers from a cache entry.
+func (s *Server) hit(e *entry) Result {
+	s.cacheHits.Add(1)
+	return Result{Model: e.key.model, RefRate: e.key.ref, Penalties: e.pen, Times: e.times, Cached: true}
+}
+
+// miss runs the simulator on g, the graph of k, and caches the answer
+// under key.
+func (s *Server) miss(ctx context.Context, key cacheKey, k *api.Key, g *graph.Graph) (Result, error) {
+	s.cacheMisses.Add(1)
+	pen, times, err := s.compute(ctx, g, key.model, key.static, key.ref, key.topo, k.Sched)
+	if err != nil {
+		return Result{}, err
+	}
+	s.cache.put(&entry{key: key, g: g, sched: k.Sched.Clone(), pen: pen, times: times})
+	return Result{Model: key.model, RefRate: key.ref, Penalties: pen, Times: times, Cached: false}, nil
 }
 
 // compute runs the simulator on a pooled worker under the request
@@ -362,7 +385,7 @@ func (s *Server) handlePredictPost(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	s.servePredict(w, r, req)
+	s.servePredict(w, r, &req)
 }
 
 // handlePredictGet is the catalog convenience form; the strict query
@@ -375,16 +398,18 @@ func (s *Server) handlePredictGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.servePredict(w, r, req)
+	s.servePredict(w, r, &req)
 }
 
 // servePredict resolves the scheme, predicts, and renders either JSON or
 // (format=text) the exact bwpredict stdout for the same model and flags.
 // Predictions on a fabric additionally carry the per-uplink utilization.
-func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, req api.PredictRequest) {
+func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, req *api.PredictRequest) {
 	ctx, cancel := s.requestCtx(r.Context())
 	defer cancel()
-	g, topo, res, err := s.resolveAndPredict(ctx, req)
+	k := api.NewKey()
+	defer k.Free()
+	g, topo, res, err := s.predictRequest(ctx, k, req)
 	if err != nil {
 		s.writeError(w, statusFor(err), err.Error())
 		return
@@ -402,7 +427,7 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, req api.Pr
 }
 
 // buildPrediction assembles the JSON document for one predicted scheme.
-func (s *Server) buildPrediction(req api.PredictRequest, g *graph.Graph, topo topology.Spec, res Result) report.Prediction {
+func (s *Server) buildPrediction(req *api.PredictRequest, g *graph.Graph, topo topology.Spec, res Result) report.Prediction {
 	p := report.BuildPrediction(s.models[res.Model].Name(), !req.Static, res.RefRate, g, res.Penalties, res.Times)
 	p.Cached = res.Cached
 	if !topo.Trivial() {
@@ -442,11 +467,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		err api.ErrorBody
 	}
 	results := make([]result, len(req.Requests))
-	for i, one := range req.Requests {
+	k := api.NewKey()
+	defer k.Free()
+	for i := range req.Requests {
+		one := &req.Requests[i]
 		// Each item gets its own deadline: one slow simulation must not
 		// starve the remainder of the batch of its full budget.
 		ctx, cancel := s.requestCtx(r.Context())
-		g, topo, res, err := s.resolveAndPredict(ctx, one)
+		g, topo, res, err := s.predictRequest(ctx, k, one)
 		cancel()
 		if err != nil {
 			code := statusFor(err)
@@ -467,18 +495,44 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// predictRequest resolves a request to its key (k, reused) and answers
+// it, building a graph only on a cache miss; a hit is answered from the
+// entry's own graph. A request the key or the graph build rejects, or
+// whose model or rate is invalid, is answered by resolveAndPredict
+// instead, so the client sees the error the full resolution reports
+// first.
+func (s *Server) predictRequest(ctx context.Context, k *api.Key, req *api.PredictRequest) (*graph.Graph, topology.Spec, Result, error) {
+	if k.Resolve(req) != nil {
+		return s.resolveAndPredict(ctx, req)
+	}
+	name, ref, err := s.modelRate(k.Model, req.RefRate)
+	if err != nil {
+		return s.resolveAndPredict(ctx, req)
+	}
+	key := cacheKey{hash: k.Scheme, model: name, static: req.Static, ref: ref, topo: k.Topo, faults: k.Sched.Hash()}
+	if e := s.cache.get(key, k); e != nil {
+		return e.g, k.Topo, s.hit(e), nil
+	}
+	g, err := k.Graph()
+	if err != nil {
+		return s.resolveAndPredict(ctx, req)
+	}
+	res, err := s.miss(ctx, key, k, g)
+	if err != nil {
+		return nil, k.Topo, Result{}, err
+	}
+	return g, k.Topo, res, nil
+}
+
 // resolveAndPredict turns a request into a graph, fabric and fault
-// schedule and runs Predict.
-func (s *Server) resolveAndPredict(ctx context.Context, req api.PredictRequest) (*graph.Graph, topology.Spec, Result, error) {
-	g, topo, sched, err := api.ResolveGraph(req)
+// schedule with api.ResolveGraph and runs Predict: the reference path,
+// taken for the requests predictRequest finds at fault.
+func (s *Server) resolveAndPredict(ctx context.Context, req *api.PredictRequest) (*graph.Graph, topology.Spec, Result, error) {
+	g, topo, sched, err := api.ResolveGraph(*req)
 	if err != nil {
 		return nil, topo, Result{}, err
 	}
-	model := req.Model
-	if model == "" {
-		model = api.DefaultModel
-	}
-	res, err := s.Predict(ctx, g, model, req.Static, req.RefRate, topo, sched)
+	res, err := s.Predict(ctx, g, api.CanonicalModel(req.Model), req.Static, req.RefRate, topo, sched)
 	if err != nil {
 		return nil, topo, Result{}, err
 	}

@@ -384,14 +384,14 @@ func TestLRUEviction(t *testing.T) {
 	g3, k3 := mk("abc")
 	c.put(&entry{key: k1, g: g1})
 	c.put(&entry{key: k2, g: g2})
-	if c.get(k1, g1, fault.Schedule{}) == nil {
+	if c.get(k1, keyOf(g1)) == nil {
 		t.Fatal("k1 should be resident")
 	}
 	c.put(&entry{key: k3, g: g3}) // evicts k2 (least recently used)
-	if c.get(k2, g2, fault.Schedule{}) != nil {
+	if c.get(k2, keyOf(g2)) != nil {
 		t.Error("k2 should have been evicted")
 	}
-	if c.get(k1, g1, fault.Schedule{}) == nil || c.get(k3, g3, fault.Schedule{}) == nil {
+	if c.get(k1, keyOf(g1)) == nil || c.get(k3, keyOf(g3)) == nil {
 		t.Error("k1 and k3 should be resident")
 	}
 	if c.len() != 2 {
@@ -399,7 +399,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// A hash collision with a different graph must not be served.
 	other := graph.NewBuilder().Add("z", 5, 6, 2e6).MustBuild()
-	if c.get(k1, other, fault.Schedule{}) != nil {
+	if c.get(k1, keyOf(other)) != nil {
 		t.Error("collision with different graph served from cache")
 	}
 }

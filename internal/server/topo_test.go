@@ -215,10 +215,10 @@ func TestCacheCollisionKeepsResident(t *testing.T) {
 	penB := []float64{9}
 	c.put(&entry{key: key, g: gA, pen: penA})
 	c.put(&entry{key: key, g: gB, pen: penB}) // collision: must not evict gA
-	if e := c.get(key, gA, fault.Schedule{}); e == nil || &e.pen[0] != &penA[0] {
+	if e := c.get(key, keyOf(gA)); e == nil || &e.pen[0] != &penA[0] {
 		t.Fatal("resident entry lost to a colliding newcomer")
 	}
-	if e := c.get(key, gB, fault.Schedule{}); e != nil {
+	if e := c.get(key, keyOf(gB)); e != nil {
 		t.Fatal("collision served the wrong graph's entry")
 	}
 	// Alternating colliding puts stay deterministic: gA remains.
@@ -226,7 +226,7 @@ func TestCacheCollisionKeepsResident(t *testing.T) {
 		c.put(&entry{key: key, g: gB, pen: penB})
 		c.put(&entry{key: key, g: gA, pen: penA})
 	}
-	if e := c.get(key, gA, fault.Schedule{}); e == nil || &e.pen[0] != &penA[0] {
+	if e := c.get(key, keyOf(gA)); e == nil || &e.pen[0] != &penA[0] {
 		t.Fatal("resident entry churned under alternating collisions")
 	}
 	if c.len() != 1 {
@@ -235,7 +235,7 @@ func TestCacheCollisionKeepsResident(t *testing.T) {
 	// A same-graph re-put (recomputed identical values) still refreshes.
 	penA2 := []float64{1}
 	c.put(&entry{key: key, g: gA, pen: penA2})
-	if e := c.get(key, gA, fault.Schedule{}); e == nil || &e.pen[0] != &penA2[0] {
+	if e := c.get(key, keyOf(gA)); e == nil || &e.pen[0] != &penA2[0] {
 		t.Fatal("same-graph re-put did not refresh the entry")
 	}
 }
