@@ -27,7 +27,7 @@ type Key struct {
 	Topo    topology.Spec
 	Sched   fault.Schedule
 
-	// The communications: exactly one is set after a resolution.
+	// The communications: g, named or comms when set, else text.
 	g     *graph.Graph  // SetGraph's graph
 	named *namedScheme  // a catalog scheme
 	text  []graph.Comm  // the scheme text's communications (reused)
